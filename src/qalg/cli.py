@@ -2,9 +2,10 @@
 
 Verbs: closure, classify, jw, code, verify, thermal, enumerate.  Every verb
 accepts --format text|json and --out FILE.  JSON output is a stable
-envelope {schema, version, generated_at, input_hash, body}: the body and
-the input hash are deterministic functions of the resolved inputs, and the
-timestamp stays outside the hashed content.
+envelope {schema, version, generated_at, input_hash, body}, written
+compactly on one line: the body and the input hash are deterministic
+functions of the resolved inputs, and the timestamp stays outside the
+hashed content.
 
 Exit codes: 0 on success (and all checks passing), 1 when a requested
 verification fails, 2 on usage or input errors.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .codes import build_code, encoded_cphase, encoded_generator, rate, synthesize_su_d
 from .dsl import parse_expr, parse_script, print_expr
-from .errors import DenseLimitError, ParseError, SpeciesError
+from .errors import DenseLimitError
 from .jw import jw_fermion_to_pauli, string_operator
 from .lie import GeneratorSet, classify_algebra, close
 from .pauli import OperatorSum
@@ -378,7 +379,7 @@ def _write_output(args, command: str, body, lines, ok: bool):
             "input_hash": _input_hash(args, command),
             "body": body,
         }
-        text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         text = "\n".join(lines) + "\n"
     if args.out:
@@ -483,9 +484,6 @@ def main(argv=None) -> int:
     except DenseLimitError as err:
         print(f"qalg: {err} (raise QALG_DENSE_LIMIT to override)",
               file=sys.stderr)
-        return 2
-    except (ParseError, SpeciesError) as err:
-        print(f"qalg: {err}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as err:
         print(f"qalg: {err}", file=sys.stderr)

@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import dense_limit
+from .errors import DenseLimitError, SubspaceLeakError
 from .pauli import OperatorSum
 from .parafermion import bilinear_su2
 
@@ -48,7 +49,7 @@ class CodeSubspace:
                 f"excitation count {self.excitations} invalid "
                 f"for {self.n_modes} modes")
         if self.n_modes > dense_limit():
-            raise ValueError(
+            raise DenseLimitError(
                 f"{self.n_modes} modes exceeds the dense limit")
 
     @cached_property
@@ -126,20 +127,13 @@ class EncodedGate:
     def is_hermitian(self) -> bool:
         return bool(np.max(np.abs(self.action - self.action.conj().T)) < 1e-10)
 
-    @property
-    def is_unitary(self) -> bool:
-        d = self.action.shape[0]
-        return bool(np.max(np.abs(
-            self.action @ self.action.conj().T - np.eye(d))) < 1e-10)
 
-
-def _project(code: CodeSubspace, op: OperatorSum) -> np.ndarray:
-    """Matrix elements of op between codewords; raises on block leakage."""
-    from .errors import SubspaceLeakError
-
+def _project(code: CodeSubspace, op: OperatorSum) -> dict:
+    """Exact nonzero matrix elements {(row, col): Scalar} of op between
+    codewords; raises SubspaceLeakError on block leakage."""
     indices = code.dense_indices
     pos = {label: k for k, label in enumerate(indices)}
-    mat = np.zeros((code.dim, code.dim), dtype=complex)
+    entries = {}
     leaks = []
     for col, label in enumerate(indices):
         for out_label, amp in op.apply_basis_state(label).items():
@@ -147,10 +141,10 @@ def _project(code: CodeSubspace, op: OperatorSum) -> np.ndarray:
             if row is None:
                 leaks.append((label, out_label))
             else:
-                mat[row, col] += amp.to_complex()
+                entries[row, col] = amp
     if leaks:
         raise SubspaceLeakError("operator leaks out of the code", leaks=leaks)
-    return mat
+    return entries
 
 
 def physical_generator(kind: str, pair, n_modes: int) -> OperatorSum:
@@ -176,9 +170,10 @@ def encoded_generator(code: CodeSubspace, kind: str, pair) -> EncodedGate:
     if not 0 <= i < j < code.n_modes:
         raise ValueError(f"invalid pair {pair!r} for {code.n_modes} modes")
     op = physical_generator(kind, (i, j), code.n_modes)
-    return EncodedGate(
-        name=f"T{kind}({i},{j})", support=(i, j),
-        action=_project(code, op))
+    action = np.zeros((code.dim, code.dim), dtype=complex)
+    for (row, col), amp in _project(code, op).items():
+        action[row, col] = amp.to_complex()
+    return EncodedGate(name=f"T{kind}({i},{j})", support=(i, j), action=action)
 
 
 @dataclass(frozen=True, eq=False)

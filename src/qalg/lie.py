@@ -5,22 +5,24 @@ Hermitian reference strings with rational coordinates; the bracket
 (A, B) -> i[A, B] keeps them real.  Closure therefore runs in exact integer
 arithmetic: every operator is scaled to a primitive integer vector, new
 commutators are reduced against the current basis by fraction-free
-elimination on the smallest Pauli key, and independent remainders are
-appended in discovery order.  Dimensions are exact ranks, not numerical
-estimates.
+elimination on the smallest key, and independent remainders are appended
+in discovery order.  Dimensions are exact ranks, not numerical estimates.
 
-A separate floating-point path closes generators after projection onto a
-code subspace, where the projected matrices leave the rational span.
+Generators projected onto a code subspace close on the same engine: their
+d x d Hermitian matrices are integer vectors over the matrix units E_jj,
+E_jk + E_kj and i(E_jk - E_kj), with their own bracket.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .codes import _project
 from .pauli import OperatorSum, Scalar, commutator, realize
 from .parafermion import number_operator, parity_operator
 
@@ -49,8 +51,10 @@ class GeneratorSet:
 class LieBasis:
     """Result of a closure run.
 
-    basis holds the reduced elements in discovery order: OperatorSum for the
-    exact path, d x d ndarrays for the subspace path.  provenance[k] is None
+    basis holds the reduced elements in discovery order: OperatorSum for a
+    full-space closure; for a subspace closure, the exact Hermitian entries
+    {(row, col): Scalar} of a d x d matrix on the codeword basis, with
+    Gaussian-integer values and zero entries left out.  provenance[k] is None
     for a seed generator and (i, j) when element k came from i[basis_i,
     basis_j].  dimension counts all independent elements; the traceless
     count excludes an identity component when one lies in the span.
@@ -83,20 +87,22 @@ class LieBasis:
 
 # -- integer vector layer --------------------------------------------------
 
+_IRRATIONAL = ("exact closure requires rational coefficients; "
+               "irrational coefficient encountered")
+
+
+def _primitive(coords: dict) -> dict:
+    """Primitive integer vector of rational coordinates {key: Fraction}."""
+    denom = math.lcm(*(v.denominator for v in coords.values()))
+    return _normalize({k: int(v * denom) for k, v in coords.items() if v})
+
+
 def _to_vec(op: OperatorSum) -> dict:
     """Primitive integer coordinate vector of a rational Hermitian sum."""
+    if not op.is_rational:
+        raise ValueError(_IRRATIONAL)
     n = op.n_modes
-    coords = {}
-    denom = 1
-    for (x, z), c in op.items():
-        if not c.is_rational:
-            raise ValueError(
-                "exact closure requires rational coefficients; "
-                "irrational coefficient encountered")
-        coords[(x << n) | z] = c.re
-        denom = denom * c.re.denominator // math.gcd(denom, c.re.denominator)
-    vec = {k: int(v * denom) for k, v in coords.items()}
-    return _normalize(vec)
+    return _primitive({(x << n) | z: c.re for (x, z), c in op.items()})
 
 
 def _normalize(vec: dict) -> dict:
@@ -141,6 +147,55 @@ def _bracket(va: dict, vb: dict, n_modes: int) -> dict:
     return out
 
 
+# A Hermitian d x d matrix on a codeword basis is an integer vector over the
+# matrix units: key j*d + j is E_jj, key j*d + k (j < k) is E_jk + E_kj and
+# key k*d + j is i(E_jk - E_kj).
+
+def _matrix_vec(entries: dict, d: int) -> dict:
+    """Primitive integer vector of Hermitian entries {(row, col): Scalar}."""
+    if not all(s.is_rational for s in entries.values()):
+        raise ValueError(_IRRATIONAL)
+    return _primitive({r * d + c: s.re if r <= c else -s.im
+                       for (r, c), s in entries.items()})
+
+
+def _matrix_entries(vec: dict, d: int) -> dict:
+    """Gaussian-integer entries {(row, col): [re, im]} of a matrix vector."""
+    out = defaultdict(lambda: [0, 0])
+    for key, v in vec.items():
+        r, c = divmod(key, d)
+        if r <= c:
+            out[r, c][0] = out[c, r][0] = v
+        else:
+            out[c, r][1], out[r, c][1] = v, -v
+    return out
+
+
+def _matrix_bracket(va: dict, vb: dict, d: int) -> dict:
+    """i[A, B] of two Hermitian matrix vectors, unnormalized."""
+    rows = defaultdict(list)
+    for (k, c), z in _matrix_entries(vb, d).items():
+        rows[k].append((c, z))
+    prod = defaultdict(lambda: [0, 0])  # P = AB
+    for (r, k), (ar, ai) in _matrix_entries(va, d).items():
+        for c, (br, bi) in rows.get(k, ()):
+            p = prod[r, c]
+            p[0] += ar * br - ai * bi
+            p[1] += ar * bi + ai * br
+    # BA = P^dagger for Hermitian A, B, so i[A, B] = i(P - P^dagger)
+    out = defaultdict(int)
+    for (r, c), (p, q) in prod.items():
+        if r == c:
+            out[r * d + r] -= 2 * q
+        elif r < c:
+            out[r * d + c] -= q
+            out[c * d + r] += p
+        else:
+            out[c * d + r] -= q
+            out[r * d + c] -= p
+    return {k: v for k, v in out.items() if v}
+
+
 def _reduce(vec: dict, pivots: dict) -> dict:
     """Eliminate vec against the pivot table; return the normalized rest."""
     while vec:
@@ -164,17 +219,17 @@ def _reduce(vec: dict, pivots: dict) -> dict:
     return vec
 
 
-def close(generator_set: GeneratorSet, max_dim: int | None = None) -> LieBasis:
-    """Breadth-first exact Lie closure of a Hermitian generator set.
+# -- closure engine --------------------------------------------------------
 
-    Seeds with the independent generators, then brackets every earlier
-    element with each member of the newest batch, in index order, reducing
-    exactly and appending independent results.  Stops when a full round
-    adds nothing, when the span saturates the whole operator space, or at
-    max_dim (reported via closed=False, not an error).
+def _closure(n_modes: int, seeds, bracket, identity: dict, full_dim: int,
+             max_dim: int | None, export,
+             subspace_dim: int | None = None) -> LieBasis:
+    """Breadth-first closure of integer seed vectors; the engine of close
+    and close_on_subspace, which differ only in bracket and identity vector.
+    In both coordinate systems the trace of a vector is proportional to its
+    dot product with the identity vector.
+    export maps each basis vector to the reported element.
     """
-    n = generator_set.n_modes
-    full_dim = 4 ** n
     cap = full_dim if max_dim is None else min(max_dim, full_dim)
     pivots: dict = {}
     vectors: list = []
@@ -189,15 +244,17 @@ def close(generator_set: GeneratorSet, max_dim: int | None = None) -> LieBasis:
         provenance.append(src)
         return True
 
-    for g in generator_set.generators:
-        insert(_to_vec(g), None)
+    for vec in seeds:
+        insert(vec, None)
+
+    def traceless(vec):
+        return not sum(vec.get(k, 0) * c for k, c in identity.items())
 
     def saturated():
         if len(vectors) == full_dim:
             return True
         return (len(vectors) == full_dim - 1
-                and 0 not in pivots
-                and all(0 not in v for v in vectors))
+                and all(map(traceless, vectors)))
 
     rounds = 0
     closed = True
@@ -213,7 +270,7 @@ def close(generator_set: GeneratorSet, max_dim: int | None = None) -> LieBasis:
         stop = False
         for j in range(batch_start, batch_end):
             for i in range(j):
-                out = _bracket(vectors[i], vectors[j], n)
+                out = bracket(vectors[i], vectors[j])
                 if out and insert(out, (i, j)):
                     if saturated():
                         stop = True
@@ -228,16 +285,62 @@ def close(generator_set: GeneratorSet, max_dim: int | None = None) -> LieBasis:
             break
         batch_start = batch_end
 
-    has_identity = not _reduce({0: 1}, pivots)
+    has_identity = not _reduce(identity, pivots)
     dim = len(vectors)
     return LieBasis(
-        n_modes=n,
-        basis=tuple(_from_vec(v, n) for v in vectors),
+        n_modes=n_modes,
+        basis=tuple(map(export, vectors)),
         dimension=dim,
         dimension_traceless=dim - 1 if has_identity else dim,
         closed=closed,
         rounds=rounds,
-        provenance=tuple(provenance))
+        provenance=tuple(provenance),
+        subspace_dim=subspace_dim)
+
+
+def close(generator_set: GeneratorSet, max_dim: int | None = None) -> LieBasis:
+    """Breadth-first exact Lie closure of a Hermitian generator set.
+
+    Seeds with the independent generators, then brackets every earlier
+    element with each member of the newest batch, in index order, reducing
+    exactly and appending independent results.  Stops when a full round
+    adds nothing, when the span saturates the whole operator space, or at
+    max_dim (reported via closed=False, not an error).  Full saturation
+    includes the traceless case: 4**n - 1 elements none of which has an
+    identity component.
+    """
+    n = generator_set.n_modes
+    return _closure(
+        n, [_to_vec(g) for g in generator_set.generators],
+        bracket=lambda va, vb: _bracket(va, vb, n),
+        identity={0: 1}, full_dim=4 ** n, max_dim=max_dim,
+        export=lambda vec: _from_vec(vec, n))
+
+
+def close_on_subspace(generator_set: GeneratorSet, subspace,
+                      max_dim: int | None = None) -> LieBasis:
+    """Exact Lie closure of the generators' actions on a code subspace.
+
+    Each generator must preserve the subspace exactly (checked symbolically
+    on the codeword basis states; leaks raise SubspaceLeakError).  The
+    projected d x d matrices are rational, so they close on the same exact
+    engine as close: every dimension is an exact rank.  The
+    identity-on-subspace component is tracked so both dimensions are
+    reported.
+    """
+    n = generator_set.n_modes
+    if subspace.n_modes != n:
+        raise ValueError("subspace mode count mismatch")
+    d = subspace.dim
+    return _closure(
+        n, [_matrix_vec(_project(subspace, g), d)
+            for g in generator_set.generators],
+        bracket=lambda va, vb: _matrix_bracket(va, vb, d),
+        identity={j * (d + 1): 1 for j in range(d)},
+        full_dim=d * d, max_dim=max_dim,
+        export=lambda vec: {rc: Scalar(re, im) for rc, (re, im)
+                            in _matrix_entries(vec, d).items()},
+        subspace_dim=d)
 
 
 # -- classification --------------------------------------------------------
@@ -328,111 +431,3 @@ def dense_span_rank(ops, tol: float = 1e-9) -> int:
     stack = np.array(mats)
     svals = np.linalg.svd(stack, compute_uv=False)
     return int(np.sum(svals > tol * max(1.0, svals[0])))
-
-
-# -- projected (subspace) closure ------------------------------------------
-
-def _orthonormal_insert(rows: list, mat: np.ndarray, tol: float) -> bool:
-    """Gram-Schmidt a flattened matrix into rows; True if rank grew."""
-    v = mat.reshape(-1).astype(complex)
-    norm0 = np.linalg.norm(v)
-    if norm0 <= tol:
-        return False
-    for _ in range(2):  # reorthogonalize once for numerical safety
-        for r in rows:
-            v = v - np.vdot(r, v) * r
-    norm = np.linalg.norm(v)
-    if norm <= tol * max(1.0, norm0):
-        return False
-    rows.append(v / norm)
-    return True
-
-
-def close_on_subspace(generator_set: GeneratorSet, subspace,
-                      max_dim: int | None = None,
-                      tol: float = 1e-9) -> LieBasis:
-    """Lie closure of the generators' actions on a code subspace.
-
-    Each generator must preserve the subspace exactly (checked symbolically
-    on the codeword basis states; leaks raise).  The projected d x d
-    matrices then close under i[.,.] with floating-point rank decisions at
-    the given tolerance.  The identity-on-subspace component is tracked so
-    both dimensions are reported.
-    """
-    from .errors import SubspaceLeakError
-
-    n = generator_set.n_modes
-    if subspace.n_modes != n:
-        raise ValueError("subspace mode count mismatch")
-    indices = subspace.dense_indices
-    index_pos = {label: k for k, label in enumerate(indices)}
-    d = len(indices)
-
-    projected = []
-    for g_num, g in enumerate(generator_set.generators):
-        mat = np.zeros((d, d), dtype=complex)
-        leaks = []
-        for col, label in enumerate(indices):
-            for out_label, amp in g.apply_basis_state(label).items():
-                row = index_pos.get(out_label)
-                if row is None:
-                    leaks.append((label, out_label))
-                else:
-                    mat[row, col] += amp.to_complex()
-        if leaks:
-            raise SubspaceLeakError(
-                f"generator {g_num} maps code states outside the subspace",
-                leaks=leaks)
-        projected.append(mat)
-
-    cap = d * d if max_dim is None else min(max_dim, d * d)
-    rows: list = []
-    mats: list = []
-    provenance: list = []
-
-    def insert(mat, src):
-        if _orthonormal_insert(rows, mat, tol):
-            mats.append(mat)
-            provenance.append(src)
-            return True
-        return False
-
-    for m in projected:
-        insert(m, None)
-
-    rounds = 0
-    closed = True
-    batch_start = 0
-    while batch_start < len(mats):
-        if len(mats) >= cap:
-            closed = len(mats) == d * d
-            break
-        rounds += 1
-        batch_end = len(mats)
-        stop = False
-        for j in range(batch_start, batch_end):
-            for i in range(j):
-                br = 1j * (mats[i] @ mats[j] - mats[j] @ mats[i])
-                if insert(br, (i, j)) and len(mats) >= cap:
-                    closed = len(mats) == d * d
-                    stop = True
-                    break
-            if stop:
-                break
-        if stop:
-            break
-        batch_start = batch_end
-
-    ident_rows = [r.copy() for r in rows]
-    has_identity = not _orthonormal_insert(
-        ident_rows, np.eye(d, dtype=complex), tol)
-    dim = len(mats)
-    return LieBasis(
-        n_modes=n,
-        basis=tuple(mats),
-        dimension=dim,
-        dimension_traceless=dim - 1 if has_identity else dim,
-        closed=closed,
-        rounds=rounds,
-        provenance=tuple(provenance),
-        subspace_dim=d)

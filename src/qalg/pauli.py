@@ -27,7 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .config import dense_limit
 from .errors import DenseLimitError, ModeMismatchError
@@ -457,4 +456,6 @@ def matrix_exponential(matrix: np.ndarray, scale: complex = 1.0) -> np.ndarray:
         raise ValueError("square matrix required")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
+    import scipy.linalg  # deferred: only the dense oracle needs scipy
+
     return scipy.linalg.expm(scale * m)

@@ -1,6 +1,10 @@
 """Command-line surface: JSON envelopes, exit codes, and verb behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,19 @@ def run_json(tmp_path, *argv):
     out = tmp_path / "out.json"
     code = main([*argv, "--format", "json", "--out", str(out)])
     return code, json.loads(out.read_text())
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # only the dense oracle needs scipy; the exact verbs must not pay
+        # for its import at startup
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qalg.cli; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestEnvelope:
@@ -36,6 +53,16 @@ class TestEnvelope:
         script.write_text("modes: 1\ng = Y(0)\n")
         _, b = run_json(tmp_path, "closure", "--file", str(script))
         assert a["input_hash"] != b["input_hash"]
+
+    def test_json_is_one_compact_line(self, tmp_path):
+        out = tmp_path / "g.json"
+        code = main(["code", "generator", "-n", "4", "-k", "2", "--kind", "x",
+                     "--pair", "0,1", "--format", "json", "--out", str(out)])
+        assert code == 0
+        text = out.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert doc["body"]["generator"]["action"]["real"][1][3] == 1.0
 
     def test_version_runs(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -156,11 +183,20 @@ class TestCode:
         assert synth["target_dim"] == 35
 
     def test_synthesize_default_succeeds(self, tmp_path):
-        code, doc = run_json(tmp_path, "code", "synthesize", "-n", "4", "-k", "2")
-        assert code == 0
-        synth = doc["body"]["synthesis"]
-        assert synth["success"] is True
-        assert synth["dimension_traceless"] == 35
+        # C(6,3) has d = 20, the default --d-limit
+        for n, k, want in (("4", "2", 35), ("6", "3", 399)):
+            code, doc = run_json(tmp_path, "code", "synthesize", "-n", n, "-k", k)
+            assert code == 0
+            synth = doc["body"]["synthesis"]
+            assert synth["success"] is True
+            assert synth["dimension_traceless"] == want
+
+    def test_dense_limit_hint(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("QALG_DENSE_LIMIT", raising=False)
+        out = tmp_path / "x.json"
+        assert main(["code", "list", "-n", "14", "-k", "1",
+                     "--out", str(out)]) == 2
+        assert "QALG_DENSE_LIMIT" in capsys.readouterr().err
 
     def test_cphase(self, tmp_path):
         code, doc = run_json(tmp_path, "code", "cphase", "-n", "2", "-k", "1")

@@ -120,13 +120,24 @@ class TestSynthesis:
         assert r.success
         assert r.basis.dimension_traceless == 35
 
+    def test_default_reaches_full_su_d_up_to_the_d_limit(self):
+        # C(6,3) has d = 20, the default d_limit
+        for n, k, want in ((5, 2, 99), (6, 3, 399)):
+            r = synthesize_su_d(build_code(n, k))
+            assert r.success
+            assert r.basis.closed
+            assert r.basis.dimension_traceless == want == r.counting["dim"] ** 2 - 1
+            # the traceless saturation stop ends the closure mid-round
+            assert r.basis.rounds == 3
+
     def test_nearest_chain_sticks_at_quadratic_image(self):
         # adjacent hard-core hops equal their string-mapped quadratic
         # images, so the chain closure cannot exceed N*N directions no
         # matter how the subspace projects it
-        r = synthesize_su_d(build_code(4, 2), pairs="nearest")
-        assert not r.success
-        assert r.basis.dimension_traceless == 15
+        for n, k, want in ((4, 2, 15), (5, 2, 24), (6, 3, 35)):
+            r = synthesize_su_d(build_code(n, k), pairs="nearest")
+            assert not r.success
+            assert r.basis.dimension_traceless == want
 
     def test_counting_record(self):
         r = synthesize_su_d(build_code(4, 2), pairs="nearest")

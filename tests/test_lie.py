@@ -17,7 +17,7 @@ from qalg.lie import (
     expected_dimension,
 )
 from qalg.parafermion import SecondQuantizedExpr, number_site, to_pauli
-from qalg.pauli import I_UNIT, OperatorSum
+from qalg.pauli import I_UNIT, OperatorSum, realize
 
 E = SecondQuantizedExpr
 
@@ -200,6 +200,33 @@ class TestInvariance:
                 assert dense_span_rank(basis.basis) == basis.dimension
 
 
+def _dense(elem, d):
+    """d x d matrix of a subspace basis element {(row, col): Scalar}."""
+    m = np.zeros((d, d), dtype=complex)
+    for (r, c), s in elem.items():
+        m[r, c] = s.to_complex()
+    assert np.array_equal(m, m.conj().T)
+    return m
+
+
+def _check_dense(basis):
+    """numpy oracle for a subspace closure: the realized basis has full
+    rank, element k is i[b_i, b_j] reduced against the elements before it,
+    and no bracket of two basis elements leaves the span."""
+    def rank(mats):
+        return np.linalg.matrix_rank(np.array([m.reshape(-1) for m in mats]))
+
+    mats = [_dense(b, basis.subspace_dim) for b in basis.basis]
+    assert rank(mats) == basis.dimension
+    for pos, src in enumerate(basis.provenance):
+        if src is not None:
+            a, b = (mats[t] for t in src)
+            br = 1j * (a @ b - b @ a)
+            assert rank(mats[:pos] + [br]) == pos + 1 == rank(mats[:pos + 1] + [br])
+    brackets = [1j * (a @ b - b @ a) for a in mats for b in mats]
+    assert rank(mats + brackets) == basis.dimension
+
+
 class TestSubspaceClosures:
     def test_adjacent_transpositions_close_as_spin_triple(self):
         # two overlapping swaps bracket to the third rotation axis and
@@ -228,6 +255,51 @@ class TestSubspaceClosures:
             GeneratorSet(3, [physical_generator("z", (1, 2), 3)]),
             build_code(3, 1))
         assert basis.dimension == 1
+
+    def test_identity_component_keeps_closing_past_d2_minus_1(self):
+        # X and n(m) on C(2,1) give three elements, one with a trace, so
+        # the span is not yet all of su(2); the bracket [X, Y] adds Z
+        for site in (0, 1):
+            basis = close_on_subspace(
+                GeneratorSet(2, [physical_generator("x", (0, 1), 2),
+                                 number_site(site, 2)]),
+                build_code(2, 1))
+            assert (basis.dimension, basis.dimension_traceless) == (4, 3)
+        full = close(GeneratorSet(1, [OperatorSum.x(0, 1),
+                                      OperatorSum.identity(1) + OperatorSum.z(0, 1)]))
+        assert (full.dimension, full.dimension_traceless) == (4, 3)
+
+    def test_seeds_are_the_projected_generators(self):
+        # mixed hopping, current and diagonal terms: complex entries, so a
+        # conjugated or transposed seed is not a real multiple of the
+        # projection, and brackets with both diagonal and off-diagonal parts
+        code = build_code(4, 2)
+        idx = list(code.dense_indices)
+        hx, hy = (to_pauli(h) for h in herm_pair(hop(0, 2, 4)))
+        gens = [hx + hy + physical_generator("z", (1, 3), 4),
+                physical_generator("x", (1, 2), 4) - hy * 2
+                + physical_generator("z", (0, 1), 4) * 3]
+        basis = close_on_subspace(GeneratorSet(4, gens), code)
+        assert basis.provenance[:2] == (None, None)
+        want = [realize(g)[np.ix_(idx, idx)] for g in gens]
+        got = [_dense(b, code.dim) for b in basis.basis[:2]]
+        c = np.vdot(want[0], got[0]) / np.vdot(want[0], want[0])
+        assert abs(c.imag) < 1e-12 and abs(c.real) > 0.5
+        assert np.allclose(got[0], c * want[0])
+        # the second seed is reduced against the first but keeps the span
+        stack = np.array([m.reshape(-1) for m in got + want])
+        assert np.linalg.matrix_rank(stack) == 2
+        _check_dense(basis)
+
+    def test_dense_rank_agrees_with_exact_dimension(self):
+        for n, k, links, kinds in ((3, 1, "all", "xz"), (4, 2, "all", "xz"),
+                                   (4, 2, "nearest", "xz"), (4, 2, "all", "x")):
+            if links == "all":
+                pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            else:
+                pairs = [(i, i + 1) for i in range(n - 1)]
+            phys = [physical_generator(kind, p, n) for p in pairs for kind in kinds]
+            _check_dense(close_on_subspace(GeneratorSet(n, phys), build_code(n, k)))
 
     def test_leaky_generator_detected(self):
         # a bare flip changes the excitation count and leaves the sector
