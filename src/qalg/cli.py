@@ -14,6 +14,7 @@ verification fails, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -80,13 +81,17 @@ def _to_qubit_operator(parsed, what: str) -> OperatorSum:
 
 
 def _resolve_operators(args):
-    """(n_modes, [(name, OperatorSum)], hash_payload) from --file or --expr."""
+    """(n_modes, [(name, OperatorSum)]) from --file or --expr.
+
+    The script text read for --file is kept as args.script_text, so the
+    input hash describes the bytes that were parsed.
+    """
     if getattr(args, "file", None):
-        text = Path(args.file).read_text()
-        script = parse_script(text)
+        args.script_text = Path(args.file).read_text()
+        script = parse_script(args.script_text)
         named = [(name, _to_qubit_operator(script.operators[name], name))
                  for name in script.labels]
-        return script.n_modes, named, {"script": text}
+        return script.n_modes, named
     if getattr(args, "expr", None):
         if args.modes is None:
             raise CliError("--modes is required with --expr")
@@ -94,14 +99,14 @@ def _resolve_operators(args):
         for k, text in enumerate(args.expr):
             parsed = parse_expr(text, args.modes)
             named.append((f"g{k}", _to_qubit_operator(parsed, text)))
-        return args.modes, named, {"exprs": list(args.expr), "modes": args.modes}
+        return args.modes, named
     raise CliError("provide generators via --file SCRIPT or --expr EXPR")
 
 
 # -- verb handlers ----------------------------------------------------------
 
 def _cmd_closure(args):
-    n_modes, named, _ = _resolve_operators(args)
+    n_modes, named = _resolve_operators(args)
     label = args.label or "closure"
     gs = GeneratorSet(n_modes, [op for _, op in named], label=label)
     basis = close(gs, max_dim=args.max_dim)
@@ -150,7 +155,7 @@ def _cmd_closure(args):
 
 
 def _cmd_classify(args):
-    n_modes, named, _ = _resolve_operators(args)
+    n_modes, named = _resolve_operators(args)
     body_ops = []
     lines = []
     for name, op in named:
@@ -360,11 +365,12 @@ def _cmd_enumerate(args):
 # -- plumbing ---------------------------------------------------------------
 
 def _input_hash(args, command: str) -> str:
-    """Digest of the resolved inputs; file sources hash by content."""
-    skip = {"handler", "format", "out"}
+    """Digest of the resolved inputs; file sources hash by the content
+    that was parsed."""
+    skip = {"handler", "format", "out", "script_text"}
     resolved = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     if resolved.get("file"):
-        resolved["file"] = Path(resolved["file"]).read_text()
+        resolved["file"] = args.script_text
     canon = json.dumps({"command": command, "input": resolved},
                        sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -388,7 +394,10 @@ def _write_output(args, command: str, body, lines, ok: bool):
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, each call fills a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", help="write the report to a file")

@@ -23,8 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import _project
-from .pauli import OperatorSum, Scalar, commutator, realize
-from .parafermion import number_operator, parity_operator
+from .pauli import OperatorSum, Scalar, realize
+from .parafermion import conserves_number, conserves_parity
 
 
 @dataclass
@@ -396,11 +396,8 @@ def classify_algebra(basis: LieBasis) -> AlgebraVerdict:
     if basis.subspace_dim is not None:
         raise ValueError("classification applies to full-space closures")
     n = basis.n_modes
-    nhat = number_operator(n)
-    phat = parity_operator(n)
-    conserves_number = all(commutator(b, nhat).is_zero for b in basis.basis)
-    conserves_parity = conserves_number or all(
-        commutator(b, phat).is_zero for b in basis.basis)
+    number_ok = all(map(conserves_number, basis.basis))
+    parity_ok = all(map(conserves_parity, basis.basis))
     matches = []
     for name in CANDIDATE_ALGEBRAS:
         want = expected_dimension(name, n)
@@ -408,16 +405,16 @@ def classify_algebra(basis: LieBasis) -> AlgebraVerdict:
                else basis.dimension)
         hit = got == want
         if name in _NUMBER_CANDIDATES:
-            hit = hit and conserves_number
+            hit = hit and number_ok
         if name in _PARITY_CANDIDATES:
-            hit = hit and conserves_parity
+            hit = hit and parity_ok
         matches.append(CandidateMatch(name, want, hit))
     return AlgebraVerdict(
         dimension=basis.dimension,
         dimension_traceless=basis.dimension_traceless,
         matches=tuple(matches),
-        conserves_number=conserves_number,
-        conserves_parity=conserves_parity,
+        conserves_number=number_ok,
+        conserves_parity=parity_ok,
         universal_full_space=basis.dimension_traceless >= 4 ** n - 1)
 
 

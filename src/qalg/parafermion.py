@@ -8,8 +8,9 @@ on-site qubit dictionary is
 
 with raising/lowering built from (X +- iY)/2, so the occupied state of a
 mode is the Z = +1 eigenstate.  Number and parity conservation of an
-operator are judged by exact commutation with the total number operator and
-with the product of on-site (1 - 2n) factors.
+operator, that is exact commutation with the total number operator and with
+the product of on-site (1 - 2n) factors, are read off the Pauli masks of
+its terms without forming either commutator.
 """
 
 from __future__ import annotations
@@ -277,15 +278,50 @@ class SubalgebraVerdict:
     support: frozenset
 
 
+def conserves_parity(op: OperatorSum) -> bool:
+    """Exactly [op, parity] = 0.
+
+    The parity operator is the single string +-Z...Z, which commutes with
+    P(x, z) exactly when popcount(x) is even: op conserves parity when every
+    term flips an even number of modes.
+    """
+    return all(x.bit_count() % 2 == 0 for (x, _), _ in op.items())
+
+
+def conserves_number(op: OperatorSum) -> bool:
+    """Exactly [op, N] = 0, with Scalar additions only.
+
+    2[op, N] = -sum_i [Z_i, op], and [Z_i, P(x, z)] is 0 when bit i of x is
+    clear, else 2i * (+1 if bit i of z is clear, else -1) * P(x, z ^ 2**i).
+    op conserves number when the signed coefficients landing on each target
+    string sum to zero.
+    """
+    sums = {}
+    for (x, z), c in op.items():
+        rest = x
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            key = (x, z ^ bit)
+            term = -c if z & bit else c
+            acc = sums.get(key)
+            sums[key] = term if acc is None else acc + term
+    return not any(sums.values())
+
+
 def classify(op: OperatorSum) -> SubalgebraVerdict:
-    """Exact conservation properties of a Hermitian operator."""
+    """Exact conservation properties of a Hermitian operator.
+
+    Both rules read the Pauli masks of op's terms; neither forms an
+    operator product.  Parity: every string P(x, z) has an even number of
+    X/Y factors, popcount(x) even.  Number: sum_i [Z_i, op] = 0, where
+    [Z_i, P(x, z)] is 0 when bit i of x is clear and otherwise
+    2i * (+1 if bit i of z is clear, else -1) * P(x, z ^ 2**i); the signed
+    coefficients landing on each string must sum to zero.
+    """
     if not op.is_hermitian:
         raise ValueError("classify expects a Hermitian operator")
-    n = op.n_modes
-    conserves_number = commutator(op, number_operator(n)).is_zero
-    conserves_parity = (conserves_number
-                        or commutator(op, parity_operator(n)).is_zero)
-    return SubalgebraVerdict(conserves_number, conserves_parity,
+    return SubalgebraVerdict(conserves_number(op), conserves_parity(op),
                              frozenset(op.support_modes()))
 
 

@@ -213,19 +213,27 @@ class OperatorSum:
     """Finite sum of Pauli terms with exact coefficients.
 
     Stored as a map (x_mask, z_mask) -> Scalar, the coefficient of the
-    Hermitian reference term P(x, z).  Zero coefficients are dropped.
+    Hermitian reference term P(x, z).  Zero coefficients are dropped.  A
+    negative n_modes, or a mask with a bit at or above n_modes (or a
+    negative one), raises ValueError.
     """
 
     __slots__ = ("n_modes", "_terms")
 
     def __init__(self, n_modes: int, terms=None):
+        if n_modes < 0:
+            raise ValueError("n_modes must be nonnegative")
         self.n_modes = n_modes
         clean = {}
         if terms:
+            used = 0
             for key, coeff in terms.items():
+                used |= key[0] | key[1]
                 coeff = Scalar.of(coeff)
                 if coeff:
                     clean[key] = coeff
+            if used >> n_modes:
+                raise ValueError("mask exceeds the declared mode count")
         self._terms = clean
 
     # -- constructors -----------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -521,18 +522,6 @@ def _check_compound(case: int) -> IdentityCheck:
                          "max_abs_diff", tol, ok, worst, tuple(details))
 
 
-def check_compound_1() -> IdentityCheck:
-    return _check_compound(1)
-
-
-def check_compound_2() -> IdentityCheck:
-    return _check_compound(2)
-
-
-def check_compound_3() -> IdentityCheck:
-    return _check_compound(3)
-
-
 CHECKS = {
     "recoupling": check_recoupling,
     "angular": check_angular_recoupling,
@@ -543,9 +532,9 @@ CHECKS = {
     "axy-encoded": check_axy_encoded,
     "axy-split": check_axy_split,
     "boson-commutator": check_boson_commutator,
-    "compound-1": check_compound_1,
-    "compound-2": check_compound_2,
-    "compound-3": check_compound_3,
+    "compound-1": partial(_check_compound, 1),
+    "compound-2": partial(_check_compound, 2),
+    "compound-3": partial(_check_compound, 3),
     "car": check_car,
 }
 

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from qalg.cli import main
+from qalg.cli import build_parser, main
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def run_json(tmp_path, *argv):
@@ -53,6 +55,43 @@ class TestEnvelope:
         script.write_text("modes: 1\ng = Y(0)\n")
         _, b = run_json(tmp_path, "closure", "--file", str(script))
         assert a["input_hash"] != b["input_hash"]
+
+    @pytest.mark.parametrize("verb, sample, digest", [
+        ("closure", "xy_chain.ops",
+         "cf0315db252cbb690114da05f161f14aed4a8ce183518a2dc70fd8d482ad1749"),
+        ("classify", "xy_chain.ops",
+         "3c7b0498e5e406e54b8811b216e612e04109e31ca0f99bcac936c724ca38a6e7"),
+        ("closure", "single_qubit.ops",
+         "5a7eacf12da3bfc1b909c527d31b487b666dffebe1af0f3abdc72bcdfb149893"),
+        ("classify", "single_qubit.ops",
+         "40885990a144d2737d0487d0e0818d02a4e7716d3363aa1b8cc89d2cfabb7c8b"),
+    ])
+    def test_sample_hashes_pinned(self, tmp_path, verb, sample, digest):
+        # the script is hashed by its content, whatever path names it
+        _, doc = run_json(tmp_path, verb, "--file", str(SAMPLES / sample))
+        assert doc["input_hash"] == digest
+
+    def test_successive_calls_keep_defaults_apart(self, tmp_path):
+        # one parser serves every call in a process; no option of one call
+        # may leak into the next
+        assert build_parser() is build_parser()
+        chain = str(SAMPLES / "xy_chain.ops")
+        _, fresh = run_json(tmp_path, "closure", "--file", chain)
+        code, capped = run_json(tmp_path, "closure", "--file", chain,
+                                "--label", "capped", "--max-dim", "2")
+        assert code == 0 and not capped["body"]["closed"]
+        _, narrow = run_json(tmp_path, "enumerate", "-n", "2",
+                             "--filter", "number", "--limit", "3")
+        assert narrow["body"]["count"] == 6
+        _, again = run_json(tmp_path, "closure", "--file", chain)
+        assert again["input_hash"] == fresh["input_hash"]
+        assert again["body"] == fresh["body"]
+        assert again["body"]["closed"] and again["body"]["label"] == "closure"
+        _, plain = run_json(tmp_path, "enumerate", "-n", "2")
+        assert plain["body"]["filter"] is None and plain["body"]["count"] == 16
+        text = tmp_path / "plain.txt"
+        assert main(["enumerate", "-n", "1", "--out", str(text)]) == 0
+        assert text.read_text().startswith("4 transfer monomials")
 
     def test_json_is_one_compact_line(self, tmp_path):
         out = tmp_path / "g.json"
@@ -123,6 +162,22 @@ class TestClassify:
         (rep,) = doc["body"]["operators"]
         assert rep["conserves_number"] is True
         assert rep["conserves_parity"] is True
+
+    def test_out_of_range_mask_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a qubit image whose mask names a missing mode fails where it is
+        # built, as an input error
+        import qalg.cli
+        from qalg.pauli import OperatorSum
+
+        def leaky_image(expr):
+            return OperatorSum(expr.n_modes, {(1 << expr.n_modes, 0): 1})
+
+        monkeypatch.setattr(qalg.cli, "to_pauli", leaky_image)
+        out = tmp_path / "x.json"
+        assert main(["classify", "--expr", "n(0)", "--modes", "1",
+                     "--out", str(out)]) == 2
+        assert "mask exceeds the declared mode count" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestJw:

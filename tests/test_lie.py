@@ -131,6 +131,37 @@ class TestKnownDimensions:
             classify_algebra(basis)
 
 
+class TestClassificationFlags:
+    """Conservation flags and name matches of the named algebras."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_u_n_conserves_number_and_parity(self, n):
+        gens, _ = _family("hopping", n, "parafermion")
+        gens += [to_pauli(E.number(i, n)) for i in range(n)]
+        verdict = classify_algebra(close(GeneratorSet(n, gens)))
+        assert verdict.dimension == n * n
+        assert (verdict.conserves_number, verdict.conserves_parity) == (True, True)
+        assert [m.name for m in verdict.matches if m.hit] == ["u(N)"]
+        assert not verdict.universal_full_space
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_so_2n_conserves_parity_only(self, n):
+        gens, _ = _family("hopping+pairing", n, "fermion")
+        verdict = classify_algebra(close(GeneratorSet(n, gens)))
+        assert verdict.dimension_traceless == n * (2 * n - 1)
+        assert (verdict.conserves_number, verdict.conserves_parity) == (False, True)
+        assert [m.name for m in verdict.matches if m.hit] == ["so(2N)"]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_su_2n_conserves_neither(self, n):
+        gens, _ = _family("linear+hopping", n, "parafermion")
+        verdict = classify_algebra(close(GeneratorSet(n, gens)))
+        assert verdict.dimension_traceless == 4 ** n - 1
+        assert (verdict.conserves_number, verdict.conserves_parity) == (False, False)
+        assert [m.name for m in verdict.matches if m.hit] == ["su(2^N)"]
+        assert verdict.universal_full_space
+
+
 class TestQuadraticScaling:
     def test_fermionic_all_pair_hops_close_at_traceless_quadratic(self):
         # hops alone never produce the total-number direction, so the

@@ -1,9 +1,12 @@
 """Hard-core mode operators, their qubit images, and monomial bookkeeping."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qalg.errors import SpeciesError
 from qalg.parafermion import (
@@ -11,6 +14,8 @@ from qalg.parafermion import (
     SecondQuantizedExpr,
     bilinear_su2,
     classify,
+    conserves_number,
+    conserves_parity,
     enumerate_generators,
     lowering_op,
     number_operator,
@@ -19,7 +24,7 @@ from qalg.parafermion import (
     raising_op,
     to_pauli,
 )
-from qalg.pauli import HALF, I_UNIT, OperatorSum, commutator, realize
+from qalg.pauli import HALF, I_UNIT, OperatorSum, Scalar, commutator, realize
 
 E = SecondQuantizedExpr
 
@@ -170,6 +175,74 @@ class TestClassify:
     def test_requires_hermitian(self):
         with pytest.raises(ValueError):
             classify(raising_op(0, 1))
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# Gaussian rationals, and values with sqrt(2) parts as eighth turns make
+_SCALARS = st.one_of(st.builds(Scalar, _SMALL, _SMALL),
+                     st.builds(Scalar, _SMALL, _SMALL, _SMALL, _SMALL))
+
+
+@st.composite
+def pauli_sums(draw):
+    """Random Pauli sums on up to 4 modes, Hermitian or not."""
+    n = draw(st.integers(1, 4))
+    mask = st.integers(0, (1 << n) - 1)
+    return OperatorSum(n, draw(st.dictionaries(st.tuples(mask, mask), _SCALARS,
+                                               max_size=6)))
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_image(n, alpha, beta):
+    return to_pauli(GeneratorIndex(n, alpha, beta).monomial())
+
+
+@st.composite
+def monomial_sums(draw, shifts):
+    """Random combinations of transfer monomials on up to 4 modes whose
+    creation count minus annihilation count lies in shifts: (0,) gives
+    number conserving sums such as hop pairs, even shifts parity conserving
+    ones.  Half the time one term's coefficient is then moved, so that the
+    number verdict hangs on one exact cancellation."""
+    n = draw(st.integers(1, 4))
+    masks = range(1 << n)
+    total = OperatorSum.zero(n)
+    for _ in range(draw(st.integers(1, 2))):
+        alpha = draw(st.sampled_from(masks))
+        beta = draw(st.sampled_from(
+            [b for b in masks if alpha.bit_count() - b.bit_count() in shifts]))
+        total = total + _monomial_image(n, alpha, beta) * draw(_SCALARS)
+    if draw(st.booleans()) and not total.is_zero:
+        x, z = draw(st.sampled_from([key for key, _ in total.items()]))
+        total = total + OperatorSum(n, {(x, z): draw(_SCALARS)})
+    return total
+
+
+_CONSERVING = st.one_of(monomial_sums((0,)), monomial_sums((-2, 0, 2)))
+
+
+class TestConservationMasks:
+    """The mask rules decide exactly what the commutators with the number
+    and parity operators decide."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(pauli_sums(), _CONSERVING))
+    def test_mask_rules_match_commutators(self, op):
+        n = op.n_modes
+        assert conserves_number(op) == commutator(op, number_operator(n)).is_zero
+        assert conserves_parity(op) == commutator(op, parity_operator(n)).is_zero
+
+    def test_hop_pair_cancels_exactly(self):
+        # X0 X1 + Y0 Y1 is the hop pair 2(a0' a1 + a1' a0); unequal weights
+        # leave a number-changing remainder
+        xx = OperatorSum(2, {(3, 0): 1})
+        yy = OperatorSum(2, {(3, 3): 1})
+        rt2 = Scalar(0, 0, 1)
+        assert conserves_number(xx * rt2 + yy * rt2)
+        assert not conserves_number(xx + yy * 2)
+        assert conserves_parity(xx + yy * 2)
+        assert not conserves_parity(OperatorSum.x(0, 2))
+        assert conserves_number(OperatorSum.zero(2))
 
 
 class TestBilinearTrios:

@@ -194,6 +194,19 @@ class TestStructure:
             b = random_sum(rng, 2)
             assert (a * b).adjoint() == b.adjoint() * a.adjoint()
 
+    def test_out_of_range_masks_rejected(self):
+        # a mask bit at or above n_modes names a mode the sum does not have
+        for key in ((2, 0), (0, 2), (1, 4), (-1, 0), (0, -2)):
+            with pytest.raises(ValueError, match="mask exceeds"):
+                OperatorSum(1, {key: ONE})
+        # zero coefficients are dropped, but their masks are checked too
+        with pytest.raises(ValueError):
+            OperatorSum(1, {(1, 0): ONE, (2, 0): ZERO})
+        with pytest.raises(ValueError, match="nonnegative"):
+            OperatorSum(-1)
+        assert OperatorSum(1, {(1, 1): ONE}) == OperatorSum.y(0, 1)
+        assert OperatorSum(0, {(0, 0): ONE}) == OperatorSum.identity(0)
+
     def test_hermitian_combinations(self):
         rng = random.Random(19)
         op = random_sum(rng, 3)
