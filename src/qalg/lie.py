@@ -3,10 +3,21 @@
 Hermitian Pauli sums with rational coefficients are vectors over the
 Hermitian reference strings with rational coordinates; the bracket
 (A, B) -> i[A, B] keeps them real.  Closure therefore runs in exact integer
-arithmetic: every operator is scaled to a primitive integer vector, new
-commutators are reduced against the current basis by fraction-free
-elimination on the smallest key, and independent remainders are appended
-in discovery order.  Dimensions are exact ranks, not numerical estimates.
+arithmetic: every operator is scaled to a primitive integer vector, and new
+commutators are appended in discovery order when they are independent of
+the elements found so far.  Dimensions are exact ranks, not numerical
+estimates.
+
+Independence starts out decided on an integer echelon: a vector is reduced
+on the smallest key by gcd-normalized cross-multiplication, and its
+nonzero rest becomes the next element.  Those rows can grow to thousands
+of bits.  Once one holds an entry of 2**61 - 1 or more, the closure
+switches its elements to the raw brackets, whose entries grow only with
+bracket depth, and decides on an echelon of them modulo that prime.
+Independence mod p implies independence over Q; a dependence mod p counts
+only after the combination, rebuilt by rational reconstruction, passes an
+exact integer identity check, and otherwise the integer echelon decides
+again.  No tolerance and no probabilistic step ever decides.
 
 Generators projected onto a code subspace close on the same engine: their
 d x d Hermitian matrices are integer vectors over the matrix units E_jj,
@@ -51,13 +62,20 @@ class GeneratorSet:
 class LieBasis:
     """Result of a closure run.
 
-    basis holds the reduced elements in discovery order: OperatorSum for a
+    basis holds the elements in discovery order: OperatorSum for a
     full-space closure; for a subspace closure, the exact Hermitian entries
     {(row, col): Scalar} of a d x d matrix on the codeword basis, with
     Gaussian-integer values and zero entries left out.  provenance[k] is None
     for a seed generator and (i, j) when element k came from i[basis_i,
-    basis_j].  dimension counts all independent elements; the traceless
-    count excludes an identity component when one lies in the span.
+    basis_j].  Element k is that bracket, or the generator, reduced against
+    the elements before it (an integer echelon row); a closure that ends on
+    the modular echelon reports the raw brackets instead, each the primitive
+    integer multiple of i[basis_i, basis_j] itself, and its seeds as the
+    primitive generators.  Either way element k equals its bracket up to a
+    nonzero factor plus earlier elements, so the span after each element,
+    and every other field, is the same.  dimension counts all independent
+    elements; the traceless count excludes an identity component when one
+    lies in the span.
     """
 
     n_modes: int
@@ -125,25 +143,33 @@ def _from_vec(vec: dict, n_modes: int) -> OperatorSum:
 
 
 def _bracket(va: dict, vb: dict, n_modes: int) -> dict:
-    """i[A, B] of two integer vectors, unnormalized."""
-    mask = (1 << n_modes) - 1
+    """i[A, B] of two integer vectors, unnormalized.
+
+    Key (x << n) | z stands for the Hermitian string i^|x & z| X^x Z^z.  Two
+    strings anticommute when |z_a & x_b| + |x_a & z_b| is odd, one bit count
+    of the key with its halves swapped against the other key; then
+    i[P_a, P_b] = +-2 P_(ka ^ kb), the sign read from the Y counts.
+    """
+    n = n_modes
+    mask = (1 << n) - 1
     out = {}
     for ka, ca in va.items():
-        xa, za = ka >> n_modes, ka & mask
+        swapped = (ka & mask) << n | ka >> n
+        ya = (ka >> n & ka).bit_count() + 1
+        c2 = 2 * ca
         for kb, cb in vb.items():
-            xb, zb = kb >> n_modes, kb & mask
-            if ((za & xb).bit_count() + (xa & zb).bit_count()) % 2 == 0:
+            if not (swapped & kb).bit_count() & 1:
                 continue
-            e = ((xa & za).bit_count() + (xb & zb).bit_count()
-                 - ((xa ^ xb) & (za ^ zb)).bit_count()
-                 + 2 * (za & xb).bit_count() + 1) % 4
-            s = 2 * ca * cb if e == 0 else -2 * ca * cb
-            k3 = ((xa ^ xb) << n_modes) | (za ^ zb)
-            c = out.get(k3, 0) + s
+            k3 = ka ^ kb
+            if (ya + (kb >> n & kb).bit_count() - (k3 >> n & k3).bit_count()
+                    + 2 * (ka & kb >> n).bit_count()) & 2:
+                c = out.get(k3, 0) - c2 * cb
+            else:
+                c = out.get(k3, 0) + c2 * cb
             if c:
                 out[k3] = c
             else:
-                out.pop(k3, None)
+                del out[k3]
     return out
 
 
@@ -219,6 +245,188 @@ def _reduce(vec: dict, pivots: dict) -> dict:
     return vec
 
 
+# -- exact span membership -------------------------------------------------
+
+# Residues of the modular echelon live in Z/pZ for this Mersenne prime.  It
+# is read at call time: any prime gives the same answers, only more slowly.
+_MODULUS = (1 << 61) - 1
+
+
+def _rational(a: int, p: int):
+    """(num, den) with num = den * a (mod p) and |num|, den <= sqrt(p / 2),
+    or None when no such fraction exists (Wang's rational reconstruction)."""
+    bound = math.isqrt(p // 2)
+    r0, r1, s0, s1 = p, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+class _Span:
+    """Exact span membership over Q for one closure run.
+
+    It starts as the integer echelon of _reduce, whose rows are the
+    elements.  Those rows can grow to thousands of bits, so when a row
+    first holds an entry of at least p = _MODULUS, the span switches: the
+    elements become the raw brackets, the seeds stay the primitive
+    generators and element k is recomputed from its provenance (i, j) as
+    _normalize(bracket(raw_i, raw_j)).  If the raw elements are independent
+    mod p, an echelon mod p of them decides from then on:
+
+    * a vector independent mod p is independent over Q, because the
+      elements are independent mod p;
+    * a vector dependent mod p is dependent only if its combination of the
+      elements, rebuilt by rational reconstruction, passes an exact integer
+      identity check.
+
+    When that check fails, or the raw elements are dependent mod p at the
+    switch, the span returns to the integer echelon for good: it reduces
+    the raw elements found meanwhile onto it, and the elements become the
+    echelon rows again.  (A failed check usually means the span's relations
+    have large coefficients, as in closures that stop short of su(2^N), so
+    later checks would fail too.)  Element k equals bracket(b_i, b_j) up to
+    a nonzero factor plus earlier elements in every phase, so each span, and
+    with it every answer, is the one the integer echelon alone gives.
+    """
+
+    def __init__(self, bracket):
+        self.bracket = bracket
+        self.elements: list = []
+        self.provenance: list = []
+        self.seeds: dict = {}    # index -> primitive seed vector
+        self.pivots: dict = {}   # integer echelon: lead key -> row
+        self.echelon: list = []  # while switched: integer rows of elements
+        self.switched = False
+        self.rows = None         # echelon mod p: lead -> (row, inv, factors)
+        self.created: list = []  # lead of the row of each element
+
+    def insert(self, vec: dict, src) -> bool:
+        """Append vec (src None for a seed, else (i, j)) if independent."""
+        if self.rows is not None:
+            vec = _normalize(vec)
+            rest, factors = self._mod_reduce(vec)
+            if rest:
+                self._mod_add(rest, factors)
+                self._append(vec, src, vec)
+                return True
+            if self._certified(vec, factors):
+                return False
+            self._unswitch()
+        rest = _reduce(vec, self.pivots)
+        if not rest:
+            return False
+        self.pivots[min(rest)] = rest
+        self._append(rest, src, vec)
+        if not self.switched and max(map(abs, rest.values())) >= _MODULUS:
+            self._switch()
+        return True
+
+    def __contains__(self, vec: dict) -> bool:
+        if self.rows is not None:
+            rest, factors = self._mod_reduce(vec)
+            if rest:
+                return False
+            if self._certified(vec, factors):
+                return True
+            self._unswitch()
+        return not _reduce(vec, self.pivots)
+
+    def _append(self, element: dict, src, vec: dict):
+        if src is None:
+            self.seeds[len(self.elements)] = vec
+        self.elements.append(element)
+        self.provenance.append(src)
+
+    def _switch(self):
+        self.switched = True
+        self.echelon = self.elements[:]
+        raw = []
+        for k, src in enumerate(self.provenance):
+            raw.append(self.seeds[k] if src is None else _normalize(
+                self.bracket(raw[src[0]], raw[src[1]])))
+        self.elements[:] = raw
+        self.rows = {}
+        for vec in raw:
+            rest, factors = self._mod_reduce(vec)
+            if not rest:
+                self._unswitch()
+                return
+            self._mod_add(rest, factors)
+
+    def _unswitch(self):
+        """Back to the integer echelon for good, its rows as the elements."""
+        for element in self.elements[len(self.echelon):]:
+            row = _reduce(element, self.pivots)
+            self.pivots[min(row)] = row
+            self.echelon.append(row)
+        self.elements[:] = self.echelon
+        self.rows = None
+
+    def _mod_reduce(self, vec: dict):
+        """(rest, factors) with vec = rest + sum f * rows[lead] (mod p) over
+        (lead, f) in factors.  Residues are taken only where they are read;
+        in between, an entry grows by less than p**2 per row."""
+        p = _MODULUS
+        rest = dict(vec)
+        factors = []
+        for lead in sorted(self.rows):
+            f = rest.get(lead, 0) % p
+            if f:
+                for k, x in self.rows[lead][0].items():
+                    rest[k] = rest.get(k, 0) - f * x
+                factors.append((lead, f))
+        return {k: c % p for k, c in rest.items() if c % p}, factors
+
+    def _mod_add(self, rest: dict, factors: list):
+        """Add the row of the next element b: rest = b - sum f * rows[lead]."""
+        p = _MODULUS
+        lead = min(rest)
+        inv = pow(rest[lead], -1, p)
+        self.rows[lead] = ({k: c * inv % p for k, c in rest.items()},
+                           inv, factors)
+        self.created.append(lead)
+
+    def _combination(self, factors: list) -> dict:
+        """{l: c} with sum f * rows[lead] = sum c * elements[l] (mod p).
+
+        The row of element l is inv * (elements[l] - sum f * rows[lead])
+        over its own factors, which name only rows made before it, so one
+        pass from the newest row back resolves every row."""
+        p = _MODULUS
+        coeffs = dict(factors)
+        comb = {}
+        for index in range(len(self.created) - 1, -1, -1):
+            lead = self.created[index]
+            c = coeffs.pop(lead, 0) % p
+            if c:
+                _, inv, row_factors = self.rows[lead]
+                c = c * inv % p
+                comb[index] = c
+                for r, f in row_factors:
+                    coeffs[r] = coeffs.get(r, 0) - c * f
+        return comb
+
+    def _certified(self, vec: dict, factors: list) -> bool:
+        """Whether vec is exactly the rational combination of elements that
+        its combination mod p reconstructs to."""
+        fractions = []
+        for l, c in self._combination(factors).items():
+            q = _rational(c, _MODULUS)
+            if q is None:
+                return False
+            fractions.append((l, *q))
+        den = math.lcm(*(d for _, _, d in fractions))
+        acc = {k: den * v for k, v in vec.items()}
+        for l, num, d in fractions:
+            f = num * (den // d)
+            for k, x in self.elements[l].items():
+                acc[k] = acc.get(k, 0) - f * x
+        return not any(acc.values())
+
+
 # -- closure engine --------------------------------------------------------
 
 def _closure(n_modes: int, seeds, bracket, identity: dict, full_dim: int,
@@ -230,22 +438,14 @@ def _closure(n_modes: int, seeds, bracket, identity: dict, full_dim: int,
     dot product with the identity vector.
     export maps each basis vector to the reported element.
     """
+    if max_dim is not None and max_dim < 1:
+        raise ValueError(f"max_dim must be at least 1, got {max_dim}")
     cap = full_dim if max_dim is None else min(max_dim, full_dim)
-    pivots: dict = {}
-    vectors: list = []
-    provenance: list = []
-
-    def insert(vec, src):
-        rest = _reduce(vec, pivots)
-        if not rest:
-            return False
-        pivots[min(rest)] = rest
-        vectors.append(rest)
-        provenance.append(src)
-        return True
+    span = _Span(bracket)
+    vectors = span.elements
 
     for vec in seeds:
-        insert(vec, None)
+        span.insert(vec, None)
 
     def traceless(vec):
         return not sum(vec.get(k, 0) * c for k, c in identity.items())
@@ -271,7 +471,7 @@ def _closure(n_modes: int, seeds, bracket, identity: dict, full_dim: int,
         for j in range(batch_start, batch_end):
             for i in range(j):
                 out = bracket(vectors[i], vectors[j])
-                if out and insert(out, (i, j)):
+                if out and span.insert(out, (i, j)):
                     if saturated():
                         stop = True
                         break
@@ -285,7 +485,7 @@ def _closure(n_modes: int, seeds, bracket, identity: dict, full_dim: int,
             break
         batch_start = batch_end
 
-    has_identity = not _reduce(identity, pivots)
+    has_identity = identity in span
     dim = len(vectors)
     return LieBasis(
         n_modes=n_modes,
@@ -294,7 +494,7 @@ def _closure(n_modes: int, seeds, bracket, identity: dict, full_dim: int,
         dimension_traceless=dim - 1 if has_identity else dim,
         closed=closed,
         rounds=rounds,
-        provenance=tuple(provenance),
+        provenance=tuple(span.provenance),
         subspace_dim=subspace_dim)
 
 
@@ -421,10 +621,16 @@ def classify_algebra(basis: LieBasis) -> AlgebraVerdict:
 # -- dense cross-checks ----------------------------------------------------
 
 def dense_span_rank(ops, tol: float = 1e-9) -> int:
-    """Rank of realized operators' vectorizations; closure cross-check."""
+    """Rank of realized operators' vectorizations; closure cross-check.
+
+    Each operator is scaled to unit norm first, since the rank of a set of
+    vectors does not depend on their lengths, while the relative tolerance
+    would drop a short one beside a long one."""
     mats = [realize(op).reshape(-1) for op in ops]
     if not mats:
         return 0
     stack = np.array(mats)
+    norms = np.linalg.norm(stack, axis=1, keepdims=True)
+    stack /= np.where(norms > 0, norms, 1.0)
     svals = np.linalg.svd(stack, compute_uv=False)
     return int(np.sum(svals > tol * max(1.0, svals[0])))

@@ -138,6 +138,14 @@ class TestClosure:
         assert doc["body"]["closed"] is False
         assert doc["body"]["matches"] == []
 
+    @pytest.mark.parametrize("max_dim", ["0", "-3"])
+    def test_max_dim_below_one_exits_two(self, tmp_path, capsys, max_dim):
+        out = tmp_path / "x.json"
+        assert main(["closure", "--expr", "X(0)", "--modes", "1",
+                     "--max-dim", max_dim, "--out", str(out)]) == 2
+        assert "max_dim must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_boson_generators_rejected(self, tmp_path):
         out = tmp_path / "x.json"
         code = main(["closure", "--expr", "bd(0) b(0)", "--modes", "1",

@@ -5,7 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qalg.lie as lie
 from qalg.codes import build_code, physical_generator
 from qalg.errors import SubspaceLeakError
 from qalg.lie import (
@@ -65,6 +68,15 @@ class TestBasicClosures:
         basis = close(GeneratorSet(3, gens), max_dim=10)
         assert not basis.closed
         assert basis.dimension >= 10
+
+    @pytest.mark.parametrize("max_dim", [0, -3])
+    def test_max_dim_below_one_rejected(self, max_dim):
+        with pytest.raises(ValueError, match="max_dim"):
+            close(GeneratorSet(1, [OperatorSum.x(0, 1)]), max_dim=max_dim)
+        with pytest.raises(ValueError, match="max_dim"):
+            close_on_subspace(
+                GeneratorSet(3, [physical_generator("z", (1, 2), 3)]),
+                build_code(3, 1), max_dim=max_dim)
 
     def test_provenance_depth_recorded(self):
         basis = close(GeneratorSet(1, [OperatorSum.x(0, 1), OperatorSum.z(0, 1)]))
@@ -241,13 +253,18 @@ def _dense(elem, d):
 
 
 def _check_dense(basis):
-    """numpy oracle for a subspace closure: the realized basis has full
-    rank, element k is i[b_i, b_j] reduced against the elements before it,
-    and no bracket of two basis elements leaves the span."""
+    """numpy oracle for a closure: the realized basis has full rank, element
+    k is i[b_i, b_j] up to a factor and the elements before it, and no
+    bracket of two basis elements leaves the span.  Elements are scaled to
+    unit norm, so that ranks do not depend on their lengths."""
     def rank(mats):
         return np.linalg.matrix_rank(np.array([m.reshape(-1) for m in mats]))
 
-    mats = [_dense(b, basis.subspace_dim) for b in basis.basis]
+    if basis.subspace_dim is None:
+        mats = [realize(b) for b in basis.basis]
+    else:
+        mats = [_dense(b, basis.subspace_dim) for b in basis.basis]
+    mats = [m / np.linalg.norm(m) for m in mats]
     assert rank(mats) == basis.dimension
     for pos, src in enumerate(basis.provenance):
         if src is not None:
@@ -337,3 +354,190 @@ class TestSubspaceClosures:
         with pytest.raises(SubspaceLeakError):
             close_on_subspace(GeneratorSet(3, [OperatorSum.x(0, 3)]),
                               build_code(3, 1))
+
+
+def _dense_pair(seed, n_terms):
+    """Two seeded random Pauli sums on 3 modes with weights in +-1..9."""
+    rng = random.Random(seed)
+    gens = []
+    for _ in range(2):
+        words = set()
+        while len(words) < n_terms:
+            word = (rng.randrange(8), rng.randrange(8))
+            if word != (0, 0):
+                words.add(word)
+        gens.append(OperatorSum(3, {w: rng.choice((-1, 1)) * rng.randint(1, 9)
+                                    for w in sorted(words)}))
+    return gens
+
+
+def _answers(basis):
+    return (basis.dimension, basis.dimension_traceless, basis.closed,
+            basis.rounds, basis.provenance)
+
+
+# Provenance shared by both pinned pairs after their two seeds: the (i, j)
+# whose bracket made each next element, in breadth-first order.
+_EARLY = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (1, 4), (2, 4),
+          (3, 4), (0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (1, 6), (2, 6),
+          (3, 6), (4, 6), (5, 6), (2, 7), (3, 7), (4, 7), (5, 7), (6, 7),
+          (1, 8), (2, 8), (3, 8), (4, 8), (5, 8), (6, 8), (7, 8), (2, 9),
+          (3, 9), (4, 9), (5, 9), (6, 9), (7, 9), (8, 9), (3, 10), (4, 10),
+          (5, 10), (6, 10), (7, 10), (8, 10), (9, 10), (0, 11), (1, 11),
+          (2, 11), (3, 11), (4, 11), (5, 11), (6, 11), (7, 11), (8, 11),
+          (9, 11))
+
+# (n_terms, seed) -> (rounds, provenance), as computed by the integer
+# echelon alone, whose coefficients reach hundreds of bits on these pairs.
+_PINNED_DENSE = {
+    (4, 2): (5, (None, None) + _EARLY
+             + ((1, 12), (3, 12), (4, 12), (7, 12), (9, 12), (11, 12))),
+    (8, 0): (5, (None, None) + _EARLY
+             + ((10, 11), (1, 12), (2, 12), (3, 12), (4, 12), (5, 12))),
+}
+
+
+class TestDenseClosures:
+    """Generic pairs on 3 modes generate su(8) with large coefficients."""
+
+    @pytest.mark.parametrize("key", sorted(_PINNED_DENSE))
+    def test_answers_are_pinned(self, key):
+        rounds, provenance = _PINNED_DENSE[key]
+        basis = close(GeneratorSet(3, _dense_pair(key[1], key[0])))
+        assert _answers(basis) == (63, 63, True, rounds, provenance)
+
+    def test_dense_oracle_and_small_coefficients(self):
+        basis = close(GeneratorSet(3, _dense_pair(0, 8)))
+        _check_dense(basis)
+        # this closure ends on the modular echelon, so its elements are
+        # the raw brackets, not echelon rows of hundreds of bits
+        bits = max(abs(c.re.numerator).bit_length()
+                   for op in basis.basis for _, c in op.items())
+        assert bits < 64
+
+    def test_unswitched_closure_keeps_a_valid_basis(self):
+        # a 4-term pair whose certificates fail returns to the integer
+        # echelon; its elements are echelon rows and still pass the oracle
+        _check_dense(close(GeneratorSet(3, _dense_pair(2, 4))))
+
+
+def _congruent_seeds(p):
+    """Three seeds whose echelon reaches an entry of 2p, while the third is
+    the first mod p: the switch finds the raw seeds dependent."""
+    z0, z1, x0, x1 = (OperatorSum.z(0, 2), OperatorSum.z(1, 2),
+                      OperatorSum.x(0, 2), OperatorSum.x(1, 2))
+    return [z0, z1, z0 + x0 * p + x1 * (2 * p * p)]
+
+
+def _false_dependence(p):
+    """The second seed switches the span; the third equals the first mod p
+    only, so its certificate fails and the integer echelon inserts it."""
+    z0, z1, x0, x1 = (OperatorSum.z(0, 2), OperatorSum.z(1, 2),
+                      OperatorSum.x(0, 2), OperatorSum.x(1, 2))
+    return [z0, x0 + x1 * (2 * p), z0 + z1 * p]
+
+
+def _identity_beside_a_switch(p):
+    """The first seed switches the span; the identity is then exactly the
+    second seed minus the third, which the certificate confirms."""
+    x0, x1, z1 = OperatorSum.x(0, 2), OperatorSum.x(1, 2), OperatorSum.z(1, 2)
+    return [x0 + x1 * (2 * p), OperatorSum.identity(2) + z1, z1]
+
+
+def _modulus_cases(p):
+    cases = {f"dense {t} terms, seed {s}": (3, _dense_pair(s, t))
+             for t, s in ((4, 0), (4, 2), (8, 0))}
+    for name, n, species in (("hopping", 3, "parafermion"),
+                             ("hopping+pairing", 3, "fermion"),
+                             ("linear+hopping", 2, "parafermion")):
+        cases[f"{name} {species}"] = (n, _family(name, n, species)[0])
+    cases["congruent seeds"] = (2, _congruent_seeds(p))
+    cases["false dependence"] = (2, _false_dependence(p))
+    cases["identity beside a switch"] = (2, _identity_beside_a_switch(p))
+    return cases
+
+
+def _spy_paths(monkeypatch):
+    """Record which decision paths of the span the closures take."""
+    seen = set()
+    span = lie._Span
+    switch, certified, insert = span._switch, span._certified, span.insert
+    contains = span.__contains__
+
+    def spy_switch(self):
+        switch(self)
+        seen.add("switch kept" if self.rows is not None else "switch undone")
+
+    def spy_certified(self, vec, factors):
+        ok = certified(self, vec, factors)
+        seen.add("certificate passed" if ok else "certificate failed")
+        return ok
+
+    def spy_insert(self, vec, src):
+        modular = self.rows is not None
+        added = insert(self, vec, src)
+        if modular and self.rows is None and added:
+            seen.add("false dependence")
+        return added
+
+    def spy_contains(self, vec):
+        found = contains(self, vec)
+        if found and self.rows is not None:
+            seen.add("identity certified")
+        return found
+
+    monkeypatch.setattr(span, "_switch", spy_switch)
+    monkeypatch.setattr(span, "__contains__", spy_contains)
+    monkeypatch.setattr(span, "_certified", spy_certified)
+    monkeypatch.setattr(span, "insert", spy_insert)
+    return seen
+
+
+class TestModulusIndependence:
+    """The modulus only decides how fast an answer comes, never which."""
+
+    @pytest.mark.parametrize("p", [8191, 101])
+    def test_answers_match_the_default_modulus(self, p, monkeypatch):
+        cases = _modulus_cases(p)
+        want = {name: _answers(close(GeneratorSet(n, gens)))
+                for name, (n, gens) in cases.items()}
+        seen = _spy_paths(monkeypatch)
+        monkeypatch.setattr(lie, "_MODULUS", p)
+        got = {name: _answers(close(GeneratorSet(n, gens)))
+               for name, (n, gens) in cases.items()}
+        assert got == want
+        assert seen == {"switch kept", "switch undone", "certificate passed",
+                        "certificate failed", "false dependence",
+                        "identity certified"}
+
+
+@st.composite
+def _integer_pauli_sets(draw):
+    """1-3 integer Pauli sums of 1-4 terms on 1-3 modes, with a generator
+    order and a nonzero rational scale per generator."""
+    n = draw(st.integers(1, 3))
+    mask = st.integers(0, (1 << n) - 1)
+    terms = st.dictionaries(st.tuples(mask, mask),
+                            st.integers(-3, 3).filter(bool),
+                            min_size=1, max_size=4)
+    gens = [OperatorSum(n, t) for t in draw(st.lists(terms, min_size=1,
+                                                     max_size=3))]
+    order = draw(st.permutations(range(len(gens))))
+    scales = draw(st.lists(
+        st.fractions(-5, 5, max_denominator=4).filter(bool),
+        min_size=len(gens), max_size=len(gens)))
+    return n, gens, order, scales
+
+
+class TestClosureProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(_integer_pauli_sets())
+    def test_dimension_is_the_dense_rank_whatever_the_order_and_scale(
+            self, case):
+        n, gens, order, scales = case
+        basis = close(GeneratorSet(n, gens))
+        assert dense_span_rank(basis.basis) == basis.dimension
+        dims = (basis.dimension, basis.dimension_traceless)
+        moved = [gens[k] * c for k, c in zip(order, scales)]
+        other = close(GeneratorSet(n, moved))
+        assert (other.dimension, other.dimension_traceless) == dims
