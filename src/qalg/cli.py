@@ -19,10 +19,7 @@ import hashlib
 import json
 import sys
 import time
-from importlib import metadata
 from pathlib import Path
-
-import numpy as np
 
 from .codes import build_code, encoded_cphase, encoded_generator, rate, synthesize_su_d
 from .dsl import parse_expr, parse_script, print_expr
@@ -37,14 +34,16 @@ from .parafermion import (
     to_pauli,
 )
 from .thermal import ThermalParams, occupation, sweep
-from .verifier import CHECKS
 
 
 class CliError(Exception):
     """Input or usage problem; reported on stderr with exit code 2."""
 
 
+@functools.cache
 def _version() -> str:
+    from importlib import metadata
+
     try:
         return metadata.version("qalg")
     except metadata.PackageNotFoundError:
@@ -64,9 +63,25 @@ def _scalar_json(c) -> dict:
     return out
 
 
-def _matrix_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {"real": np.real(m).tolist(), "imag": np.imag(m).tolist()}
+def _matrix_json(entries: dict, dim: int) -> dict:
+    """Real and imaginary parts, as nested float lists, of the dim x dim
+    matrix with the exact entries {(row, col): Scalar}."""
+    real = [[0.0] * dim for _ in range(dim)]
+    imag = [[0.0] * dim for _ in range(dim)]
+    for (r, c), s in entries.items():
+        z = s.to_complex()
+        real[r][c], imag[r][c] = z.real, z.imag
+    return {"real": real, "imag": imag}
+
+
+def _matrix_text(entries: dict, dim: int) -> list:
+    """Lines of numpy's printed form of the matrix, real when it is."""
+    import numpy as np
+
+    m = np.zeros((dim, dim), dtype=complex)
+    for (r, c), s in entries.items():
+        m[r, c] = s.to_complex()
+    return np.array_str(np.real_if_close(m)).splitlines()
 
 
 def _to_qubit_operator(parsed, what: str) -> OperatorSum:
@@ -235,11 +250,12 @@ def _cmd_code(args):
             "name": gate.name,
             "support": list(gate.support),
             "hermitian": bool(gate.is_hermitian),
-            "action": _matrix_json(gate.action),
+            "action": _matrix_json(gate.entries, gate.dim),
         }
         lines.append(f"  {gate.name} on physical modes {gate.support}:")
-        lines += ["    " + row for row in
-                  np.array_str(np.real_if_close(gate.action)).splitlines()]
+        if args.format == "text":
+            lines += ["    " + row for row in
+                      _matrix_text(gate.entries, gate.dim)]
     elif args.code_action == "cphase":
         other = build_code(args.modes2 or args.modes,
                            args.excitations2 or args.excitations)
@@ -247,10 +263,11 @@ def _cmd_code(args):
         body["cphase"] = {
             "name": gate.name,
             "support": list(gate.support),
-            "left_signs": [int(s) for s in gate.left_signs],
-            "right_signs": [int(s) for s in gate.right_signs],
-            "zz_diagonal": np.real(np.diag(gate.zz_action)).tolist(),
-            "gate_diagonal": np.real(np.diag(gate.action)).tolist(),
+            "left_signs": list(gate.left_signs),
+            "right_signs": list(gate.right_signs),
+            "zz_diagonal": [float(s) for s in gate.zz_diagonal],
+            "gate_diagonal": [float(gate.entries[k, k].re)
+                              for k in range(gate.dim)],
         }
         lines.append(f"  {gate.name}: boundary signs {body['cphase']['left_signs']}"
                      f" x {body['cphase']['right_signs']}")
@@ -276,6 +293,8 @@ def _cmd_code(args):
 
 
 def _cmd_verify(args):
+    from .verifier import CHECKS
+
     names = list(args.names)
     if args.all:
         names = list(CHECKS)

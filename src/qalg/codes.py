@@ -12,6 +12,10 @@ operators: the x kind swaps the two occupations (and kills codewords where
 they agree), the z kind is diagonal with entry q_j - q_i.  An inter-block
 ZZ interaction between the last mode of one code and the first mode of the
 next factorizes over the two codes and induces a generalized CPHASE.
+
+Encoded operations are kept as their exact nonzero matrix entries, so
+properties such as Hermiticity are decided without a tolerance; dense
+matrices of them are left to the callers that print or cross-check them.
 """
 
 from __future__ import annotations
@@ -20,11 +24,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .config import dense_limit
 from .errors import DenseLimitError, SubspaceLeakError
-from .pauli import OperatorSum
+from .pauli import ZERO, OperatorSum, Scalar
 from .parafermion import bilinear_su2
 
 
@@ -75,13 +77,6 @@ class CodeSubspace:
             "".join("1" if m >> k & 1 else "0" for k in range(self.n_modes))
             for m in self.codewords)
 
-    @cached_property
-    def projector(self) -> np.ndarray:
-        diag = np.zeros(1 << self.n_modes)
-        for label in self.dense_indices:
-            diag[label] = 1.0
-        return np.diag(diag).astype(complex)
-
     def index_of(self, mask: int) -> int:
         return self.codewords.index(mask)
 
@@ -99,7 +94,8 @@ def rate(n_modes: int, excitations: int) -> float:
 
 
 def shannon_entropy(p: float) -> float:
-    """Binary entropy S(p); the asymptotic rate of C(N, pN)."""
+    """Binary entropy S(p) in bits: the rate of C(N, pN) as N grows, the
+    limit that rate(N, pN) approaches from below."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("probability outside [0, 1]")
     if p in (0.0, 1.0):
@@ -111,21 +107,21 @@ def shannon_entropy(p: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EncodedGate:
-    """Action of a block-preserving physical operator on the codeword basis.
+    """Action of a block-preserving physical operator on the codeword basis:
+    the exact nonzero entries {(row, col): Scalar} of a dim x dim matrix.
 
     Generators (kinds x and z) are Hermitian; circuit gates are unitary.
     """
 
     name: str
     support: tuple
-    action: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "action", np.asarray(self.action, complex))
+    entries: dict
+    dim: int
 
     @property
     def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.action - self.action.conj().T)) < 1e-10)
+        return all(self.entries.get((c, r), ZERO) == s.conjugate()
+                   for (r, c), s in self.entries.items())
 
 
 def _project(code: CodeSubspace, op: OperatorSum) -> dict:
@@ -170,25 +166,17 @@ def encoded_generator(code: CodeSubspace, kind: str, pair) -> EncodedGate:
     if not 0 <= i < j < code.n_modes:
         raise ValueError(f"invalid pair {pair!r} for {code.n_modes} modes")
     op = physical_generator(kind, (i, j), code.n_modes)
-    action = np.zeros((code.dim, code.dim), dtype=complex)
-    for (row, col), amp in _project(code, op).items():
-        action[row, col] = amp.to_complex()
-    return EncodedGate(name=f"T{kind}({i},{j})", support=(i, j), action=action)
+    return EncodedGate(name=f"T{kind}({i},{j})", support=(i, j),
+                       entries=_project(code, op), dim=code.dim)
 
 
 @dataclass(frozen=True, eq=False)
 class EncodedCphase(EncodedGate):
-    """Inter-block ZZ diagonal, its two factors, and the induced gate."""
+    """Inter-block ZZ diagonal, its two sign factors, and the induced gate."""
 
     left_signs: tuple = ()
     right_signs: tuple = ()
-    zz_action: np.ndarray = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.zz_action is not None:
-            object.__setattr__(self, "zz_action",
-                               np.asarray(self.zz_action, complex))
+    zz_diagonal: tuple = ()
 
 
 def encoded_cphase(code_a: CodeSubspace, code_b: CodeSubspace) -> EncodedCphase:
@@ -203,12 +191,11 @@ def encoded_cphase(code_a: CodeSubspace, code_b: CodeSubspace) -> EncodedCphase:
     left = tuple(1 - 2 * (m >> (code_a.n_modes - 1) & 1)
                  for m in code_a.codewords)
     right = tuple(1 - 2 * (m & 1) for m in code_b.codewords)
-    diag = np.array([l * r for l in left for r in right], dtype=float)
-    zz = np.diag(diag).astype(complex)
-    gate = np.diag(diag * diag[0]).astype(complex)
+    zz = tuple(l * r for l in left for r in right)
     return EncodedCphase(
         name="CPHASE", support=(code_a.n_modes - 1, code_a.n_modes),
-        action=gate, left_signs=left, right_signs=right, zz_action=zz)
+        entries={(k, k): Scalar(s * zz[0]) for k, s in enumerate(zz)},
+        dim=len(zz), left_signs=left, right_signs=right, zz_diagonal=zz)
 
 
 # -- full subspace algebra -------------------------------------------------

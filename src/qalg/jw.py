@@ -1,4 +1,4 @@
-"""Fermion-to-qubit transform, approximate bosons, and compound-particle maps.
+"""Fermion-to-qubit transform and the collective-mode commutator.
 
 Fermions are carried to hard-core modes by attaching a string to each
 creation/annihilation operator:
@@ -9,24 +9,23 @@ with the mode order fixed globally (strings act on lower-indexed modes).
 Under the on-site dictionary each string factor is -Z, so S_i is a single
 signed Z-string and every fermionic monomial lands on an exact Pauli sum.
 
-The module also hosts the collective-mode commutator check ([B, B'] as an
-exact Pauli sum) and the three compound-particle constructions that realize
-a hard-core mode inside a pair of fermionic or bosonic modes.
+The module also hosts the exact anticommutation relations of the string
+fermions and the collective-mode commutator [B, B'] as an exact Pauli sum.
+Everything here is exact; the dense compound-particle checks, which realize
+a hard-core mode inside a pair of fermionic or bosonic modes, live with the
+oracle in ``verifier``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import SpeciesError
-from .pauli import ONE, OperatorSum, Scalar, realize
+from .pauli import ONE, OperatorSum, Scalar
 from .parafermion import (
     ANNIHILATE,
     CREATE,
-    NUMBER,
     SecondQuantizedExpr,
     lowering_op,
     number_site,
@@ -40,32 +39,6 @@ def string_operator(mode: int, n_modes: int) -> OperatorSum:
         raise ValueError(f"mode {mode} out of range for {n_modes} modes")
     coeff = ONE if mode % 2 == 0 else -ONE
     return OperatorSum(n_modes, {(0, (1 << mode) - 1): coeff})
-
-
-@dataclass(frozen=True)
-class JWStringOp:
-    """The string S_i, in either its qubit-side or fermion-side reading."""
-
-    mode: int
-    direction: str = "fermion_to_qubit"
-
-    def __post_init__(self):
-        if self.direction not in ("fermion_to_qubit", "qubit_to_fermion"):
-            raise ValueError(f"unknown direction {self.direction!r}")
-
-    def to_pauli(self, n_modes: int) -> OperatorSum:
-        return string_operator(self.mode, n_modes)
-
-    def as_expr(self, n_modes: int) -> SecondQuantizedExpr:
-        """Expanded product of (1 - 2n_k), k < mode, in the native species."""
-        species = ("parafermion" if self.direction == "fermion_to_qubit"
-                   else "fermion")
-        expr = SecondQuantizedExpr.constant(1, n_modes, species)
-        for k in range(self.mode):
-            one = SecondQuantizedExpr.constant(1, n_modes, species)
-            nk = SecondQuantizedExpr.number(k, n_modes, species)
-            expr = expr * (one - nk * 2)
-        return expr
 
 
 def jw_fermion_to_pauli(expr: SecondQuantizedExpr) -> OperatorSum:
@@ -153,205 +126,3 @@ def boson_approx_commutator(n_modes: int) -> OperatorSum:
         high = high + raising_op(i, n_modes)
     comm = low * high - high * low
     return comm * Scalar(Fraction(1, n_modes))
-
-
-# -- truncated boson spaces ------------------------------------------------
-
-@dataclass
-class TruncatedBosonSpace:
-    """Dense bosonic Fock space with a per-mode occupation cap.
-
-    Basis index = sum_i n_i * (cutoff+1)**i, so mode 0 is the fastest
-    varying digit.  [b, b+] = 1 holds on states below the cap; the top
-    rung is truncated.
-    """
-
-    n_modes: int
-    cutoff: int = 2
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        if self.n_modes < 1 or self.cutoff < 1:
-            raise ValueError("need at least one mode and cutoff >= 1")
-        self.dim = (self.cutoff + 1) ** self.n_modes
-
-    def _embed(self, op: np.ndarray, mode: int) -> np.ndarray:
-        d = self.cutoff + 1
-        return np.kron(np.eye(d ** (self.n_modes - 1 - mode)),
-                       np.kron(op, np.eye(d ** mode)))
-
-    def annihilate(self, mode: int) -> np.ndarray:
-        d = self.cutoff + 1
-        op = np.diag(np.sqrt(np.arange(1, d)), k=1).astype(complex)
-        return self._embed(op, mode)
-
-    def create(self, mode: int) -> np.ndarray:
-        return self.annihilate(mode).conj().T
-
-    def number(self, mode: int) -> np.ndarray:
-        d = self.cutoff + 1
-        return self._embed(np.diag(np.arange(d)).astype(complex), mode)
-
-    def identity(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
-
-    def occupations(self, index: int):
-        d = self.cutoff + 1
-        out = []
-        for _ in range(self.n_modes):
-            out.append(index % d)
-            index //= d
-        return tuple(out)
-
-    def index_of(self, occupations) -> int:
-        d = self.cutoff + 1
-        if len(occupations) != self.n_modes:
-            raise ValueError("wrong number of occupations")
-        if any(not 0 <= n <= self.cutoff for n in occupations):
-            raise ValueError("occupation outside the cutoff")
-        return sum(n * d ** i for i, n in enumerate(occupations))
-
-    @property
-    def vacuum_index(self) -> int:
-        return 0
-
-
-# -- compound-particle constructions ---------------------------------------
-
-@dataclass(frozen=True)
-class CompoundReport:
-    case: int
-    n_pairs: int
-    cutoff: int | None
-    checks: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def _fermion_dense(case: int, n_pairs: int):
-    """Composite ops, constrained indices and vacuum for the fermion cases."""
-    n = 2 * n_pairs
-    comp, zt = [], []
-    for p in range(n_pairs):
-        lo, hi = 2 * p, 2 * p + 1
-        if case == 1:
-            a_expr = _fermion(ANNIHILATE, hi, n) * _fermion(ANNIHILATE, lo, n)
-            z_expr = (_fermion(NUMBER, lo, n) + _fermion(NUMBER, hi, n)
-                      - SecondQuantizedExpr.constant(1, n, "fermion"))
-        else:
-            a_expr = _fermion(CREATE, hi, n) * _fermion(ANNIHILATE, lo, n)
-            z_expr = _fermion(NUMBER, lo, n) - _fermion(NUMBER, hi, n)
-        comp.append(realize(jw_fermion_to_pauli(a_expr)))
-        zt.append(realize(jw_fermion_to_pauli(z_expr)))
-    full = (1 << n) - 1
-    # dense labels store 1 - occupation per bit
-    def occ(label, mode):
-        return 1 - (label >> mode & 1)
-    indices = []
-    for label in range(1 << n):
-        good = all(
-            (occ(label, 2 * p) == occ(label, 2 * p + 1)) if case == 1
-            else (occ(label, 2 * p) + occ(label, 2 * p + 1) == 1)
-            for p in range(n_pairs))
-        if good:
-            indices.append(label)
-    if case == 1:
-        vacuum = full
-    else:
-        occs = [1 if m % 2 else 0 for m in range(n)]
-        vacuum = full ^ sum(1 << m for m in range(n) if occs[m])
-    return comp, zt, indices, vacuum
-
-
-def _boson_dense(n_pairs: int, cutoff: int):
-    space = TruncatedBosonSpace(2 * n_pairs, cutoff)
-    comp, zt = [], []
-    for p in range(n_pairs):
-        lo, hi = 2 * p, 2 * p + 1
-        comp.append(space.create(hi) @ space.annihilate(lo))
-        zt.append(space.number(lo) - space.number(hi))
-    indices = [k for k in range(space.dim)
-               if all(space.occupations(k)[2 * p] + space.occupations(k)[2 * p + 1] == 1
-                      for p in range(n_pairs))]
-    vacuum = space.index_of([1 if m % 2 else 0 for m in range(2 * n_pairs)])
-    return comp, zt, indices, vacuum
-
-
-def compound_mapping_check(case: int, n_pairs: int,
-                           cutoff: int | None = None) -> CompoundReport:
-    """Verify that paired modes realize hard-core modes on the constraint.
-
-    Case 1 pairs two fermions (occupations locked equal), case 2 a fermionic
-    particle-hole pair and case 3 a bosonic one (occupations summing to 1).
-    Checks, restricted to the constrained subspace: no leakage out of it,
-    on-site {a, a+} = 1 and a**2 = 0, cross-pair commutation, the sl(2)
-    relations with the stated 2n - 1 partner, and vacuum annihilation.
-    """
-    if case not in (1, 2, 3):
-        raise ValueError(f"unknown case {case!r}")
-    if n_pairs < 1 or n_pairs > 3:
-        raise ValueError("n_pairs must be between 1 and 3")
-    if case == 3:
-        cutoff = 1 if cutoff is None else cutoff
-        if cutoff < 1:
-            raise ValueError("case 3 needs cutoff >= 1")
-        comp, zt, indices, vacuum = _boson_dense(n_pairs, cutoff)
-        tol = 1e-10
-    else:
-        if cutoff is not None:
-            raise ValueError("cutoff applies to case 3 only")
-        comp, zt, indices, vacuum = _fermion_dense(case, n_pairs)
-        tol = 0.0
-    dim = comp[0].shape[0]
-    inside = np.zeros(dim, dtype=bool)
-    inside[indices] = True
-    sub = np.ix_(indices, indices)
-    ident = np.eye(len(indices))
-
-    def close(m, target):
-        m = np.asarray(m)
-        return m.size == 0 or bool(np.max(np.abs(m - target)) <= tol)
-
-    outside = [k for k in range(dim) if not inside[k]]
-    checks = []
-    for p, a in enumerate(comp):
-        # rows outside the subspace, columns inside it
-        leak = a[np.ix_(outside, indices)] if outside else np.zeros((0, 1))
-        leak_d = (a.conj().T[np.ix_(outside, indices)]
-                  if outside else np.zeros((0, 1)))
-        checks.append(RelationCheck(
-            f"pair {p}: constraint preserved",
-            close(leak, 0) and close(leak_d, 0)))
-    A = [a[sub] for a in comp]
-    Z = [z[sub] for z in zt]
-    for p in range(n_pairs):
-        ad = A[p].conj().T
-        checks.append(RelationCheck(
-            f"pair {p}: {{a, a+}} = 1", close(A[p] @ ad + ad @ A[p], ident)))
-        checks.append(RelationCheck(
-            f"pair {p}: a**2 = 0", close(A[p] @ A[p], 0)))
-        checks.append(RelationCheck(
-            f"pair {p}: [a+, a] = 2n-1", close(ad @ A[p] - A[p] @ ad, Z[p])))
-        checks.append(RelationCheck(
-            f"pair {p}: [2n-1, a+] = 2a+",
-            close(Z[p] @ ad - ad @ Z[p], 2 * ad)))
-        checks.append(RelationCheck(
-            f"pair {p}: [2n-1, a] = -2a",
-            close(Z[p] @ A[p] - A[p] @ Z[p], -2 * A[p])))
-    for p in range(n_pairs):
-        for q in range(p + 1, n_pairs):
-            qd = A[q].conj().T
-            checks.append(RelationCheck(
-                f"pairs {p},{q}: [a_p, a_q] = 0",
-                close(A[p] @ A[q] - A[q] @ A[p], 0)))
-            checks.append(RelationCheck(
-                f"pairs {p},{q}: [a_p, a_q+] = 0",
-                close(A[p] @ qd - qd @ A[p], 0)))
-    vpos = indices.index(vacuum)
-    vec = np.zeros(len(indices)); vec[vpos] = 1.0
-    ok_vac = all(close(A[p] @ vec, 0) for p in range(n_pairs))
-    checks.append(RelationCheck("vacuum annihilated by every a", ok_vac))
-    return CompoundReport(case, n_pairs,
-                          cutoff if case == 3 else None, tuple(checks))

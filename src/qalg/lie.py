@@ -31,10 +31,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .codes import _project
-from .pauli import OperatorSum, Scalar, realize
+from .pauli import OperatorSum, Scalar
 from .parafermion import conserves_number, conserves_parity
 
 
@@ -86,10 +84,6 @@ class LieBasis:
     rounds: int
     provenance: tuple
     subspace_dim: int | None = None
-
-    @property
-    def contains_identity(self) -> bool:
-        return self.dimension_traceless < self.dimension
 
     @property
     def provenance_depth(self) -> int:
@@ -326,6 +320,7 @@ class _Span:
 
     def __contains__(self, vec: dict) -> bool:
         if self.rows is not None:
+            vec = _normalize(vec)
             rest, factors = self._mod_reduce(vec)
             if rest:
                 return False
@@ -456,33 +451,29 @@ def _closure(n_modes: int, seeds, bracket, identity: dict, full_dim: int,
         return (len(vectors) == full_dim - 1
                 and all(map(traceless, vectors)))
 
+    def run_round(start: int, end: int) -> bool:
+        """Bracket the batch [start, end) with every earlier element.  Below
+        the cap an independent bracket is appended; at the cap brackets are
+        only tested, and False means one left the span."""
+        for j in range(start, end):
+            for i in range(j):
+                out = bracket(vectors[i], vectors[j])
+                if not out:
+                    continue
+                if len(vectors) < cap:
+                    if span.insert(out, (i, j)) and saturated():
+                        return True
+                elif out not in span:
+                    return False
+        return True
+
     rounds = 0
     closed = True
     batch_start = 0
-    while batch_start < len(vectors):
-        if saturated():
-            break
-        if len(vectors) >= cap and cap < full_dim:
-            closed = False
-            break
+    while closed and batch_start < len(vectors) and not saturated():
         rounds += 1
         batch_end = len(vectors)
-        stop = False
-        for j in range(batch_start, batch_end):
-            for i in range(j):
-                out = bracket(vectors[i], vectors[j])
-                if out and span.insert(out, (i, j)):
-                    if saturated():
-                        stop = True
-                        break
-                    if len(vectors) >= cap and cap < full_dim:
-                        closed = False
-                        stop = True
-                        break
-            if stop:
-                break
-        if stop:
-            break
+        closed = run_round(batch_start, batch_end)
         batch_start = batch_end
 
     has_identity = identity in span
@@ -504,10 +495,12 @@ def close(generator_set: GeneratorSet, max_dim: int | None = None) -> LieBasis:
     Seeds with the independent generators, then brackets every earlier
     element with each member of the newest batch, in index order, reducing
     exactly and appending independent results.  Stops when a full round
-    adds nothing, when the span saturates the whole operator space, or at
-    max_dim (reported via closed=False, not an error).  Full saturation
-    includes the traceless case: 4**n - 1 elements none of which has an
-    identity component.
+    adds nothing or when the span saturates the whole operator space.  Full
+    saturation includes the traceless case: 4**n - 1 elements none of which
+    has an identity component.  Once max_dim elements are in, brackets are
+    only tested against their span: the first one outside it stops the run
+    with closed=False (not an error), and a capped span that no bracket
+    leaves is reported closed.
     """
     n = generator_set.n_modes
     return _closure(
@@ -616,21 +609,3 @@ def classify_algebra(basis: LieBasis) -> AlgebraVerdict:
         conserves_number=number_ok,
         conserves_parity=parity_ok,
         universal_full_space=basis.dimension_traceless >= 4 ** n - 1)
-
-
-# -- dense cross-checks ----------------------------------------------------
-
-def dense_span_rank(ops, tol: float = 1e-9) -> int:
-    """Rank of realized operators' vectorizations; closure cross-check.
-
-    Each operator is scaled to unit norm first, since the rank of a set of
-    vectors does not depend on their lengths, while the relative tolerance
-    would drop a short one beside a long one."""
-    mats = [realize(op).reshape(-1) for op in ops]
-    if not mats:
-        return 0
-    stack = np.array(mats)
-    norms = np.linalg.norm(stack, axis=1, keepdims=True)
-    stack /= np.where(norms > 0, norms, 1.0)
-    svals = np.linalg.svd(stack, compute_uv=False)
-    return int(np.sum(svals > tol * max(1.0, svals[0])))

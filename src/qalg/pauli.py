@@ -22,11 +22,8 @@ realization, i.e. ``realize`` maps mode 0 to the last Kronecker factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .config import dense_limit
 from .errors import DenseLimitError, ModeMismatchError
@@ -158,57 +155,6 @@ def _product_phase_exp(x1: int, z1: int, x2: int, z2: int) -> int:
     return e % 4
 
 
-@dataclass(frozen=True)
-class PauliTerm:
-    """One Pauli string: phase * P(x_mask, z_mask), phase = i**phase_exp."""
-
-    n_modes: int
-    x_mask: int = 0
-    z_mask: int = 0
-    phase_exp: int = 0
-
-    def __post_init__(self):
-        if self.n_modes < 0:
-            raise ValueError("n_modes must be nonnegative")
-        full = (1 << self.n_modes) - 1
-        if self.x_mask & ~full or self.z_mask & ~full:
-            raise ValueError("mask exceeds the declared mode count")
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
-
-    @property
-    def phase(self) -> complex:
-        return (1, 1j, -1, -1j)[self.phase_exp]
-
-    @property
-    def is_hermitian(self) -> bool:
-        return self.phase_exp % 2 == 0
-
-    def adjoint(self) -> "PauliTerm":
-        return PauliTerm(self.n_modes, self.x_mask, self.z_mask, -self.phase_exp)
-
-    def support(self) -> int:
-        return self.x_mask | self.z_mask
-
-    def to_operator(self, coeff=1) -> "OperatorSum":
-        c = Scalar.of(coeff).times_i(self.phase_exp)
-        return OperatorSum(self.n_modes, {(self.x_mask, self.z_mask): c})
-
-    def __mul__(self, other):
-        if isinstance(other, PauliTerm):
-            return multiply(self, other)
-        return NotImplemented
-
-
-def multiply(lhs: PauliTerm, rhs: PauliTerm) -> PauliTerm:
-    """Exact product of two Pauli terms."""
-    if lhs.n_modes != rhs.n_modes:
-        raise ModeMismatchError(
-            f"cannot multiply terms on {lhs.n_modes} and {rhs.n_modes} modes")
-    e = _product_phase_exp(lhs.x_mask, lhs.z_mask, rhs.x_mask, rhs.z_mask)
-    return PauliTerm(lhs.n_modes, lhs.x_mask ^ rhs.x_mask,
-                     lhs.z_mask ^ rhs.z_mask, lhs.phase_exp + rhs.phase_exp + e)
-
-
 class OperatorSum:
     """Finite sum of Pauli terms with exact coefficients.
 
@@ -293,10 +239,6 @@ class OperatorSum:
         mask = self.support()
         return {i for i in range(self.n_modes) if mask >> i & 1}
 
-    def trace_part(self) -> Scalar:
-        """Coefficient of the identity term."""
-        return self.coefficient(0, 0)
-
     def traceless(self) -> "OperatorSum":
         rest = dict(self._terms)
         rest.pop((0, 0), None)
@@ -310,8 +252,6 @@ class OperatorSum:
                 f"operands on {self.n_modes} and {other.n_modes} modes")
 
     def __add__(self, other):
-        if isinstance(other, PauliTerm):
-            other = other.to_operator()
         if not isinstance(other, OperatorSum):
             return NotImplemented
         self._check_modes(other)
@@ -332,8 +272,6 @@ class OperatorSum:
             scale = Scalar.of(other)
             return OperatorSum(self.n_modes,
                                {k: c * scale for k, c in self._terms.items()})
-        if isinstance(other, PauliTerm):
-            other = other.to_operator()
         if not isinstance(other, OperatorSum):
             return NotImplemented
         self._check_modes(other)
@@ -360,8 +298,6 @@ class OperatorSum:
                            {k: c.conjugate() for k, c in self._terms.items()})
 
     def __eq__(self, other):
-        if isinstance(other, PauliTerm):
-            other = other.to_operator()
         if not isinstance(other, OperatorSum):
             return NotImplemented
         return self.n_modes == other.n_modes and self._terms == other._terms
@@ -416,19 +352,15 @@ def anticommutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     return a * b + b * a
 
 
-def all_terms(n_modes: int):
-    """Iterate every Hermitian reference term P(x, z) on n_modes modes."""
-    size = 1 << n_modes
-    for x in range(size):
-        for z in range(size):
-            yield PauliTerm(n_modes, x, z)
-
-
 # -- dense realization ----------------------------------------------------
+# The dense oracle's entry points stay here, but numpy and scipy load only
+# when they are called: the exact algebra above never needs them.
 
 @lru_cache(maxsize=None)
-def _parity_signs(n_modes: int) -> np.ndarray:
+def _parity_signs(n_modes: int) -> "np.ndarray":
     """(-1)**popcount(v) for v in [0, 2**n)."""
+    import numpy as np
+
     v = np.arange(1 << n_modes, dtype=np.uint32)
     pop = np.zeros(1 << n_modes, dtype=np.int64)
     for i in range(n_modes):
@@ -436,13 +368,13 @@ def _parity_signs(n_modes: int) -> np.ndarray:
     return np.where(pop & 1, -1.0, 1.0)
 
 
-def realize(op, limit: int | None = None) -> np.ndarray:
-    """Dense complex matrix of a PauliTerm or OperatorSum.
+def realize(op: OperatorSum, limit: int | None = None) -> "np.ndarray":
+    """Dense complex matrix of an OperatorSum.
 
     Basis-state labels carry mode i on bit i (mode 0 least significant).
     """
-    if isinstance(op, PauliTerm):
-        op = op.to_operator()
+    import numpy as np
+
     cap = dense_limit() if limit is None else limit
     if op.n_modes > cap:
         raise DenseLimitError(
@@ -457,13 +389,15 @@ def realize(op, limit: int | None = None) -> np.ndarray:
     return out
 
 
-def matrix_exponential(matrix: np.ndarray, scale: complex = 1.0) -> np.ndarray:
+def matrix_exponential(matrix: "np.ndarray",
+                       scale: complex = 1.0) -> "np.ndarray":
     """exp(scale * matrix) by scaling and squaring (deterministic)."""
+    import numpy as np
+    import scipy.linalg
+
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("square matrix required")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    import scipy.linalg  # deferred: only the dense oracle needs scipy
-
     return scipy.linalg.expm(scale * m)

@@ -1,5 +1,6 @@
 """Command-line surface: JSON envelopes, exit codes, and verb behavior."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -21,15 +22,42 @@ def run_json(tmp_path, *argv):
 
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):
-        # only the dense oracle needs scipy; the exact verbs must not pay
-        # for its import at startup
+        # only the dense oracle needs numpy and scipy, and only --version
+        # and the JSON envelope read the package metadata; neither the
+        # package nor the CLI may pay for those imports at startup
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, qalg.cli; print('scipy' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=60, check=True)
-        assert done.stdout.strip() == "False"
+        heavy = ("numpy", "scipy", "importlib.metadata")
+        for module in ("qalg", "qalg.cli"):
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 f"import sys, {module}; "
+                 f"print([m for m in {heavy!r} if m in sys.modules])"],
+                env=env, capture_output=True, text=True, timeout=60,
+                check=True)
+            assert done.stdout.strip() == "[]", module
+
+    def test_exports_resolve_to_their_definitions(self):
+        import qalg
+
+        for name in qalg.__all__:
+            module = qalg._SOURCE[name]
+            owner = importlib.import_module(f"qalg.{module}")
+            want = owner if name == module else getattr(owner, name)
+            assert getattr(qalg, name) is want, name
+        assert "realize" in qalg.__all__ and "PauliTerm" not in qalg.__all__
+        with pytest.raises(AttributeError):
+            qalg.PauliTerm
+
+    def test_benchmark_entry_points_exist(self):
+        # the benchmark calls and wraps these by name
+        import qalg.pauli
+        import qalg.verifier
+
+        assert callable(qalg.pauli.realize)
+        assert callable(qalg.pauli.matrix_exponential)
+        assert callable(qalg.verifier.conjugate_eighth)
+        assert "car" in qalg.verifier.CHECKS
 
 
 class TestEnvelope:
@@ -137,6 +165,24 @@ class TestClosure:
         assert code == 0
         assert doc["body"]["closed"] is False
         assert doc["body"]["matches"] == []
+
+    def test_cap_at_a_closed_generator_reports_closed(self, tmp_path):
+        code, doc = run_json(tmp_path, "closure", "--expr", "X(0)",
+                             "--modes", "1", "--max-dim", "1")
+        assert code == 0
+        body = doc["body"]
+        assert (body["dimension"], body["closed"], body["rounds"]) == (1, True, 1)
+
+    def test_cap_at_the_final_dimension_changes_nothing(self, tmp_path):
+        chain = str(SAMPLES / "xy_chain.ops")
+        _, free = run_json(tmp_path, "closure", "--file", chain)
+        assert free["body"]["dimension"] == 9
+        _, capped = run_json(tmp_path, "closure", "--file", chain,
+                             "--max-dim", "9")
+        assert capped["body"] == free["body"]
+        _, short = run_json(tmp_path, "closure", "--file", chain,
+                            "--max-dim", "8")
+        assert not short["body"]["closed"] and short["body"]["dimension"] == 8
 
     @pytest.mark.parametrize("max_dim", ["0", "-3"])
     def test_max_dim_below_one_exits_two(self, tmp_path, capsys, max_dim):
@@ -289,13 +335,13 @@ class TestVerify:
         assert main(["verify", "nonsense", "--out", str(out)]) == 2
 
     def test_failing_check_exits_one(self, tmp_path, monkeypatch):
-        import qalg.cli
+        import qalg.verifier
         from qalg.verifier import IdentityCheck
 
         def bad():
             return IdentityCheck("bad", "exact", 0.0, False, 1.0)
 
-        monkeypatch.setitem(qalg.cli.CHECKS, "bad", bad)
+        monkeypatch.setitem(qalg.verifier.CHECKS, "bad", bad)
         out = tmp_path / "x.json"
         assert main(["verify", "bad", "--out", str(out)]) == 1
 

@@ -1,11 +1,13 @@
 """Constant-excitation subspaces, encoded generators, rates, synthesis."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qalg.codes import (
+    EncodedGate,
     build_code,
     encoded_cphase,
     encoded_generator,
@@ -14,7 +16,15 @@ from qalg.codes import (
     shannon_entropy,
     synthesize_su_d,
 )
-from qalg.pauli import realize
+from qalg.pauli import Scalar, realize
+
+
+def dense(gate):
+    """The gate's dim x dim matrix, densified from its exact entries."""
+    m = np.zeros((gate.dim, gate.dim), dtype=complex)
+    for (r, c), s in gate.entries.items():
+        m[r, c] = s.to_complex()
+    return m
 
 
 class TestCodewords:
@@ -45,13 +55,6 @@ class TestCodewords:
         with pytest.raises(ValueError):
             code.index_of(1)  # wrong excitation count
 
-    def test_projector_shape_and_idempotence(self):
-        code = build_code(4, 2)
-        p = np.asarray(code.projector)
-        assert p.shape == (16, 16)
-        assert np.allclose(p @ p, p)
-        assert int(round(np.trace(p).real)) == 6
-
     def test_excitations_beyond_modes_rejected(self):
         with pytest.raises(ValueError):
             build_code(3, 4)
@@ -62,12 +65,24 @@ class TestEncodedGenerators:
         code = build_code(3, 1)
         g = encoded_generator(code, "x", (0, 1))
         assert g.support == (0, 1)
-        assert np.array_equal(np.asarray(g.action),
+        assert np.array_equal(dense(g),
                               np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]))
+        assert g.is_hermitian
 
     def test_difference_matrix(self):
         g = encoded_generator(build_code(3, 1), "z", (1, 2))
-        assert np.array_equal(np.asarray(g.action), np.diag([1, -1, 0]))
+        assert np.array_equal(dense(g), np.diag([1, -1, 0]))
+        assert g.is_hermitian
+
+    def test_hermiticity_is_exact(self):
+        # a float tolerance would pass the 10**-30 asymmetry
+        tiny = Scalar(Fraction(1, 10**30))
+        one = Scalar(1)
+        assert EncodedGate("t", (0, 1), {(0, 1): one, (1, 0): one}, 2).is_hermitian
+        assert not EncodedGate("t", (0, 1), {(0, 1): one,
+                                             (1, 0): one + tiny}, 2).is_hermitian
+        assert not EncodedGate("t", (0, 1), {(0, 1): tiny}, 2).is_hermitian
+        assert not EncodedGate("t", (0, 1), {(0, 0): Scalar(0, 1)}, 2).is_hermitian
 
     def test_action_is_projected_physical_operator(self):
         code = build_code(4, 2)
@@ -75,7 +90,7 @@ class TestEncodedGenerators:
             g = encoded_generator(code, kind, (1, 3))
             phys = realize(physical_generator(kind, (1, 3), 4))
             idx = list(code.dense_indices)
-            assert np.allclose(np.asarray(g.action), phys[np.ix_(idx, idx)])
+            assert np.allclose(dense(g), phys[np.ix_(idx, idx)])
 
     def test_bad_kind_and_pair(self):
         code = build_code(3, 1)
@@ -93,19 +108,17 @@ class TestCphase:
         assert cp.left_signs == (-1, 1, 1)
         assert cp.right_signs == (1, 1, -1)
         assert np.array_equal(
-            np.asarray(cp.zz_action),
+            np.diag(cp.zz_diagonal),
             np.kron(np.diag(cp.left_signs), np.diag(cp.right_signs)))
 
     def test_two_block_gate_diagonal(self):
         cp = encoded_cphase(build_code(2, 1), build_code(2, 1))
-        assert np.array_equal(np.diag(np.asarray(cp.zz_action)),
-                              np.array([-1, 1, 1, -1]))
-        assert np.array_equal(np.diag(np.asarray(cp.action)),
-                              np.array([1, -1, -1, 1]))
+        assert cp.zz_diagonal == (-1, 1, 1, -1)
+        assert np.array_equal(dense(cp), np.diag([1, -1, -1, 1]))
 
     def test_mixed_block_sizes(self):
         cp = encoded_cphase(build_code(3, 1), build_code(2, 1))
-        assert np.asarray(cp.zz_action).shape == (6, 6)
+        assert np.diag(cp.zz_diagonal).shape == dense(cp).shape == (6, 6)
 
 
 class TestSynthesis:

@@ -7,16 +7,14 @@ import pytest
 
 from qalg.errors import SpeciesError
 from qalg.jw import (
-    JWStringOp,
-    TruncatedBosonSpace,
     boson_approx_commutator,
-    compound_mapping_check,
     jw_fermion_to_pauli,
     string_operator,
     verify_car,
 )
 from qalg.parafermion import SecondQuantizedExpr, number_site, to_pauli
 from qalg.pauli import OperatorSum, anticommutator, realize
+from qalg.verifier import TruncatedBosonSpace, compound_mapping_check
 
 E = SecondQuantizedExpr
 
@@ -37,15 +35,12 @@ class TestStrings:
             assert s * s == OperatorSum.identity(4)
 
     def test_string_op_wrapper(self):
-        j = JWStringOp(2)
-        assert j.to_pauli(4) == string_operator(2, 4)
-        # the expanded (1 - 2n) product realizes the same diagonal
-        assert to_pauli(j.as_expr(4)) == string_operator(2, 4)
-
-    def test_string_op_direction_guard(self):
-        with pytest.raises(ValueError):
-            JWStringOp(1, direction="sideways")
-        assert JWStringOp(1, direction="qubit_to_fermion").as_expr(2).species == "fermion"
+        # the expanded product of (1 - 2n_k), k < 2, realizes the string
+        expr = E.constant(1, 4, "parafermion")
+        for k in range(2):
+            one = E.constant(1, 4, "parafermion")
+            expr = expr * (one - E.number(k, 4, "parafermion") * 2)
+        assert to_pauli(expr) == string_operator(2, 4)
 
 
 class TestFermionImage:
@@ -135,7 +130,6 @@ class TestBosonSpace:
         for _ in range(10):
             occ = tuple(rng.randrange(3) for _ in range(3))
             assert sp.occupations(sp.index_of(occ)) == occ
-        assert sp.vacuum_index == 0
         assert sp.dim == 27
 
     def test_number_matches_occupations(self):

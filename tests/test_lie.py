@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,16 +12,19 @@ from hypothesis import strategies as st
 import qalg.lie as lie
 from qalg.codes import build_code, physical_generator
 from qalg.errors import SubspaceLeakError
+from qalg.dsl import parse_script
 from qalg.lie import (
     GeneratorSet,
     classify_algebra,
     close,
     close_on_subspace,
-    dense_span_rank,
     expected_dimension,
 )
 from qalg.parafermion import SecondQuantizedExpr, number_site, to_pauli
 from qalg.pauli import I_UNIT, OperatorSum, realize
+from qalg.verifier import dense_span_rank
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 E = SecondQuantizedExpr
 
@@ -78,10 +82,42 @@ class TestBasicClosures:
                 GeneratorSet(3, [physical_generator("z", (1, 2), 3)]),
                 build_code(3, 1), max_dim=max_dim)
 
+    def test_cap_at_a_closed_generator(self):
+        basis = close(GeneratorSet(1, [OperatorSum.x(0, 1)]), max_dim=1)
+        assert (basis.dimension, basis.closed, basis.rounds) == (1, True, 1)
+
+    @pytest.mark.parametrize("name", ["su(4) pair", "u(3) hopping", "xy chain"])
+    def test_cap_at_the_final_dimension_changes_nothing(self, name):
+        gs = _capped_case(name)
+        free = close(gs)
+        assert _answers(close(gs, max_dim=free.dimension)) == _answers(free)
+
+    @pytest.mark.parametrize("name", ["su(4) pair", "u(3) hopping", "xy chain"])
+    def test_cap_below_the_final_dimension(self, name):
+        gs = _capped_case(name)
+        free = close(gs)
+        for cap in range(len(gs.generators), free.dimension):
+            capped = close(gs, max_dim=cap)
+            assert not capped.closed and capped.dimension == cap
+            assert capped.provenance == free.provenance[:cap]
+
     def test_provenance_depth_recorded(self):
         basis = close(GeneratorSet(1, [OperatorSum.x(0, 1), OperatorSum.z(0, 1)]))
         assert len(basis.provenance) == basis.dimension
         assert basis.provenance_depth >= 1
+
+
+def _capped_case(name):
+    """Generator sets closing to su(4) (dim 15), u(3) and u(3) again."""
+    if name == "su(4) pair":
+        return GeneratorSet(2, [OperatorSum(2, {(1, 1): 1, (2, 2): 1}),
+                                OperatorSum(2, {(1, 0): 1, (2, 0): 2, (3, 0): 1})])
+    if name == "u(3) hopping":
+        gens, _ = _family("hopping", 3, "parafermion")
+        return GeneratorSet(3, gens + [number_site(i, 3) for i in range(3)])
+    script = parse_script((SAMPLES / "xy_chain.ops").read_text())
+    return GeneratorSet(script.n_modes, [to_pauli(script.operators[label])
+                                         for label in script.labels])
 
 
 def _family(name, n, species):
@@ -405,6 +441,14 @@ class TestDenseClosures:
         rounds, provenance = _PINNED_DENSE[key]
         basis = close(GeneratorSet(3, _dense_pair(key[1], key[0])))
         assert _answers(basis) == (63, 63, True, rounds, provenance)
+
+    def test_cap_on_the_modular_echelon(self):
+        # the capped span is tested modulo p; the run stops on the first
+        # bracket outside it, after the uncapped run's first 30 elements
+        gs = GeneratorSet(3, _dense_pair(0, 8))
+        capped = close(gs, max_dim=30)
+        assert (capped.dimension, capped.closed) == (30, False)
+        assert capped.provenance == close(gs).provenance[:30]
 
     def test_dense_oracle_and_small_coefficients(self):
         basis = close(GeneratorSet(3, _dense_pair(0, 8)))

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qalg.errors import DenseLimitError
 from qalg.pauli import (
@@ -15,13 +17,10 @@ from qalg.pauli import (
     RT2_HALF,
     ZERO,
     OperatorSum,
-    PauliTerm,
     Scalar,
-    all_terms,
     anticommutator,
     commutator,
     matrix_exponential,
-    multiply,
     realize,
 )
 
@@ -99,19 +98,17 @@ class TestSingleMode:
         assert anticommutator(X, X) == OperatorSum.identity(1) + OperatorSum.identity(1)
 
     def test_reference_terms_hermitian(self):
-        for term in all_terms(3):
-            assert term.is_hermitian
-            assert term.adjoint() == term
-
-    def test_all_terms_count(self):
-        assert len(list(all_terms(2))) == 16
+        for x in range(8):
+            for z in range(8):
+                term = OperatorSum(3, {(x, z): ONE})
+                assert term.is_hermitian
+                assert term.adjoint() == term
 
     def test_term_product_phase(self):
-        x = PauliTerm(1, 1, 0, 0)
-        z = PauliTerm(1, 0, 1, 0)
-        y = multiply(x, z)
-        assert (y.x_mask, y.z_mask) == (1, 1)
-        assert y.phase == -1j
+        # X Z = -i Y on the reference strings
+        y = OperatorSum.x(0, 1) * OperatorSum.z(0, 1)
+        assert [key for key, _ in y.items()] == [(1, 1)]
+        assert y.coefficient(1, 1) == -I_UNIT
 
 
 class TestDense:
@@ -152,8 +149,8 @@ class TestDense:
         for _ in range(10):
             op = random_sum(rng, 2)
             tr = np.trace(realize(op))
-            assert abs(op.trace_part().to_complex() * 4 - tr) < 1e-12
-            assert op.traceless().trace_part() == ZERO
+            assert abs(op.coefficient(0, 0).to_complex() * 4 - tr) < 1e-12
+            assert op.traceless().coefficient(0, 0) == ZERO
 
     def test_apply_basis_state_matches_columns(self):
         rng = random.Random(11)
@@ -184,6 +181,38 @@ class TestDense:
         monkeypatch.setenv("QALG_DENSE_LIMIT", "zero")
         with pytest.raises(ValueError):
             realize(OperatorSum.x(0, 1))
+
+
+_PART = st.fractions(-3, 3, max_denominator=4)
+_ROOT_PART = st.one_of(st.just(Fraction(0)), _PART)
+
+
+@st.composite
+def _sum_pairs(draw):
+    """Two sums of up to 5 terms on 1-3 modes whose coefficients are
+    Gaussian rationals, some with sqrt(2) parts."""
+    n = draw(st.integers(1, 3))
+    mask = st.integers(0, (1 << n) - 1)
+    coeff = st.builds(Scalar, re=_PART, im=_PART, re2=_ROOT_PART,
+                      im2=_ROOT_PART)
+    terms = st.dictionaries(st.tuples(mask, mask), coeff, max_size=5)
+    return OperatorSum(n, draw(terms)), OperatorSum(n, draw(terms))
+
+
+class TestDenseAlgebraMap:
+    @settings(max_examples=30, deadline=None)
+    @given(_sum_pairs())
+    def test_realize_respects_the_operations(self, pair):
+        a, b = pair
+        da, db = realize(a), realize(b)
+
+        def same(op, want):
+            return np.allclose(realize(op), want, rtol=0, atol=1e-10)
+
+        assert same(a + b, da + db)
+        assert same(a * b, da @ db)
+        assert same(a.adjoint(), da.conj().T)
+        assert same(commutator(a, b), da @ db - db @ da)
 
 
 class TestStructure:
