@@ -30,6 +30,8 @@ from .pauli import OperatorSum
 from .parafermion import (
     SecondQuantizedExpr,
     classify,
+    conserves_number,
+    conserves_parity,
     enumerate_generators,
     to_pauli,
 )
@@ -48,6 +50,19 @@ def _version() -> str:
         return metadata.version("qalg")
     except metadata.PackageNotFoundError:
         return "0.0.0"
+
+
+class _VersionAction(argparse.Action):
+    """--version that reads the package metadata only when it fires."""
+
+    def __init__(self, option_strings, dest):
+        super().__init__(option_strings, dest, nargs=0,
+                         default=argparse.SUPPRESS,
+                         help="show program's version number and exit")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(_version() + "\n")
+        parser.exit()
 
 
 def _bits(mask: int, width: int) -> str:
@@ -123,21 +138,18 @@ def _resolve_operators(args):
 def _cmd_closure(args):
     n_modes, named = _resolve_operators(args)
     label = args.label or "closure"
-    gs = GeneratorSet(n_modes, [op for _, op in named], label=label)
+    gs = GeneratorSet(n_modes, [op for _, op in named])
     basis = close(gs, max_dim=args.max_dim)
+    # brackets of conserving operators conserve (Jacobi identity), so the
+    # closure's flags are its generators'
+    number_ok = all(map(conserves_number, gs.generators))
+    parity_ok = all(map(conserves_parity, gs.generators))
+    matches, universal = [], False
     if basis.closed:
         verdict = classify_algebra(basis)
         matches = [{"name": m.name, "expected_dim": m.expected_dim,
                     "hit": m.hit} for m in verdict.matches]
-        number_ok = verdict.conserves_number
-        parity_ok = verdict.conserves_parity
         universal = verdict.universal_full_space
-    else:
-        per_gen = [classify(op) for _, op in named]
-        matches = []
-        number_ok = all(v.conserves_number for v in per_gen)
-        parity_ok = all(v.conserves_parity for v in per_gen)
-        universal = False
     body = {
         "label": label,
         "n_modes": n_modes,
@@ -431,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qalg",
         description="Exact operator algebra tools: Lie closures, "
                     "transfer-monomial maps, encoded gates, identity checks.")
-    parser.add_argument("--version", action="version", version=_version())
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("closure", parents=[common, source],

@@ -242,10 +242,7 @@ def synthesize_su_d(code: CodeSubspace, d_limit: int = 20,
     for link in links:
         gens.append(physical_generator("x", link, n_big))
         gens.append(physical_generator("z", link, n_big))
-    basis = close_on_subspace(
-        GeneratorSet(n_big, gens,
-                     label=f"{pairs} pairs on C({n_big},{n_exc})"),
-        code)
+    basis = close_on_subspace(GeneratorSet(n_big, gens), code)
     pairs_per_link = math.comb(n_big - 2, n_exc - 1)
     links = math.comb(n_big, 2)
     counting = {

@@ -11,11 +11,20 @@ Grammar (whitespace-insensitive, '#' starts a comment):
 
 KIND is one of a, ad (parafermionic lowering/raising), f, fd (fermionic),
 b, bd (bosonic), n (number), X, Y, Z (qubit) and I (identity placeholder).
-Numbers are exact: decimal literals become Fractions.  The species of an
-expression is inferred from its factors; a, f, b and X/Y/Z kinds cannot be
-mixed.  `n` and `I` adopt the surrounding species; an expression of only
-`n` factors is parafermionic, and a pure constant (or pure-`I`) expression
-is a qubit identity multiple.  Indices are zero-based mode numbers.
+Numbers are exact: decimal literals become Fractions.  Indices are
+zero-based mode numbers.
+
+Each letter names a species (a/ad parafermion, f/fd fermion, b/bd boson,
+X/Y/Z qubit), and letters of two species cannot be mixed.  `n` and `I`
+name none: they adopt the species of the other letters.  A neutral
+expression, one of only `n`, `I` and constants, takes the species a
+script's `species:` header declares; without a header it is parafermionic
+when it has an `n` factor and otherwise a qubit identity multiple.  Under a
+header, an expression whose letters name another species is rejected.
+
+Qubit expressions are multiplied out into an OperatorSum with
+``parafermion.fold_terms``; mode expressions become one
+SecondQuantizedExpr with the factors as written.
 """
 
 from __future__ import annotations
@@ -26,18 +35,30 @@ from fractions import Fraction
 
 from .errors import ParseError, SpeciesError
 from .pauli import I_UNIT, ONE, OperatorSum, Scalar
-from .parafermion import SecondQuantizedExpr, number_site
+from .parafermion import (
+    ANNIHILATE,
+    CREATE,
+    NUMBER,
+    SecondQuantizedExpr,
+    fold_terms,
+    number_site,
+)
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?)"
                     r"|(?P<name>[A-Za-z]+)"
                     r"|(?P<sym>[-+*/(),]))")
 
-_QUBIT_KINDS = {"X", "Y", "Z"}
-_SQ_KINDS = {"a": "parafermion", "ad": "parafermion",
-             "f": "fermion", "fd": "fermion",
-             "b": "boson", "bd": "boson"}
-_NEUTRAL_KINDS = {"n", "I"}
-_ALL_KINDS = _QUBIT_KINDS | set(_SQ_KINDS) | _NEUTRAL_KINDS
+# letter -> (the species it names, its factor kind); n and I name no
+# species, and I has no factor
+_LETTERS = {
+    "X": ("qubit", "X"), "Y": ("qubit", "Y"), "Z": ("qubit", "Z"),
+    "a": ("parafermion", ANNIHILATE), "ad": ("parafermion", CREATE),
+    "f": ("fermion", ANNIHILATE), "fd": ("fermion", CREATE),
+    "b": ("boson", ANNIHILATE), "bd": ("boson", CREATE),
+    "n": (None, NUMBER), "I": (None, None),
+}
+_QUBIT_IMAGES = {"X": OperatorSum.x, "Y": OperatorSum.y, "Z": OperatorSum.z,
+                 NUMBER: number_site}
 
 
 def _tokenize(text: str):
@@ -135,7 +156,7 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "name":
             return None
-        if val not in _ALL_KINDS:
+        if val not in _LETTERS:
             raise ParseError(f"unknown operator kind {val!r}", pos)
         self.i += 1
         if not self.accept_sym("("):
@@ -185,91 +206,51 @@ class _Parser:
         return terms
 
 
-def _infer_species(terms):
-    qubit = False
-    sq = set()
-    saw_number = False
-    for _, factors in terms:
-        for kind, _, _ in factors:
-            if kind in _QUBIT_KINDS:
-                qubit = True
-            elif kind in _SQ_KINDS:
-                sq.add(_SQ_KINDS[kind])
-            elif kind == "n":
-                saw_number = True
-    if qubit and sq:
+def _named_species(terms):
+    """The species the letters of terms name, or None when they name none."""
+    named = {_LETTERS[letter][0] for _, factors in terms
+             for letter, _, _ in factors} - {None}
+    modes = named - {"qubit"}
+    if "qubit" in named and modes:
         raise SpeciesError("qubit and mode-operator kinds cannot be mixed")
-    if len(sq) > 1:
-        raise SpeciesError(f"mixed species {sorted(sq)}")
-    if sq:
-        return sq.pop()
-    if qubit or not saw_number:
-        return "qubit"
-    return "parafermion"
+    if len(modes) > 1:
+        raise SpeciesError(f"mixed species {sorted(modes)}")
+    return named.pop() if named else None
 
 
-def _check_index(index: int, n_modes: int, pos: int):
-    if not 0 <= index < n_modes:
-        raise ParseError(
-            f"mode index {index} out of range for {n_modes} modes", pos)
-
-
-def _build_qubit(terms, n_modes: int) -> OperatorSum:
-    total = OperatorSum.zero(n_modes)
-    single = {"X": OperatorSum.x, "Y": OperatorSum.y, "Z": OperatorSum.z}
-    for coeff, factors in terms:
-        acc = OperatorSum.identity(n_modes) * coeff
-        for kind, index, pos in factors:
-            _check_index(index, n_modes, pos)
-            if kind == "I":
-                continue
-            if kind == "n":
-                acc = acc * number_site(index, n_modes)
-            else:
-                acc = acc * single[kind](index, n_modes)
-        total = total + acc
-    return total
-
-
-def _build_sq(terms, n_modes: int, species: str) -> SecondQuantizedExpr:
-    make = {"a": SecondQuantizedExpr.annihilate,
-            "f": SecondQuantizedExpr.annihilate,
-            "b": SecondQuantizedExpr.annihilate,
-            "ad": SecondQuantizedExpr.create,
-            "fd": SecondQuantizedExpr.create,
-            "bd": SecondQuantizedExpr.create,
-            "n": SecondQuantizedExpr.number}
-    total = SecondQuantizedExpr(n_modes, species)
-    for coeff, factors in terms:
-        acc = SecondQuantizedExpr.constant(coeff, n_modes, species)
-        for kind, index, pos in factors:
-            _check_index(index, n_modes, pos)
-            if kind == "I":
-                continue
-            acc = acc * make[kind](index, n_modes, species)
-        total = total + acc
-    return total
-
-
-def parse_expr(text: str, n_modes: int):
-    """Parse one expression; returns an OperatorSum or SecondQuantizedExpr."""
+def _parse(text: str, n_modes: int, declared: str | None = None):
+    """parse_expr, with the species a script header declares (if any)."""
     if n_modes < 1:
         raise ValueError("n_modes must be positive")
     bare = text.split("#", 1)[0]
     if not bare.strip():
         raise ParseError("empty expression", 0)
     terms = _Parser(bare).expression()
-    species = _infer_species(terms)
+    species = _named_species(terms)
+    for _, factors in terms:
+        for _, index, pos in factors:
+            if not 0 <= index < n_modes:
+                raise ParseError(
+                    f"mode index {index} out of range for {n_modes} modes", pos)
+    terms = [(coeff, tuple((_LETTERS[letter][1], index)
+                           for letter, index, _ in factors if letter != "I"))
+             for coeff, factors in terms]
+    if species is None:  # only n factors are left
+        species = declared or ("parafermion" if any(f for _, f in terms)
+                               else "qubit")
+    elif declared not in (None, species):
+        raise ParseError(f"{declared} script got a {species} expression", 0)
     if species == "qubit":
-        return _build_qubit(terms, n_modes)
-    return _build_sq(terms, n_modes, species)
+        return fold_terms(terms, n_modes, _QUBIT_IMAGES)
+    return SecondQuantizedExpr(n_modes, species, terms)
+
+
+def parse_expr(text: str, n_modes: int):
+    """Parse one expression; returns an OperatorSum or SecondQuantizedExpr."""
+    return _parse(text, n_modes)
 
 
 # -- printing ---------------------------------------------------------------
-
-def _format_fraction(value: Fraction) -> str:
-    return str(value)
-
 
 def _format_coeff(coeff: Scalar, leading: bool):
     """(connector, body) where body omits a bare 1; None body means just 1."""
@@ -279,13 +260,13 @@ def _format_coeff(coeff: Scalar, leading: bool):
     if coeff.im == 0:
         if coeff.re < 0:
             negative, coeff = True, -coeff
-        body = None if coeff.re == 1 else _format_fraction(coeff.re)
+        body = None if coeff.re == 1 else str(coeff.re)
     elif coeff.re == 0:
         if coeff.im < 0:
             negative, coeff = True, -coeff
-        body = "i" if coeff.im == 1 else _format_fraction(coeff.im) + "i"
+        body = "i" if coeff.im == 1 else str(coeff.im) + "i"
     else:
-        body = f"({_format_fraction(coeff.re)},{_format_fraction(coeff.im)})"
+        body = f"({str(coeff.re)},{str(coeff.im)})"
     connector = ("-" if negative else "") if leading else (" - " if negative else " + ")
     return connector, body
 
@@ -304,7 +285,14 @@ def _emit(pieces, connector, body, factors):
 
 
 def print_expr(expr) -> str:
-    """Canonical text form; parse_expr returns an equal object from it."""
+    """Canonical text form.
+
+    parse_expr reads it back as an equal object for every OperatorSum with
+    rational coefficients, and for every SecondQuantizedExpr with at least
+    one creation or annihilation factor.  A mode expression without one
+    names no species in its text, so it comes back as a parafermion
+    expression (when it has an `n` factor) or as a qubit operator.
+    """
     pieces = []
     if isinstance(expr, OperatorSum):
         for (x, z), coeff in expr.items():
@@ -376,31 +364,10 @@ def parse_script(text: str) -> OperatorScript:
         if name in operators:
             raise ParseError(f"line {lineno}: duplicate operator {name!r}", 0)
         try:
-            parsed = parse_expr(body, n_modes)
+            operators[name] = _parse(body, n_modes, species)
         except ParseError as err:
             raise ParseError(f"line {lineno}: {err.message}", err.position)
-        if species is not None:
-            parsed = _coerce_species(parsed, species, n_modes, lineno)
-        operators[name] = parsed
         labels.append(name)
     if n_modes is None:
         raise ParseError("script has no 'modes: N' header", 0)
     return OperatorScript(n_modes, species, operators, tuple(labels))
-
-
-def _coerce_species(parsed, species: str, n_modes: int, lineno: int):
-    if species == "qubit":
-        if not isinstance(parsed, OperatorSum):
-            raise ParseError(
-                f"line {lineno}: qubit script got a {parsed.species} expression", 0)
-        return parsed
-    if isinstance(parsed, OperatorSum):
-        ident = parsed.coefficient(0, 0)
-        if parsed.n_terms - (0 if ident.is_zero else 1) == 0:
-            return SecondQuantizedExpr.constant(ident, n_modes, species)
-        raise ParseError(
-            f"line {lineno}: {species} script got a qubit expression", 0)
-    if parsed.species != species:
-        raise ParseError(
-            f"line {lineno}: {species} script got a {parsed.species} expression", 0)
-    return parsed

@@ -7,7 +7,10 @@ creation/annihilation operator:
 
 with the mode order fixed globally (strings act on lower-indexed modes).
 Under the on-site dictionary each string factor is -Z, so S_i is a single
-signed Z-string and every fermionic monomial lands on an exact Pauli sum.
+signed Z-string and every fermionic monomial lands on an exact Pauli sum:
+``jw_fermion_to_pauli`` folds the terms with ``parafermion.fold_terms``
+through the on-site images, with S_i attached to each creation and
+annihilation image.
 
 The module also hosts the exact anticommutation relations of the string
 fermions and the collective-mode commutator [B, B'] as an exact Pauli sum.
@@ -26,7 +29,9 @@ from .pauli import ONE, OperatorSum, Scalar
 from .parafermion import (
     ANNIHILATE,
     CREATE,
+    NUMBER,
     SecondQuantizedExpr,
+    fold_terms,
     lowering_op,
     number_site,
     raising_op,
@@ -41,25 +46,20 @@ def string_operator(mode: int, n_modes: int) -> OperatorSum:
     return OperatorSum(n_modes, {(0, (1 << mode) - 1): coeff})
 
 
+_STRING_IMAGES = {
+    CREATE: lambda mode, n: raising_op(mode, n) * string_operator(mode, n),
+    ANNIHILATE: lambda mode, n: lowering_op(mode, n) * string_operator(mode, n),
+    NUMBER: number_site,
+}
+
+
 def jw_fermion_to_pauli(expr: SecondQuantizedExpr) -> OperatorSum:
     """Exact Pauli image of a fermionic expression via string attachment."""
     if expr.species != "fermion":
         raise SpeciesError(
             f"jw_fermion_to_pauli expects a fermion expression, "
             f"got {expr.species!r}")
-    n = expr.n_modes
-    total = OperatorSum.zero(n)
-    for coeff, factors in expr.terms:
-        acc = OperatorSum.identity(n) * coeff
-        for kind, mode in factors:
-            if kind == CREATE:
-                acc = acc * (raising_op(mode, n) * string_operator(mode, n))
-            elif kind == ANNIHILATE:
-                acc = acc * (lowering_op(mode, n) * string_operator(mode, n))
-            else:
-                acc = acc * number_site(mode, n)
-        total = total + acc
-    return total
+    return fold_terms(expr.terms, expr.n_modes, _STRING_IMAGES)
 
 
 # -- relation reports ------------------------------------------------------
@@ -81,19 +81,16 @@ class CarReport:
         return all(c.passed for c in self.checks)
 
 
-def _fermion(kind: str, mode: int, n: int) -> SecondQuantizedExpr:
-    return SecondQuantizedExpr(n, "fermion", [(ONE, ((kind, mode),))])
-
-
 def verify_car(n_modes: int) -> CarReport:
     """Exact canonical anticommutation relations of the string fermions.
 
     Checks {f_i, f_j+} = delta_ij, {f_i, f_j} = 0 and {f_i+, f_j+} = 0 as
     Pauli-sum identities for every mode pair.
     """
-    f = [jw_fermion_to_pauli(_fermion(ANNIHILATE, i, n_modes))
+    f = [jw_fermion_to_pauli(
+            SecondQuantizedExpr.annihilate(i, n_modes, "fermion"))
          for i in range(n_modes)]
-    fd = [jw_fermion_to_pauli(_fermion(CREATE, i, n_modes))
+    fd = [jw_fermion_to_pauli(SecondQuantizedExpr.create(i, n_modes, "fermion"))
           for i in range(n_modes)]
     ident = OperatorSum.identity(n_modes)
     checks = []

@@ -38,11 +38,10 @@ from .parafermion import conserves_number, conserves_parity
 
 @dataclass
 class GeneratorSet:
-    """Labelled list of Hermitian generators on a common mode count."""
+    """List of Hermitian generators on a common mode count."""
 
     n_modes: int
     generators: list
-    label: str = ""
 
     def __post_init__(self):
         if not self.generators:
@@ -583,14 +582,21 @@ _PARITY_CANDIDATES = {"so(2N+1)", "so(2N)", "parity-conserving"}
 
 
 def classify_algebra(basis: LieBasis) -> AlgebraVerdict:
-    """Compare a closed basis against the named algebra dimensions."""
+    """Compare a closed basis against the named algebra dimensions.
+
+    The conservation flags are read off the seed elements alone: they span
+    the generators, and brackets of operators that commute with N (or
+    with the parity) commute with it too, by the Jacobi identity.
+    """
     if not basis.closed:
         raise ValueError("classify_algebra requires a closed basis")
     if basis.subspace_dim is not None:
         raise ValueError("classification applies to full-space closures")
     n = basis.n_modes
-    number_ok = all(map(conserves_number, basis.basis))
-    parity_ok = all(map(conserves_parity, basis.basis))
+    seeds = [e for e, origin in zip(basis.basis, basis.provenance)
+             if origin is None]
+    number_ok = all(map(conserves_number, seeds))
+    parity_ok = all(map(conserves_parity, seeds))
     matches = []
     for name in CANDIDATE_ALGEBRAS:
         want = expected_dimension(name, n)

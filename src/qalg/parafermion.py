@@ -7,7 +7,10 @@ on-site qubit dictionary is
     raising  -> a',   lowering -> a,   2n - 1 -> Z
 
 with raising/lowering built from (X +- iY)/2, so the occupied state of a
-mode is the Z = +1 eigenstate.  Number and parity conservation of an
+mode is the Z = +1 eigenstate.  ``fold_terms`` multiplies a sum of factor
+products out through a table of such images; it is the one place where
+``to_pauli``, the string transform in ``jw`` and the qubit expressions of
+``dsl`` turn factors into Pauli sums.  Number and parity conservation of an
 operator, that is exact commutation with the total number operator and with
 the product of on-site (1 - 2n) factors, are read off the Pauli masks of
 its terms without forming either commutator.
@@ -177,7 +180,23 @@ def parity_operator(n_modes: int) -> OperatorSum:
     return OperatorSum(n_modes, {(0, full): sign})
 
 
-_FACTOR_IMAGE = {CREATE: raising_op, ANNIHILATE: lowering_op, NUMBER: number_site}
+def fold_terms(terms, n_modes: int, images) -> OperatorSum:
+    """Sum of coeff * image(f1) * image(f2) * ... over (coeff, factors) terms.
+
+    Each factor is a (kind, mode) pair and images[kind](mode, n_modes) is
+    its OperatorSum.  The products are formed left to right, one factor at
+    a time, starting from the identity times the coefficient.
+    """
+    total = OperatorSum.zero(n_modes)
+    for coeff, factors in terms:
+        acc = OperatorSum.identity(n_modes) * coeff
+        for kind, mode in factors:
+            acc = acc * images[kind](mode, n_modes)
+        total = total + acc
+    return total
+
+
+_SITE_IMAGES = {CREATE: raising_op, ANNIHILATE: lowering_op, NUMBER: number_site}
 
 
 def to_pauli(expr: SecondQuantizedExpr) -> OperatorSum:
@@ -185,13 +204,7 @@ def to_pauli(expr: SecondQuantizedExpr) -> OperatorSum:
     if expr.species != "parafermion":
         raise SpeciesError(
             f"to_pauli maps parafermion expressions, got {expr.species!r}")
-    total = OperatorSum.zero(expr.n_modes)
-    for coeff, factors in expr.terms:
-        acc = OperatorSum.identity(expr.n_modes) * coeff
-        for kind, mode in factors:
-            acc = acc * _FACTOR_IMAGE[kind](mode, expr.n_modes)
-        total = total + acc
-    return total
+    return fold_terms(expr.terms, expr.n_modes, _SITE_IMAGES)
 
 
 # -- transfer-operator catalogue ------------------------------------------

@@ -66,9 +66,6 @@ class Scalar:
     def __sub__(self, other):
         return self + (-Scalar.of(other))
 
-    def __rsub__(self, other):
-        return Scalar.of(other) + (-self)
-
     def __neg__(self):
         return Scalar(-self.re, -self.im, -self.re2, -self.im2)
 
@@ -84,11 +81,6 @@ class Scalar:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _frac(other)
-        return Scalar(self.re / other, self.im / other,
-                      self.re2 / other, self.im2 / other)
 
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im, self.re2, -self.im2)
@@ -289,9 +281,6 @@ class OperatorSum:
         if isinstance(other, (int, Fraction, Scalar)):
             return self * other
         return NotImplemented
-
-    def __truediv__(self, other):
-        return self * Scalar(Fraction(1, 1) / _frac(other))
 
     def adjoint(self) -> "OperatorSum":
         return OperatorSum(self.n_modes,

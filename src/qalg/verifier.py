@@ -26,11 +26,10 @@ from functools import partial
 
 import numpy as np
 
-from .codes import build_code, encoded_cphase
+from .codes import build_code, encoded_cphase, physical_generator
 from .jw import (
     CarReport,
     RelationCheck,
-    _fermion,
     boson_approx_commutator,
     jw_fermion_to_pauli,
     verify_car,
@@ -46,12 +45,11 @@ from .pauli import (
     realize,
 )
 from .parafermion import (
-    ANNIHILATE,
-    CREATE,
-    NUMBER,
     SecondQuantizedExpr,
     bilinear_su2,
+    lowering_op,
     number_site,
+    raising_op,
 )
 
 TOL = 1e-10
@@ -179,16 +177,19 @@ class CompoundReport:
 def _fermion_dense(case: int, n_pairs: int):
     """Composite ops, constrained indices and vacuum for the fermion cases."""
     n = 2 * n_pairs
+    f = partial(SecondQuantizedExpr.annihilate, n_modes=n, species="fermion")
+    fd = partial(SecondQuantizedExpr.create, n_modes=n, species="fermion")
+    number = partial(SecondQuantizedExpr.number, n_modes=n, species="fermion")
     comp, zt = [], []
     for p in range(n_pairs):
         lo, hi = 2 * p, 2 * p + 1
         if case == 1:
-            a_expr = _fermion(ANNIHILATE, hi, n) * _fermion(ANNIHILATE, lo, n)
-            z_expr = (_fermion(NUMBER, lo, n) + _fermion(NUMBER, hi, n)
+            a_expr = f(hi) * f(lo)
+            z_expr = (number(lo) + number(hi)
                       - SecondQuantizedExpr.constant(1, n, "fermion"))
         else:
-            a_expr = _fermion(CREATE, hi, n) * _fermion(ANNIHILATE, lo, n)
-            z_expr = _fermion(NUMBER, lo, n) - _fermion(NUMBER, hi, n)
+            a_expr = fd(hi) * f(lo)
+            z_expr = number(lo) - number(hi)
         comp.append(realize(jw_fermion_to_pauli(a_expr)))
         zt.append(realize(jw_fermion_to_pauli(z_expr)))
     full = (1 << n) - 1
@@ -578,12 +579,8 @@ def check_iontrap_xy(cutoff: int = 2) -> IdentityCheck:
     def hybrid(qubit_op: OperatorSum, boson_mat: np.ndarray) -> np.ndarray:
         return np.kron(boson_mat, realize(qubit_op))
 
-    sp = [OperatorSum(n_q, {(1 << i, 0): HALF,
-                            (1 << i, 1 << i): HALF * I_UNIT})
-          for i in range(2)]
-    sm = [OperatorSum(n_q, {(1 << i, 0): HALF,
-                            (1 << i, 1 << i): -(HALF * I_UNIT)})
-          for i in range(2)]
+    sp = [raising_op(i, n_q) for i in range(2)]
+    sm = [lowering_op(i, n_q) for i in range(2)]
     bd, b = space.create(0), space.annihilate(0)
     v = [hybrid(sm[i], bd) + hybrid(sp[i], b) for i in range(2)]
     comm2i = 2j * (v[0] @ v[1] - v[1] @ v[0])
@@ -620,16 +617,12 @@ def check_iontrap_xy(cutoff: int = 2) -> IdentityCheck:
 
 # -- encoded antisymmetric-XY identities -----------------------------------
 
-def _tx(i: int, j: int, n: int) -> OperatorSum:
-    x_like, _, _ = bilinear_su2((i, j), n, family="hopping")
-    return x_like
-
-
 def check_axy_encoded() -> IdentityCheck:
     """Encoded selective recoupling identities, then the inter-pair ZZ table."""
     details = []
     n = 3
-    t01, t12, t02 = _tx(0, 1, n), _tx(1, 2, n), _tx(0, 2, n)
+    t01, t12, t02 = (physical_generator("x", pair, n)
+                     for pair in ((0, 1), (1, 2), (0, 2)))
     zz01 = OperatorSum(n, {(0, 3): ONE})
     step1 = conjugate_eighth(t12, t01, 2)
     want1 = (zz01 * t02) * I_UNIT

@@ -37,6 +37,21 @@ class TestStartup:
                 check=True)
             assert done.stdout.strip() == "[]", module
 
+    def test_parser_and_text_verbs_leave_metadata_unloaded(self):
+        # --version reads the package metadata only when it fires
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from qalg.cli import build_parser, main; "
+             "build_parser(); "
+             "main(['classify', '--expr', 'X(0) X(1)', '--modes', '2']); "
+             "print('importlib.metadata' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.splitlines() == [
+            "g0: 1 terms on modes [0, 1]; number broken, parity conserved",
+            "False"]
+
     def test_exports_resolve_to_their_definitions(self):
         import qalg
 
@@ -51,12 +66,28 @@ class TestStartup:
 
     def test_benchmark_entry_points_exist(self):
         # the benchmark calls and wraps these by name
-        import qalg.pauli
-        import qalg.verifier
+        from qalg.pauli import OperatorSum, Scalar
 
-        assert callable(qalg.pauli.realize)
-        assert callable(qalg.pauli.matrix_exponential)
-        assert callable(qalg.verifier.conjugate_eighth)
+        wrapped = {
+            "cli": ["main"],
+            "dsl": ["parse_script", "parse_expr", "print_expr"],
+            "parafermion": ["to_pauli", "classify"],
+            "jw": ["jw_fermion_to_pauli"],
+            "lie": ["close", "classify_algebra", "close_on_subspace"],
+            "codes": ["synthesize_su_d", "encoded_generator"],
+            "pauli": ["realize", "matrix_exponential"],
+            "verifier": ["conjugate_eighth"],
+        }
+        for module, names in wrapped.items():
+            owner = importlib.import_module(f"qalg.{module}")
+            for name in names:
+                assert callable(getattr(owner, name, None)), f"{module}.{name}"
+        for cls, names in ((OperatorSum, ["apply_basis_state", "__mul__",
+                                          "__add__"]),
+                           (Scalar, ["__mul__", "__add__"])):
+            for name in names:
+                assert name in cls.__dict__, f"{cls.__name__}.{name}"
+        import qalg.verifier
         assert "car" in qalg.verifier.CHECKS
 
 
@@ -232,6 +263,41 @@ class TestClassify:
                      "--out", str(out)]) == 2
         assert "mask exceeds the declared mode count" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestDeclaredSpecies:
+    """Lines of only n, I and constants take the species a script declares."""
+
+    @pytest.mark.parametrize("species, line, n_terms", [
+        ("fermion", "n(0) - n(1)", 2),
+        ("qubit", "n(0)", 2),
+    ])
+    def test_number_lines_parse(self, tmp_path, species, line, n_terms):
+        script = tmp_path / "g.ops"
+        script.write_text(f"modes: 2\nspecies: {species}\ng = {line}\n")
+        code, doc = run_json(tmp_path, "classify", "--file", str(script))
+        assert code == 0
+        (rep,) = doc["body"]["operators"]
+        assert (rep["n_terms"], rep["conserves_number"],
+                rep["conserves_parity"]) == (n_terms, True, True)
+        code, doc = run_json(tmp_path, "closure", "--file", str(script))
+        assert code == 0
+        assert (doc["body"]["dimension"], doc["body"]["closed"]) == (1, True)
+
+    @pytest.mark.parametrize("species, line, message", [
+        ("boson", "n(0)", "g: bosonic expressions have no exact qubit image"),
+        ("fermion", "X(0) X(0)",
+         "line 3: fermion script got a qubit expression"),
+        ("qubit", "ad(0) a(0) - n(0)",
+         "line 3: qubit script got a parafermion expression"),
+    ])
+    def test_rejected_lines(self, tmp_path, capsys, species, line, message):
+        script = tmp_path / "g.ops"
+        script.write_text(f"modes: 2\nspecies: {species}\ng = {line}\n")
+        for verb in ("closure", "classify"):
+            assert main([verb, "--file", str(script),
+                         "--out", str(tmp_path / "x.json")]) == 2
+            assert message in capsys.readouterr().err
 
 
 class TestJw:

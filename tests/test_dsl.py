@@ -1,11 +1,24 @@
 """Operator expression parsing, species inference, and printing."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qalg.dsl import parse_expr, parse_script, print_expr
 from qalg.errors import ParseError, SpeciesError
-from qalg.parafermion import SecondQuantizedExpr, number_site, to_pauli
-from qalg.pauli import HALF, I_UNIT, OperatorSum
+from qalg.parafermion import (
+    ANNIHILATE,
+    CREATE,
+    NUMBER,
+    SPECIES,
+    SecondQuantizedExpr,
+    number_site,
+    to_pauli,
+)
+from qalg.pauli import HALF, I_UNIT, ONE, OperatorSum, Scalar
+
+_PART = st.fractions(-3, 3, max_denominator=4)
+_COEFF = st.builds(Scalar, re=_PART, im=_PART)
 
 
 class TestQubitExpressions:
@@ -132,6 +145,36 @@ class TestPrinting:
         with pytest.raises(ValueError):
             print_expr(OperatorSum.x(0, 1) * RT2_HALF)
 
+    def test_number_only_mode_expressions_lose_their_species(self):
+        # no letter of the printed text names fermions or bosons
+        e = SecondQuantizedExpr.number(0, 2, "fermion")
+        assert parse_expr(print_expr(e), 2).species == "parafermion"
+        c = SecondQuantizedExpr.constant(2, 2, "boson")
+        assert parse_expr(print_expr(c), 2) == OperatorSum.identity(2) * 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_operator_sums_round_trip(self, data):
+        n = data.draw(st.integers(1, 4))
+        mask = st.integers(0, (1 << n) - 1)
+        op = OperatorSum(n, data.draw(
+            st.dictionaries(st.tuples(mask, mask), _COEFF, max_size=6)))
+        assert parse_expr(print_expr(op), n) == op
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_mode_expressions_round_trip(self, data):
+        n = data.draw(st.integers(1, 4))
+        factor = st.tuples(st.sampled_from((CREATE, ANNIHILATE, NUMBER)),
+                           st.integers(0, n - 1))
+        terms = st.lists(st.tuples(_COEFF, st.lists(factor, max_size=4)),
+                         min_size=1, max_size=5)
+        e = SecondQuantizedExpr(n, data.draw(st.sampled_from(SPECIES)),
+                                data.draw(terms))
+        assume(any(kind != NUMBER for _, factors in e.terms
+                   for kind, _ in factors))
+        assert parse_expr(print_expr(e), n) == e
+
 
 class TestScripts:
     SCRIPT = """\
@@ -161,6 +204,27 @@ occ = n(0) + n(1) + n(2)
     def test_declared_species_rejects_qubit_lines(self):
         with pytest.raises(ParseError):
             parse_script("modes: 2\nspecies: fermion\ng = X(0)\n")
+
+    def test_declared_species_covers_number_lines(self):
+        script = parse_script("modes: 2\nspecies: fermion\ng = n(0) - n(1)\n")
+        assert script.operators["g"] == SecondQuantizedExpr(
+            2, "fermion", [(ONE, ((NUMBER, 0),)), (-ONE, ((NUMBER, 1),))])
+        script = parse_script("modes: 2\nspecies: qubit\ng = n(0)\n")
+        assert script.operators["g"] == number_site(0, 2)
+        script = parse_script("modes: 1\nspecies: boson\ng = I(0) n(0)\n")
+        assert script.operators["g"] == SecondQuantizedExpr.number(0, 1, "boson")
+
+    def test_foreign_letters_rejected_even_when_they_cancel(self):
+        with pytest.raises(ParseError, match="line 3: fermion script got a "
+                                             "qubit expression"):
+            parse_script("modes: 2\nspecies: fermion\ng = X(0) X(0)\n")
+        with pytest.raises(ParseError, match="line 3: qubit script got a "
+                                             "fermion expression"):
+            parse_script("modes: 2\nspecies: qubit\ng = 0 fd(0) f(1)\n")
+
+    def test_index_checked_before_declared_species(self):
+        with pytest.raises(ParseError, match="mode index 5 out of range"):
+            parse_script("modes: 2\nspecies: fermion\ng = X(5)\n")
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(ParseError):

@@ -20,7 +20,13 @@ from qalg.lie import (
     close_on_subspace,
     expected_dimension,
 )
-from qalg.parafermion import SecondQuantizedExpr, number_site, to_pauli
+from qalg.parafermion import (
+    SecondQuantizedExpr,
+    conserves_number,
+    conserves_parity,
+    number_site,
+    to_pauli,
+)
 from qalg.pauli import I_UNIT, OperatorSum, realize
 from qalg.verifier import dense_span_rank
 
@@ -390,6 +396,37 @@ class TestSubspaceClosures:
         with pytest.raises(SubspaceLeakError):
             close_on_subspace(GeneratorSet(3, [OperatorSum.x(0, 3)]),
                               build_code(3, 1))
+
+
+def _flag_case(name):
+    """Generators of u(N), so(2N) or su(2^N) at N = 2, 3, or of a pinned
+    dense pair, by a name such as "u(N):3" or "dense:8,0"."""
+    family, arg = name.split(":")
+    if family == "dense":
+        n_terms, seed = map(int, arg.split(","))
+        return 3, _dense_pair(seed, n_terms)
+    n = int(arg)
+    if family == "u(N)":
+        gens, _ = _family("hopping", n, "parafermion")
+        return n, gens + [to_pauli(E.number(i, n)) for i in range(n)]
+    if family == "so(2N)":
+        return n, _family("hopping+pairing", n, "fermion")[0]
+    return n, _family("linear+hopping", n, "parafermion")[0]
+
+
+class TestSeedFlags:
+    """classify_algebra reads its conservation flags off the seeds only."""
+
+    @pytest.mark.parametrize("name", [
+        "u(N):2", "u(N):3", "so(2N):2", "so(2N):3", "su(2^N):2",
+        "su(2^N):3", "dense:4,2", "dense:8,0"])
+    def test_seed_flags_equal_the_flags_of_every_element(self, name):
+        n, gens = _flag_case(name)
+        basis = close(GeneratorSet(n, gens))
+        verdict = classify_algebra(basis)
+        want = (all(conserves_number(e) for e in basis.basis),
+                all(conserves_parity(e) for e in basis.basis))
+        assert (verdict.conserves_number, verdict.conserves_parity) == want
 
 
 def _dense_pair(seed, n_terms):

@@ -215,6 +215,31 @@ class TestDenseAlgebraMap:
         assert same(commutator(a, b), da @ db - db @ da)
 
 
+@st.composite
+def _sums_and_labels(draw):
+    """A sum of up to 6 terms on 1-4 modes, coefficients with sqrt(2)
+    parts, and a basis-state label."""
+    n = draw(st.integers(1, 4))
+    mask = st.integers(0, (1 << n) - 1)
+    coeff = st.builds(Scalar, re=_PART, im=_PART, re2=_ROOT_PART,
+                      im2=_ROOT_PART)
+    terms = st.dictionaries(st.tuples(mask, mask), coeff, max_size=6)
+    return OperatorSum(n, draw(terms)), draw(mask)
+
+
+class TestBasisStateAction:
+    @settings(max_examples=30, deadline=None)
+    @given(_sums_and_labels())
+    def test_apply_basis_state_is_a_column_of_realize(self, case):
+        op, label = case
+        action = op.apply_basis_state(label)
+        assert all(action.values())
+        col = np.zeros(1 << op.n_modes, dtype=complex)
+        for row, amp in action.items():
+            col[row] = amp.to_complex()
+        assert np.allclose(col, realize(op)[:, label], rtol=0, atol=1e-12)
+
+
 class TestStructure:
     def test_adjoint_reverses_products(self):
         rng = random.Random(17)
