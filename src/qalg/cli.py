@@ -269,8 +269,10 @@ def _cmd_code(args):
             lines += ["    " + row for row in
                       _matrix_text(gate.entries, gate.dim)]
     elif args.code_action == "cphase":
-        other = build_code(args.modes2 or args.modes,
-                           args.excitations2 or args.excitations)
+        other = build_code(
+            args.modes if args.modes2 is None else args.modes2,
+            args.excitations if args.excitations2 is None
+            else args.excitations2)
         gate = encoded_cphase(code, other)
         body["cphase"] = {
             "name": gate.name,

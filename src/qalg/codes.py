@@ -16,6 +16,9 @@ next factorizes over the two codes and induces a generalized CPHASE.
 Encoded operations are kept as their exact nonzero matrix entries, so
 properties such as Hermiticity are decided without a tolerance; dense
 matrices of them are left to the callers that print or cross-check them.
+CodeSubspace.project computes those entries for any block-preserving
+Pauli sum; lie.close_on_subspace closes generators through it, and this
+module imports lie for the synthesis closure (lie imports no codes).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from functools import cached_property
 
 from .config import dense_limit
 from .errors import DenseLimitError, SubspaceLeakError
+from .lie import GeneratorSet, LieBasis, close_on_subspace
 from .pauli import ZERO, OperatorSum, Scalar
 from .parafermion import bilinear_su2
 
@@ -77,8 +81,24 @@ class CodeSubspace:
             "".join("1" if m >> k & 1 else "0" for k in range(self.n_modes))
             for m in self.codewords)
 
-    def index_of(self, mask: int) -> int:
-        return self.codewords.index(mask)
+    def project(self, op: OperatorSum) -> dict:
+        """Exact nonzero matrix elements {(row, col): Scalar} of op between
+        codewords; raises SubspaceLeakError on block leakage."""
+        indices = self.dense_indices
+        pos = {label: k for k, label in enumerate(indices)}
+        entries = {}
+        leaks = []
+        for col, label in enumerate(indices):
+            for out_label, amp in op.apply_basis_state(label).items():
+                row = pos.get(out_label)
+                if row is None:
+                    leaks.append((label, out_label))
+                else:
+                    entries[row, col] = amp
+        if leaks:
+            raise SubspaceLeakError("operator leaks out of the code",
+                                    leaks=leaks)
+        return entries
 
 
 def build_code(n_modes: int, excitations: int) -> CodeSubspace:
@@ -124,25 +144,6 @@ class EncodedGate:
                    for (r, c), s in self.entries.items())
 
 
-def _project(code: CodeSubspace, op: OperatorSum) -> dict:
-    """Exact nonzero matrix elements {(row, col): Scalar} of op between
-    codewords; raises SubspaceLeakError on block leakage."""
-    indices = code.dense_indices
-    pos = {label: k for k, label in enumerate(indices)}
-    entries = {}
-    leaks = []
-    for col, label in enumerate(indices):
-        for out_label, amp in op.apply_basis_state(label).items():
-            row = pos.get(out_label)
-            if row is None:
-                leaks.append((label, out_label))
-            else:
-                entries[row, col] = amp
-    if leaks:
-        raise SubspaceLeakError("operator leaks out of the code", leaks=leaks)
-    return entries
-
-
 def physical_generator(kind: str, pair, n_modes: int) -> OperatorSum:
     """The two-mode Hermitian operator whose projection is the encoded gate."""
     i, j = pair
@@ -167,7 +168,7 @@ def encoded_generator(code: CodeSubspace, kind: str, pair) -> EncodedGate:
         raise ValueError(f"invalid pair {pair!r} for {code.n_modes} modes")
     op = physical_generator(kind, (i, j), code.n_modes)
     return EncodedGate(name=f"T{kind}({i},{j})", support=(i, j),
-                       entries=_project(code, op), dim=code.dim)
+                       entries=code.project(op), dim=code.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +205,7 @@ def encoded_cphase(code_a: CodeSubspace, code_b: CodeSubspace) -> EncodedCphase:
 class SynthesisResult:
     """Closure of the projected pair generators on a code."""
 
-    basis: "LieBasis"
+    basis: LieBasis
     success: bool
     counting: dict
 
@@ -224,8 +225,6 @@ def synthesize_su_d(code: CodeSubspace, d_limit: int = 20,
     A non-adjacent hard-core hop differs from its quadratic image by the
     occupations in between, which is what breaks the bound.
     """
-    from .lie import GeneratorSet, close_on_subspace
-
     n_big, n_exc = code.n_modes, code.excitations
     if not 0 < n_exc < n_big:
         raise ValueError("synthesis needs 0 < excitations < n_modes")

@@ -367,6 +367,8 @@ def parse_script(text: str) -> OperatorScript:
             operators[name] = _parse(body, n_modes, species)
         except ParseError as err:
             raise ParseError(f"line {lineno}: {err.message}", err.position)
+        except SpeciesError as err:
+            raise SpeciesError(f"line {lineno}: {err}")
         labels.append(name)
     if n_modes is None:
         raise ParseError("script has no 'modes: N' header", 0)

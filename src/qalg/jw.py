@@ -68,7 +68,6 @@ def jw_fermion_to_pauli(expr: SecondQuantizedExpr) -> OperatorSum:
 class RelationCheck:
     name: str
     passed: bool
-    detail: str = ""
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ again.  No tolerance and no probabilistic step ever decides.
 
 Generators projected onto a code subspace close on the same engine: their
 d x d Hermitian matrices are integer vectors over the matrix units E_jj,
-E_jk + E_kj and i(E_jk - E_kj), with their own bracket.
+E_jk + E_kj and i(E_jk - E_kj), with their own bracket.  The subspace's
+own project method supplies those matrices, so this module does not import
+codes; codes imports it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import _project
 from .pauli import OperatorSum, Scalar
 from .parafermion import conserves_number, conserves_parity
 
@@ -283,60 +284,56 @@ class _Span:
     later checks would fail too.)  Element k equals bracket(b_i, b_j) up to
     a nonzero factor plus earlier elements in every phase, so each span, and
     with it every answer, is the one the integer echelon alone gives.
+
+    _rest alone decides membership.  Lead keys are unique, so pivots and
+    rows each hold the row of element k as their k-th entry.
     """
 
     def __init__(self, bracket):
         self.bracket = bracket
         self.elements: list = []
         self.provenance: list = []
-        self.seeds: dict = {}    # index -> primitive seed vector
-        self.pivots: dict = {}   # integer echelon: lead key -> row
-        self.echelon: list = []  # while switched: integer rows of elements
+        self.seeds: dict = {}   # index -> primitive seed vector
+        self.pivots: dict = {}  # integer echelon: lead key -> row
         self.switched = False
-        self.rows = None         # echelon mod p: lead -> (row, inv, factors)
-        self.created: list = []  # lead of the row of each element
+        self.rows = None        # echelon mod p: lead -> (row, inv, factors)
 
     def insert(self, vec: dict, src) -> bool:
         """Append vec (src None for a seed, else (i, j)) if independent."""
-        if self.rows is not None:
-            vec = _normalize(vec)
-            rest, factors = self._mod_reduce(vec)
-            if rest:
-                self._mod_add(rest, factors)
-                self._append(vec, src, vec)
-                return True
-            if self._certified(vec, factors):
-                return False
-            self._unswitch()
-        rest = _reduce(vec, self.pivots)
+        rest, factors = self._rest(vec)
         if not rest:
             return False
+        if src is None:
+            self.seeds[len(self.elements)] = vec
+        self.provenance.append(src)
+        if factors is not None:
+            self._mod_add(rest, factors)
+            self.elements.append(_normalize(vec))
+            return True
         self.pivots[min(rest)] = rest
-        self._append(rest, src, vec)
+        self.elements.append(rest)
         if not self.switched and max(map(abs, rest.values())) >= _MODULUS:
             self._switch()
         return True
 
     def __contains__(self, vec: dict) -> bool:
+        return not self._rest(vec)[0]
+
+    def _rest(self, vec: dict):
+        """(rest, factors): rest is empty exactly when vec lies in the span.
+        factors is None when the integer echelon decided, and rest is then
+        vec reduced on it; otherwise rest and factors are those of
+        _mod_reduce."""
         if self.rows is not None:
             vec = _normalize(vec)
             rest, factors = self._mod_reduce(vec)
-            if rest:
-                return False
-            if self._certified(vec, factors):
-                return True
+            if rest or self._certified(vec, factors):
+                return rest, factors
             self._unswitch()
-        return not _reduce(vec, self.pivots)
-
-    def _append(self, element: dict, src, vec: dict):
-        if src is None:
-            self.seeds[len(self.elements)] = vec
-        self.elements.append(element)
-        self.provenance.append(src)
+        return _reduce(vec, self.pivots), None
 
     def _switch(self):
         self.switched = True
-        self.echelon = self.elements[:]
         raw = []
         for k, src in enumerate(self.provenance):
             raw.append(self.seeds[k] if src is None else _normalize(
@@ -352,11 +349,10 @@ class _Span:
 
     def _unswitch(self):
         """Back to the integer echelon for good, its rows as the elements."""
-        for element in self.elements[len(self.echelon):]:
+        for element in self.elements[len(self.pivots):]:
             row = _reduce(element, self.pivots)
             self.pivots[min(row)] = row
-            self.echelon.append(row)
-        self.elements[:] = self.echelon
+        self.elements[:] = self.pivots.values()
         self.rows = None
 
     def _mod_reduce(self, vec: dict):
@@ -381,7 +377,6 @@ class _Span:
         inv = pow(rest[lead], -1, p)
         self.rows[lead] = ({k: c * inv % p for k, c in rest.items()},
                            inv, factors)
-        self.created.append(lead)
 
     def _combination(self, factors: list) -> dict:
         """{l: c} with sum f * rows[lead] = sum c * elements[l] (mod p).
@@ -392,8 +387,7 @@ class _Span:
         p = _MODULUS
         coeffs = dict(factors)
         comb = {}
-        for index in range(len(self.created) - 1, -1, -1):
-            lead = self.created[index]
+        for index, lead in reversed(list(enumerate(self.rows))):
             c = coeffs.pop(lead, 0) % p
             if c:
                 _, inv, row_factors = self.rows[lead]
@@ -513,8 +507,9 @@ def close_on_subspace(generator_set: GeneratorSet, subspace,
                       max_dim: int | None = None) -> LieBasis:
     """Exact Lie closure of the generators' actions on a code subspace.
 
-    Each generator must preserve the subspace exactly (checked symbolically
-    on the codeword basis states; leaks raise SubspaceLeakError).  The
+    Each generator must preserve the subspace exactly (subspace.project
+    checks it symbolically on the codeword basis states; leaks raise
+    SubspaceLeakError).  The
     projected d x d matrices are rational, so they close on the same exact
     engine as close: every dimension is an exact rank.  The
     identity-on-subspace component is tracked so both dimensions are
@@ -525,7 +520,7 @@ def close_on_subspace(generator_set: GeneratorSet, subspace,
         raise ValueError("subspace mode count mismatch")
     d = subspace.dim
     return _closure(
-        n, [_matrix_vec(_project(subspace, g), d)
+        n, [_matrix_vec(subspace.project(g), d)
             for g in generator_set.generators],
         bracket=lambda va, vb: _matrix_bracket(va, vb, d),
         identity={j * (d + 1): 1 for j in range(d)},

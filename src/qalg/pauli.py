@@ -29,6 +29,8 @@ from .config import dense_limit
 from .errors import DenseLimitError, ModeMismatchError
 
 _SQRT2 = 2 ** 0.5
+# shared default for the unset parts of a Scalar; Fractions are immutable
+_Q0 = Fraction(0)
 
 
 def _frac(value) -> Fraction:
@@ -44,7 +46,7 @@ class Scalar:
 
     __slots__ = ("re", "re2", "im", "im2")
 
-    def __init__(self, re=0, im=0, re2=0, im2=0):
+    def __init__(self, re=_Q0, im=_Q0, re2=_Q0, im2=_Q0):
         self.re = _frac(re)
         self.im = _frac(im)
         self.re2 = _frac(re2)
@@ -230,11 +232,6 @@ class OperatorSum:
     def support_modes(self) -> set:
         mask = self.support()
         return {i for i in range(self.n_modes) if mask >> i & 1}
-
-    def traceless(self) -> "OperatorSum":
-        rest = dict(self._terms)
-        rest.pop((0, 0), None)
-        return OperatorSum(self.n_modes, rest)
 
     # -- algebra ----------------------------------------------------------
 

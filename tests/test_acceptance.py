@@ -255,7 +255,7 @@ def test_07_anticommutation_relations_exact(report):
             rep = verify_car(n)
             assert rep.checks, n
             for chk in rep.checks:
-                assert chk.passed, (n, chk.name, chk.detail)
+                assert chk.passed, (n, chk.name)
 
 
 def test_08_collective_mode_commutator(report):
@@ -275,7 +275,7 @@ def test_09_paired_mode_mappings(report):
             for pairs in (1, 2, 3):
                 rep = compound_mapping_check(case, pairs)
                 for chk in rep.checks:
-                    assert chk.passed, (case, pairs, chk.name, chk.detail)
+                    assert chk.passed, (case, pairs, chk.name)
 
 
 def test_10_cross_phase_from_beamsplitters(report):

@@ -1,5 +1,6 @@
 """Command-line surface: JSON envelopes, exit codes, and verb behavior."""
 
+import ast
 import importlib
 import json
 import os
@@ -51,6 +52,37 @@ class TestStartup:
         assert done.stdout.splitlines() == [
             "g0: 1 terms on modes [0, 1]; number broken, parity conserved",
             "False"]
+
+    def test_lie_import_leaves_codes_unloaded(self):
+        # codes imports lie for its synthesis closure; lie imports no codes
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qalg.lie; print('qalg.codes' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
+
+    def test_modules_import_only_public_names_at_top(self):
+        # no module reaches into another's private names, and lie and codes
+        # import their qalg dependencies at module top, not to dodge a cycle
+        def from_qalg(node):
+            if isinstance(node, ast.ImportFrom):
+                return node.level > 0 or (node.module or "").startswith("qalg")
+            return isinstance(node, ast.Import) and any(
+                a.name.startswith("qalg") for a in node.names)
+
+        package = Path(__file__).resolve().parent.parent / "src" / "qalg"
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in filter(from_qalg, ast.walk(tree)):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (path.name, private)
+            if path.stem in ("lie", "codes"):
+                for fn in ast.walk(tree):
+                    if isinstance(fn, ast.FunctionDef):
+                        assert not any(map(from_qalg, ast.walk(fn))), (
+                            path.name, fn.name)
 
     def test_exports_resolve_to_their_definitions(self):
         import qalg
@@ -299,6 +331,15 @@ class TestDeclaredSpecies:
                          "--out", str(tmp_path / "x.json")]) == 2
             assert message in capsys.readouterr().err
 
+    def test_mixed_species_line_is_numbered(self, tmp_path, capsys):
+        script = tmp_path / "g.ops"
+        script.write_text("modes: 2\ng0 = a(0) + f(1)\n")
+        for verb in ("closure", "classify"):
+            assert main([verb, "--file", str(script),
+                         "--out", str(tmp_path / "x.json")]) == 2
+            assert ("line 2: mixed species ['fermion', 'parafermion']"
+                    in capsys.readouterr().err)
+
 
 class TestJw:
     def test_fermion_expression_maps_to_qubits(self, tmp_path):
@@ -381,6 +422,15 @@ class TestCode:
         assert gate["right_signs"] == [1, -1]
         assert gate["zz_diagonal"] == [-1, 1, 1, -1]
         assert gate["gate_diagonal"] == [1, -1, -1, 1]
+
+    def test_cphase_explicit_zero_right_code(self, tmp_path):
+        # an explicit 0 is a value, not "same as the left code"
+        code, doc = run_json(tmp_path, "code", "cphase", "-n", "2", "-k", "1",
+                             "--excitations2", "0")
+        assert code == 0
+        assert doc["body"]["cphase"]["right_signs"] == [1]
+        assert main(["code", "cphase", "-n", "2", "-k", "1", "--modes2", "0",
+                     "--out", str(tmp_path / "x.json")]) == 2
 
 
 class TestVerify:

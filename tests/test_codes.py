@@ -48,13 +48,6 @@ class TestCodewords:
         code = build_code(3, 1)
         assert code.codeword_strings()[0] == "001"
 
-    def test_index_of(self):
-        code = build_code(4, 2)
-        for pos, word in enumerate(code.codewords):
-            assert code.index_of(word) == pos
-        with pytest.raises(ValueError):
-            code.index_of(1)  # wrong excitation count
-
     def test_excitations_beyond_modes_rejected(self):
         with pytest.raises(ValueError):
             build_code(3, 4)

@@ -222,6 +222,12 @@ occ = n(0) + n(1) + n(2)
                                              "fermion expression"):
             parse_script("modes: 2\nspecies: qubit\ng = 0 fd(0) f(1)\n")
 
+    def test_mixed_species_line_is_numbered(self):
+        with pytest.raises(SpeciesError, match="line 2: mixed species"):
+            parse_script("modes: 2\ng0 = a(0) + f(1)\n")
+        with pytest.raises(SpeciesError, match="line 3: qubit and mode"):
+            parse_script("modes: 1\n\ng0 = X(0) * a(0)\n")
+
     def test_index_checked_before_declared_species(self):
         with pytest.raises(ParseError, match="mode index 5 out of range"):
             parse_script("modes: 2\nspecies: fermion\ng = X(5)\n")

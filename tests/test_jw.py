@@ -156,7 +156,7 @@ class TestCompoundMappings:
         assert rep.case == case and rep.n_pairs == pairs
         assert rep.checks
         for chk in rep.checks:
-            assert chk.passed, (case, pairs, chk.name, chk.detail)
+            assert chk.passed, (case, pairs, chk.name)
 
     def test_case_three_is_truncated_bosonic(self):
         assert compound_mapping_check(3, 1).cutoff == 1

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qalg.lie as lie
@@ -21,13 +21,14 @@ from qalg.lie import (
     expected_dimension,
 )
 from qalg.parafermion import (
+    GeneratorIndex,
     SecondQuantizedExpr,
     conserves_number,
     conserves_parity,
     number_site,
     to_pauli,
 )
-from qalg.pauli import I_UNIT, OperatorSum, realize
+from qalg.pauli import I_UNIT, OperatorSum, Scalar, realize
 from qalg.verifier import dense_span_rank
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -610,7 +611,48 @@ def _integer_pauli_sets(draw):
     return n, gens, order, scales
 
 
+@st.composite
+def _conserving_sets(draw):
+    """A code C(n, k), 2 <= n <= 4 and 0 < k < n, and 1-3 nonzero Hermitian
+    sums e + e^dagger, each e 1-3 transfer monomials with as many creations
+    as annihilations and small Gaussian-rational weights."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n - 1))
+    part = st.fractions(-3, 3, max_denominator=3)
+    weight = st.builds(Scalar, part, part).filter(bool)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        e = None
+        for _ in range(draw(st.integers(1, 3))):
+            alpha = draw(st.integers(0, (1 << n) - 1))
+            beta = draw(st.sampled_from([m for m in range(1 << n)
+                                         if m.bit_count() == alpha.bit_count()]))
+            term = GeneratorIndex(n, alpha, beta).monomial() * draw(weight)
+            e = term if e is None else e + term
+        g = to_pauli(e + e.adjoint())
+        if not g.is_zero:
+            gens.append(g)
+    assume(gens)
+    return n, k, gens
+
+
 class TestClosureProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(_conserving_sets())
+    def test_subspace_closure_is_the_dense_rank_of_the_projections(
+            self, case):
+        n, k, gens = case
+        code = build_code(n, k)
+        basis = close_on_subspace(GeneratorSet(n, gens), code)
+        _check_dense(basis)
+        idx = list(code.dense_indices)
+        mats = [_dense(b, code.dim) for b in basis.basis]
+        proj = [realize(g)[np.ix_(idx, idx)] for g in gens]
+        # an exact zero projection (n0 n1 n2 on C(3,2)) realizes to ~1e-17
+        mats += [m for m in proj if np.linalg.norm(m) > 1e-9]
+        stack = np.array([(m / np.linalg.norm(m)).reshape(-1) for m in mats])
+        assert np.linalg.matrix_rank(stack) == basis.dimension
+
     @settings(max_examples=40, deadline=None)
     @given(_integer_pauli_sets())
     def test_dimension_is_the_dense_rank_whatever_the_order_and_scale(

@@ -150,7 +150,6 @@ class TestDense:
             op = random_sum(rng, 2)
             tr = np.trace(realize(op))
             assert abs(op.coefficient(0, 0).to_complex() * 4 - tr) < 1e-12
-            assert op.traceless().coefficient(0, 0) == ZERO
 
     def test_apply_basis_state_matches_columns(self):
         rng = random.Random(11)
