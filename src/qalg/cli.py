@@ -269,10 +269,14 @@ def _cmd_code(args):
             lines += ["    " + row for row in
                       _matrix_text(gate.entries, gate.dim)]
     elif args.code_action == "cphase":
-        other = build_code(
-            args.modes if args.modes2 is None else args.modes2,
-            args.excitations if args.excitations2 is None
-            else args.excitations2)
+        try:
+            other = build_code(
+                args.modes if args.modes2 is None else args.modes2,
+                args.excitations if args.excitations2 is None
+                else args.excitations2)
+        except ValueError as err:
+            raise type(err)(
+                f"right code (--modes2/--excitations2): {err}") from err
         gate = encoded_cphase(code, other)
         body["cphase"] = {
             "name": gate.name,

@@ -19,6 +19,12 @@ only after the combination, rebuilt by rational reconstruction, passes an
 exact integer identity check, and otherwise the integer echelon decides
 again.  No tolerance and no probabilistic step ever decides.
 
+Three things keep a closure cheap without changing an answer.  For n <= 4
+the bracket reads each sign from a per-process row of the key it starts
+from, built once.  A span remembers the normalized vectors it has decided,
+so a repeated bracket is rejected without a reduction.  And a LieBasis
+exports its elements only when they are first read.
+
 Generators projected onto a code subspace close on the same engine: their
 d x d Hermitian matrices are integer vectors over the matrix units E_jj,
 E_jk + E_kj and i(E_jk - E_kj), with their own bracket.  The subspace's
@@ -30,8 +36,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .pauli import OperatorSum, Scalar
 from .parafermion import conserves_number, conserves_parity
@@ -63,27 +71,36 @@ class LieBasis:
     basis holds the elements in discovery order: OperatorSum for a
     full-space closure; for a subspace closure, the exact Hermitian entries
     {(row, col): Scalar} of a d x d matrix on the codeword basis, with
-    Gaussian-integer values and zero entries left out.  provenance[k] is None
-    for a seed generator and (i, j) when element k came from i[basis_i,
-    basis_j].  Element k is that bracket, or the generator, reduced against
-    the elements before it (an integer echelon row); a closure that ends on
-    the modular echelon reports the raw brackets instead, each the primitive
-    integer multiple of i[basis_i, basis_j] itself, and its seeds as the
-    primitive generators.  Either way element k equals its bracket up to a
-    nonzero factor plus earlier elements, so the span after each element,
-    and every other field, is the same.  dimension counts all independent
-    elements; the traceless count excludes an identity component when one
-    lies in the span.
+    Gaussian-integer values and zero entries left out.  The elements are
+    exported on first read: the result keeps the closure's integer vectors,
+    and basis converts them all once, when it is first asked for.  A run
+    that reads only the dimensions exports nothing.
+
+    provenance[k] is None for a seed generator and (i, j) when element k
+    came from i[basis_i, basis_j].  Element k is that bracket, or the
+    generator, reduced against the elements before it (an integer echelon
+    row); a closure that ends on the modular echelon reports the raw
+    brackets instead, each the primitive integer multiple of i[basis_i,
+    basis_j] itself, and its seeds as the primitive generators.  Either way
+    element k equals its bracket up to a nonzero factor plus earlier
+    elements, so the span after each element, and every other field, is the
+    same.  dimension counts all independent elements; the traceless count
+    excludes an identity component when one lies in the span.
     """
 
     n_modes: int
-    basis: tuple
     dimension: int
     dimension_traceless: int
     closed: bool
     rounds: int
     provenance: tuple
+    _vectors: tuple = field(repr=False)
+    _export: Callable = field(repr=False, compare=False)
     subspace_dim: int | None = None
+
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple(map(self._export, self._vectors))
 
     @property
     def provenance_depth(self) -> int:
@@ -118,14 +135,15 @@ def _to_vec(op: OperatorSum) -> dict:
 
 
 def _normalize(vec: dict) -> dict:
+    """The primitive multiple of vec whose entry on the smallest key is
+    positive; vec itself when it already is."""
     if not vec:
         return vec
-    g = 0
-    for v in vec.values():
-        g = math.gcd(g, v)
-    lead = vec[min(vec)]
-    if lead < 0:
+    g = math.gcd(*vec.values())
+    if vec[min(vec)] < 0:
         g = -g
+    if g == 1:
+        return vec
     return {k: v // g for k, v in vec.items()}
 
 
@@ -139,11 +157,42 @@ def _from_vec(vec: dict, n_modes: int) -> OperatorSum:
 def _bracket(va: dict, vb: dict, n_modes: int) -> dict:
     """i[A, B] of two integer vectors, unnormalized.
 
-    Key (x << n) | z stands for the Hermitian string i^|x & z| X^x Z^z.  Two
-    strings anticommute when |z_a & x_b| + |x_a & z_b| is odd, one bit count
-    of the key with its halves swapped against the other key; then
-    i[P_a, P_b] = +-2 P_(ka ^ kb), the sign read from the Y counts.
+    Key (x << n) | z stands for the Hermitian string i^|x & z| X^x Z^z, and
+    i[P_a, P_b] is 0 or +-2 P_(ka ^ kb).  While 4**n <= _SIGN_ROW_KEYS the
+    sign is read from the process's sign rows; above that _popcount_bracket
+    works it out for each pair of terms.
     """
+    if 4 ** n_modes > _SIGN_ROW_KEYS:
+        return _popcount_bracket(va, vb, n_modes)
+    rows = _SIGN_ROWS.get(n_modes)
+    if rows is None:
+        rows = _SIGN_ROWS[n_modes] = _SignRows(n_modes)
+    out = {}
+    for ka, ca in va.items():
+        row = rows[ka]
+        c2 = 2 * ca
+        for kb, cb in vb.items():
+            s = row[kb]
+            if not s:
+                continue
+            k3 = ka ^ kb
+            if s == 2:
+                c = out.get(k3, 0) - c2 * cb
+            else:
+                c = out.get(k3, 0) + c2 * cb
+            if c:
+                out[k3] = c
+            else:
+                del out[k3]
+    return out
+
+
+def _popcount_bracket(va: dict, vb: dict, n_modes: int) -> dict:
+    """_bracket by the popcount rule (Aaronson and Gottesman,
+    quant-ph/0406196).  Two strings anticommute when |z_a & x_b| + |x_a &
+    z_b| is odd, one bit count of the key with its halves swapped against
+    the other key; then i[P_a, P_b] = +-2 P_(ka ^ kb), the sign read from
+    the Y counts."""
     n = n_modes
     mask = (1 << n) - 1
     out = {}
@@ -165,6 +214,54 @@ def _bracket(va: dict, vb: dict, n_modes: int) -> dict:
             else:
                 del out[k3]
     return out
+
+
+# Sign rows serve mode counts with at most this many keys 4**n, so n <= 4:
+# at most 256 rows of 256 bytes.  At n = 5 the rows cost a one-shot closure
+# more to build than they save it (su(2^5): about 120 -> 137 ms).
+_SIGN_ROW_KEYS = 256
+
+_SIGN_ROWS: dict = {}  # n -> _SignRows, shared by every closure in the process
+
+
+class _SignRows(dict):
+    """Sign rows of one mode count n: key ka -> bytes over every key kb, 0
+    where P_ka and P_kb commute, 1 where i[P_ka, P_kb] = +2 P_(ka ^ kb) and
+    2 where it is -2 P_(ka ^ kb).
+
+    A row is built on first read, by the popcount rule of _popcount_bracket
+    evaluated for every kb at once: an integer with one byte per key holds
+    the bit counts of all keys side by side, summed over the n sites.  No
+    byte exceeds 21, so none carries into the next.
+    """
+
+    def __init__(self, n_modes: int):
+        super().__init__()
+        n = self.n_modes = n_modes
+        size = 4 ** n
+        self.ones = int.from_bytes(b"\1" * size, "little")
+        # bit j of every key, one byte per key
+        self.bits = [int.from_bytes(bytes(k >> j & 1 for k in range(size)),
+                                    "little") for j in range(2 * n)]
+        self.y_counts = sum(self.bits[n + s] & self.bits[s] for s in range(n))
+
+    def __missing__(self, ka: int) -> bytes:
+        n, bits, ones = self.n_modes, self.bits, self.ones
+        z_x = x_z = y3 = 0  # |z_a & x_b|, |x_a & z_b|, Y count of ka ^ kb
+        for s in range(n):
+            xb, zb = bits[n + s], bits[s]
+            za, xa = ka >> s & 1, ka >> n + s & 1
+            if za:
+                z_x += xb
+            if xa:
+                x_z += zb
+            y3 += (xb ^ ones if xa else xb) & (zb ^ ones if za else zb)
+        anti = (z_x + x_z) & ones
+        # ya + 4 keeps every byte of the difference nonnegative
+        m = (((ka >> n & ka).bit_count() + 5) * ones + self.y_counts - y3
+             + 2 * z_x)
+        row = self[ka] = (anti + (anti & m >> 1)).to_bytes(4 ** n, "little")
+        return row
 
 
 # A Hermitian d x d matrix on a codeword basis is an integer vector over the
@@ -285,8 +382,12 @@ class _Span:
     a nonzero factor plus earlier elements in every phase, so each span, and
     with it every answer, is the one the integer echelon alone gives.
 
-    _rest alone decides membership.  Lead keys are unique, so pivots and
-    rows each hold the row of element k as their k-th entry.
+    _rest alone decides membership.  It normalizes the vector first, and
+    decided holds the frozen items of every normalized vector found in the
+    span or inserted into it.  The span only grows, so a vector met again
+    is in it, and _rest rejects it without a reduction.  Lead keys are
+    unique, so pivots and rows each hold the row of element k as their k-th
+    entry.
     """
 
     def __init__(self, bracket):
@@ -297,18 +398,20 @@ class _Span:
         self.pivots: dict = {}  # integer echelon: lead key -> row
         self.switched = False
         self.rows = None        # echelon mod p: lead -> (row, inv, factors)
+        self.decided = set()    # frozenset(vec.items()) of vectors in the span
 
     def insert(self, vec: dict, src) -> bool:
         """Append vec (src None for a seed, else (i, j)) if independent."""
-        rest, factors = self._rest(vec)
+        vec, rest, factors = self._rest(vec)
         if not rest:
             return False
+        self.decided.add(frozenset(vec.items()))
         if src is None:
             self.seeds[len(self.elements)] = vec
         self.provenance.append(src)
         if factors is not None:
             self._mod_add(rest, factors)
-            self.elements.append(_normalize(vec))
+            self.elements.append(vec)
             return True
         self.pivots[min(rest)] = rest
         self.elements.append(rest)
@@ -317,20 +420,28 @@ class _Span:
         return True
 
     def __contains__(self, vec: dict) -> bool:
-        return not self._rest(vec)[0]
+        return not self._rest(vec)[1]
 
     def _rest(self, vec: dict):
-        """(rest, factors): rest is empty exactly when vec lies in the span.
-        factors is None when the integer echelon decided, and rest is then
-        vec reduced on it; otherwise rest and factors are those of
-        _mod_reduce."""
+        """(vec, rest, factors), vec normalized: rest is empty exactly when
+        vec lies in the span.  factors is None when the memo or the integer
+        echelon decided, and rest is then vec reduced on that echelon;
+        otherwise rest and factors are those of _mod_reduce."""
+        vec = _normalize(vec)
+        key = frozenset(vec.items())
+        if key in self.decided:
+            return vec, {}, None
+        factors = None
         if self.rows is not None:
-            vec = _normalize(vec)
             rest, factors = self._mod_reduce(vec)
-            if rest or self._certified(vec, factors):
-                return rest, factors
-            self._unswitch()
-        return _reduce(vec, self.pivots), None
+            if not rest and not self._certified(vec, factors):
+                self._unswitch()
+                factors = None
+        if factors is None:
+            rest = _reduce(vec, self.pivots)
+        if not rest:
+            self.decided.add(key)
+        return vec, rest, factors
 
     def _switch(self):
         self.switched = True
@@ -424,7 +535,8 @@ def _closure(n_modes: int, seeds, bracket, identity: dict, full_dim: int,
     and close_on_subspace, which differ only in bracket and identity vector.
     In both coordinate systems the trace of a vector is proportional to its
     dot product with the identity vector.
-    export maps each basis vector to the reported element.
+    export maps a basis vector to the reported element; the LieBasis calls
+    it when its basis is first read.
     """
     if max_dim is not None and max_dim < 1:
         raise ValueError(f"max_dim must be at least 1, got {max_dim}")
@@ -473,12 +585,13 @@ def _closure(n_modes: int, seeds, bracket, identity: dict, full_dim: int,
     dim = len(vectors)
     return LieBasis(
         n_modes=n_modes,
-        basis=tuple(map(export, vectors)),
         dimension=dim,
         dimension_traceless=dim - 1 if has_identity else dim,
         closed=closed,
         rounds=rounds,
         provenance=tuple(span.provenance),
+        _vectors=tuple(vectors),
+        _export=export,
         subspace_dim=subspace_dim)
 
 
@@ -588,8 +701,8 @@ def classify_algebra(basis: LieBasis) -> AlgebraVerdict:
     if basis.subspace_dim is not None:
         raise ValueError("classification applies to full-space closures")
     n = basis.n_modes
-    seeds = [e for e, origin in zip(basis.basis, basis.provenance)
-             if origin is None]
+    seeds = [basis._export(vec) for vec, origin
+             in zip(basis._vectors, basis.provenance) if origin is None]
     number_ok = all(map(conserves_number, seeds))
     parity_ok = all(map(conserves_parity, seeds))
     matches = []

@@ -432,6 +432,20 @@ class TestCode:
         assert main(["code", "cphase", "-n", "2", "-k", "1", "--modes2", "0",
                      "--out", str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize("right", [["--modes2", "0"],
+                                       ["--excitations2", "3"]])
+    def test_cphase_bad_right_code_is_named(self, tmp_path, capsys, right):
+        out = tmp_path / "x.json"
+        assert main(["code", "cphase", "-n", "2", "-k", "1", *right,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qalg: right code (--modes2/--excitations2): ")
+        assert "invalid for" in err and not out.exists()
+        # a bad left code is still reported as the code itself
+        assert main(["code", "cphase", "-n", "0", "-k", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("qalg: excitation count")
+
 
 class TestVerify:
     def test_single_check(self, tmp_path):

@@ -10,9 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qalg.lie as lie
+from qalg.cli import main
 from qalg.codes import build_code, physical_generator
 from qalg.errors import SubspaceLeakError
-from qalg.dsl import parse_script
+from qalg.dsl import parse_script, print_expr
 from qalg.lie import (
     GeneratorSet,
     classify_algebra,
@@ -591,6 +592,154 @@ class TestModulusIndependence:
         assert seen == {"switch kept", "switch undone", "certificate passed",
                         "certificate failed", "false dependence",
                         "identity certified"}
+
+
+def _reference_sign(ka, kb, n):
+    """s with i[P_a, P_b] = s P_(ka ^ kb), for the Hermitian strings
+    i^|x & z| X^x Z^z of keys (x << n) | z: P_a P_b = i^m P_(ka ^ kb) with
+    m = |x_a & z_a| + |x_b & z_b| - |x_3 & z_3| + 2 |z_a & x_b|, and the
+    bracket is i (i^m - i^-m), so 0 for even m, -2 for m = 1, +2 for m = 3."""
+    low = (1 << n) - 1
+    xa, za, xb, zb = ka >> n, ka & low, kb >> n, kb & low
+    m = ((xa & za).bit_count() + (xb & zb).bit_count()
+         - ((xa ^ xb) & (za ^ zb)).bit_count() + 2 * (za & xb).bit_count()) % 4
+    return {0: 0, 1: -2, 2: 0, 3: 2}[m]
+
+
+def _reference_bracket(va, vb, n):
+    out = {}
+    for ka, ca in va.items():
+        for kb, cb in vb.items():
+            s = _reference_sign(ka, kb, n)
+            out[ka ^ kb] = out.get(ka ^ kb, 0) + s * ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+@st.composite
+def _vector_pairs(draw):
+    """Two integer vectors of 1-8 terms on 1-6 modes, on both sides of the
+    sign-row cap."""
+    n = draw(st.integers(1, 6))
+    vec = st.dictionaries(st.integers(0, 4 ** n - 1),
+                          st.integers(-9, 9).filter(bool), min_size=1, max_size=8)
+    return n, draw(vec), draw(vec)
+
+
+def _su_2n(n):
+    return GeneratorSet(*_flag_case(f"su(2^N):{n}"))
+
+
+class TestSignRows:
+    """The per-process sign rows of the Pauli bracket, and their memory."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_entry_is_the_popcount_rule(self, n):
+        rows = lie._SignRows(n)
+        code = {0: 0, 2: 1, -2: 2}
+        for ka in range(4 ** n):
+            assert rows[ka] == bytes(code[_reference_sign(ka, kb, n)]
+                                     for kb in range(4 ** n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_vector_pairs())
+    def test_bracket_is_the_reference_bracket(self, case):
+        n, va, vb = case
+        assert lie._bracket(va, vb, n) == _reference_bracket(va, vb, n)
+
+    def test_large_closures_build_no_rows(self, monkeypatch):
+        monkeypatch.setattr(lie, "_SIGN_ROWS", {})
+        assert close(_su_2n(5)).dimension_traceless == 4 ** 5 - 1
+        assert close(GeneratorSet(*_flag_case("u(N):7"))).dimension == 49
+        assert lie._SIGN_ROWS == {}
+
+    def test_rows_never_exceed_256_keys(self, monkeypatch):
+        # at most 256 rows of 256 bytes, whatever mode counts are bracketed
+        monkeypatch.setattr(lie, "_SIGN_ROWS", {})
+        rng = random.Random(3)
+        for n in range(1, 7):
+            for _ in range(20):
+                va, vb = ({k: rng.randint(1, 9) for k in rng.sample(
+                    range(4 ** n), min(8, 4 ** n))} for _ in "ab")
+                lie._bracket(va, vb, n)
+        table = lie._SIGN_ROWS
+        assert set(table) == {1, 2, 3, 4}
+        for n, rows in table.items():
+            assert 0 < len(rows) <= 4 ** n
+            assert all(len(row) == 4 ** n <= 256 for row in rows.values())
+
+
+def _spy_work(monkeypatch):
+    """Count the reductions a closure runs and the memo hits that spare one."""
+    counts = {"reductions": 0, "memo hits": 0}
+    reduce, init = lie._reduce, lie._Span.__init__
+
+    class Memo(set):
+        def __contains__(self, key):
+            found = super().__contains__(key)
+            counts["memo hits"] += found
+            return found
+
+    def spy_reduce(vec, pivots):
+        counts["reductions"] += 1
+        return reduce(vec, pivots)
+
+    def spy_init(self, bracket):
+        init(self, bracket)
+        self.decided = Memo()
+
+    monkeypatch.setattr(lie, "_reduce", spy_reduce)
+    monkeypatch.setattr(lie._Span, "__init__", spy_init)
+    return counts
+
+
+class TestWorkCounters:
+    """Deterministic work counts of the closure kernel, pinned as perf
+    regression signals."""
+
+    @pytest.mark.parametrize("n, reductions, hits", [(4, 488, 2021),
+                                                     (5, 2480, 14713)])
+    def test_su_2n_reductions_and_memo_hits(self, n, reductions, hits,
+                                            monkeypatch):
+        counts = _spy_work(monkeypatch)
+        basis = close(_su_2n(n))
+        assert basis.dimension_traceless == 4 ** n - 1
+        assert counts == {"reductions": reductions, "memo hits": hits}
+
+    def test_closure_verb_exports_only_the_seeds(self, tmp_path, monkeypatch):
+        exported = []
+        from_vec = lie._from_vec
+
+        def spy(vec, n_modes):
+            exported.append(vec)
+            return from_vec(vec, n_modes)
+
+        monkeypatch.setattr(lie, "_from_vec", spy)
+        gens = _dense_pair(0, 8)
+        argv = ["closure", "--modes", "3", "--format", "json",
+                "--out", str(tmp_path / "out.json")]
+        for g in gens:
+            argv += ["--expr", print_expr(g)]
+        assert main(argv) == 0
+        assert [from_vec(v, 3) for v in exported] == gens
+
+    @pytest.mark.parametrize("case", ["su(2^3)", "dense", "subspace"])
+    def test_basis_is_the_eager_export(self, case):
+        if case == "subspace":
+            phys = [physical_generator(kind, p, 4) for kind in "xz"
+                    for p in ((0, 1), (1, 2), (2, 3))]
+            basis = close_on_subspace(GeneratorSet(4, phys), build_code(4, 2))
+        else:
+            basis = close(_su_2n(3) if case == "su(2^3)"
+                          else GeneratorSet(3, _dense_pair(2, 4)))
+        elements = basis.basis
+        assert basis.basis is elements and len(elements) == basis.dimension
+        for element, vec in zip(elements, basis._vectors):
+            if case == "subspace":
+                want = {rc: Scalar(re, im) for rc, (re, im) in
+                        lie._matrix_entries(vec, basis.subspace_dim).items()}
+            else:
+                want = lie._from_vec(vec, basis.n_modes)
+            assert list(element.items()) == list(want.items())
 
 
 @st.composite
