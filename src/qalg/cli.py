@@ -141,15 +141,19 @@ def _cmd_closure(args):
     gs = GeneratorSet(n_modes, [op for _, op in named])
     basis = close(gs, max_dim=args.max_dim)
     # brackets of conserving operators conserve (Jacobi identity), so the
-    # closure's flags are its generators'
-    number_ok = all(map(conserves_number, gs.generators))
-    parity_ok = all(map(conserves_parity, gs.generators))
+    # closure's flags are its generators'; a closed basis has them from
+    # its seeds, which span the generators
     matches, universal = [], False
     if basis.closed:
         verdict = classify_algebra(basis)
+        number_ok = verdict.conserves_number
+        parity_ok = verdict.conserves_parity
         matches = [{"name": m.name, "expected_dim": m.expected_dim,
                     "hit": m.hit} for m in verdict.matches]
         universal = verdict.universal_full_space
+    else:
+        number_ok = all(map(conserves_number, gs.generators))
+        parity_ok = all(map(conserves_parity, gs.generators))
     body = {
         "label": label,
         "n_modes": n_modes,

@@ -23,8 +23,9 @@ when it has an `n` factor and otherwise a qubit identity multiple.  Under a
 header, an expression whose letters name another species is rejected.
 
 Qubit expressions are multiplied out into an OperatorSum with
-``parafermion.fold_terms``; mode expressions become one
-SecondQuantizedExpr with the factors as written.
+``parafermion.fold_terms``, whose integer tables hold the X, Y, Z and n
+images once per process; mode expressions become one SecondQuantizedExpr
+with the factors as written.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ _LETTERS = {
     "b": ("boson", ANNIHILATE), "bd": ("boson", CREATE),
     "n": (None, NUMBER), "I": (None, None),
 }
-_QUBIT_IMAGES = {"X": OperatorSum.x, "Y": OperatorSum.y, "Z": OperatorSum.z,
-                 NUMBER: number_site}
+_QUBIT_IMAGES = {"X": (OperatorSum.x,), "Y": (OperatorSum.y,),
+                 "Z": (OperatorSum.z,), NUMBER: (number_site,)}
 
 
 def _tokenize(text: str):

@@ -9,8 +9,9 @@ with the mode order fixed globally (strings act on lower-indexed modes).
 Under the on-site dictionary each string factor is -Z, so S_i is a single
 signed Z-string and every fermionic monomial lands on an exact Pauli sum:
 ``jw_fermion_to_pauli`` folds the terms with ``parafermion.fold_terms``
-through the on-site images, with S_i attached to each creation and
-annihilation image.
+through the on-site images, with S_i as a second image after each creation
+and annihilation image.  The fold reads each image, S_i included, once per
+process into its integer table, so it forms no OperatorSum product.
 
 The module also hosts the exact anticommutation relations of the string
 fermions and the collective-mode commutator [B, B'] as an exact Pauli sum.
@@ -46,11 +47,9 @@ def string_operator(mode: int, n_modes: int) -> OperatorSum:
     return OperatorSum(n_modes, {(0, (1 << mode) - 1): coeff})
 
 
-_STRING_IMAGES = {
-    CREATE: lambda mode, n: raising_op(mode, n) * string_operator(mode, n),
-    ANNIHILATE: lambda mode, n: lowering_op(mode, n) * string_operator(mode, n),
-    NUMBER: number_site,
-}
+_STRING_IMAGES = {CREATE: (raising_op, string_operator),
+                  ANNIHILATE: (lowering_op, string_operator),
+                  NUMBER: (number_site,)}
 
 
 def jw_fermion_to_pauli(expr: SecondQuantizedExpr) -> OperatorSum:

@@ -10,20 +10,35 @@ with raising/lowering built from (X +- iY)/2, so the occupied state of a
 mode is the Z = +1 eigenstate.  ``fold_terms`` multiplies a sum of factor
 products out through a table of such images; it is the one place where
 ``to_pauli``, the string transform in ``jw`` and the qubit expressions of
-``dsl`` turn factors into Pauli sums.  Number and parity conservation of an
-operator, that is exact commutation with the total number operator and with
-the product of on-site (1 - 2n) factors, are read off the Pauli masks of
-its terms without forming either commutator.
+``dsl`` turn factors into Pauli sums.  It works in integers: each image is
+read once per process into Gaussian-integer numerators over a denominator,
+the factors of a term multiply as Gaussian integers under the phase rule of
+``pauli``, and each output term gets one exact Scalar at the end.
+
+Number and parity conservation of an operator, that is exact commutation
+with the total number operator and with the product of on-site (1 - 2n)
+factors, are read off the Pauli masks of its terms without forming either
+commutator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from .config import DEFAULT_ENUM_LIMIT
 from .errors import ModeMismatchError, SpeciesError
-from .pauli import HALF, I_UNIT, ONE, OperatorSum, Scalar, commutator
+from .pauli import (
+    HALF,
+    I_UNIT,
+    ONE,
+    OperatorSum,
+    Scalar,
+    commutator,
+    product_phase_exp,
+)
 
 SPECIES = ("parafermion", "fermion", "boson")
 
@@ -156,11 +171,11 @@ class SecondQuantizedExpr:
 def raising_op(mode: int, n_modes: int) -> OperatorSum:
     """(X + iY)/2 on one mode; the image of a creation operator."""
     bit = 1 << mode
-    return OperatorSum(n_modes, {(bit, 0): HALF, (bit, bit): HALF * I_UNIT})
+    return OperatorSum(n_modes, {(bit, 0): HALF, (bit, bit): HALF.times_i()})
 
 def lowering_op(mode: int, n_modes: int) -> OperatorSum:
     bit = 1 << mode
-    return OperatorSum(n_modes, {(bit, 0): HALF, (bit, bit): -(HALF * I_UNIT)})
+    return OperatorSum(n_modes, {(bit, 0): HALF, (bit, bit): HALF.times_i(-1)})
 
 def number_site(mode: int, n_modes: int) -> OperatorSum:
     """(1 + Z)/2 on one mode: the occupied state is the Z = +1 eigenstate."""
@@ -180,23 +195,98 @@ def parity_operator(n_modes: int) -> OperatorSum:
     return OperatorSum(n_modes, {(0, full): sign})
 
 
+@lru_cache(maxsize=None)
+def _integer_image(image, mode: int, n_modes: int):
+    """image(mode, n_modes) as (den, ((x, z, re, im), ...)).
+
+    The image is the sum of (re + i*im)/den * P(x, z) over its terms, in
+    canonical order, with den the least common denominator; single-site
+    images are Gaussian-rational, with no sqrt(2) parts.  The table lives
+    for the process and holds one entry per (image, mode, n_modes) a fold
+    has used.
+    """
+    terms = image(mode, n_modes).items()
+    den = lcm(*(part.denominator for _, c in terms for part in (c.re, c.im)))
+    return den, tuple((x, z, int(c.re * den), int(c.im * den))
+                      for (x, z), c in terms)
+
+
+def _fold_factors(factors, n_modes: int, images):
+    """(den, {(x, z): (re, im)}): the product of the factor images as
+    Gaussian integers over den, formed left to right from the identity."""
+    den, acc = 1, {(0, 0): (1, 0)}
+    for kind, mode in factors:
+        for image in images[kind]:
+            image_den, image_terms = _integer_image(image, mode, n_modes)
+            den *= image_den
+            out = {}
+            for (x1, z1), (r1, i1) in acc.items():
+                for x2, z2, r2, i2 in image_terms:
+                    re = r1 * r2 - i1 * i2
+                    im = r1 * i2 + i1 * r2
+                    e = product_phase_exp(x1, z1, x2, z2)
+                    if e & 2:
+                        re, im = -re, -im
+                    if e & 1:
+                        re, im = -im, re
+                    key = (x1 ^ x2, z1 ^ z2)
+                    old = out.get(key)
+                    if old is not None:
+                        re, im = old[0] + re, old[1] + im
+                    out[key] = (re, im)
+            acc = {key: g for key, g in out.items() if g != (0, 0)}
+    return den, acc
+
+
 def fold_terms(terms, n_modes: int, images) -> OperatorSum:
     """Sum of coeff * image(f1) * image(f2) * ... over (coeff, factors) terms.
 
-    Each factor is a (kind, mode) pair and images[kind](mode, n_modes) is
-    its OperatorSum.  The products are formed left to right, one factor at
-    a time, starting from the identity times the coefficient.
+    Each factor is a (kind, mode) pair, and images[kind] is the tuple of
+    single-site images, each called as image(mode, n_modes), whose product
+    left to right is the factor's OperatorSum.  The value and the term
+    order are those of the plain fold: coeff times the identity, multiplied
+    by one image at a time as OperatorSums, the terms then added in turn.
+
+    The work is done in integers.  Each image is read once per process
+    into Gaussian-integer numerators over a denominator (``_integer_image``).
+    The images of a term multiply as Gaussian integers, rotated by the phase
+    ``product_phase_exp`` gives, and zero entries are dropped after each
+    image.  The term's coefficient a + b*sqrt(2) + i(c + d*sqrt(2)) is then
+    applied once per output key, into a running total of the four rational
+    parts per key, kept as integers over one shared denominator.  Keys that
+    cancel are dropped after each term; the Scalars are built at the end.
     """
-    total = OperatorSum.zero(n_modes)
+    den_total, total = 1, {}
     for coeff, factors in terms:
-        acc = OperatorSum.identity(n_modes) * coeff
-        for kind, mode in factors:
-            acc = acc * images[kind](mode, n_modes)
-        total = total + acc
-    return total
+        if not coeff:  # adds nothing, and would leave zero keys behind
+            continue
+        den, acc = _fold_factors(factors, n_modes, images)
+        parts = (coeff.re, coeff.im, coeff.re2, coeff.im2)
+        step = den * lcm(*(p.denominator for p in parts))
+        new_total = lcm(den_total, step)
+        if new_total != den_total:
+            up = new_total // den_total
+            total = {key: [p * up for p in nums] for key, nums in total.items()}
+            den_total = new_total
+        a, c, b, d = (p.numerator * (den_total // (p.denominator * den))
+                      for p in parts)
+        for key, (r, i) in acc.items():
+            add = (a * r - c * i, a * i + c * r, b * r - d * i, b * i + d * r)
+            nums = total.get(key)
+            if nums is None:
+                total[key] = list(add)
+                continue
+            for k in range(4):
+                nums[k] += add[k]
+            if not any(nums):
+                del total[key]
+    return OperatorSum(n_modes, {
+        key: Scalar(*(Fraction(p, den_total) for p in nums))
+        for key, nums in total.items()})
 
 
-_SITE_IMAGES = {CREATE: raising_op, ANNIHILATE: lowering_op, NUMBER: number_site}
+_SITE_IMAGES = {CREATE: (raising_op,), ANNIHILATE: (lowering_op,),
+                NUMBER: (number_site,)}
 
 
 def to_pauli(expr: SecondQuantizedExpr) -> OperatorSum:

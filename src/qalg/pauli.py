@@ -140,8 +140,12 @@ HALF = Scalar(Fraction(1, 2))
 RT2_HALF = Scalar(0, 0, Fraction(1, 2), 0)
 
 
-def _product_phase_exp(x1: int, z1: int, x2: int, z2: int) -> int:
-    """Power of i in P(x1,z1) * P(x2,z2) = i**e * P(x1^x2, z1^z2)."""
+def product_phase_exp(x1: int, z1: int, x2: int, z2: int) -> int:
+    """Power of i in P(x1,z1) * P(x2,z2) = i**e * P(x1^x2, z1^z2).
+
+    This is the phase rule of the symplectic encoding (Aaronson and
+    Gottesman, quant-ph/0406196), written for the Hermitian reference terms.
+    """
     x3 = x1 ^ x2
     z3 = z1 ^ z2
     e = ((x1 & z1).bit_count() + (x2 & z2).bit_count()
@@ -267,7 +271,7 @@ class OperatorSum:
         out = {}
         for (x1, z1), c1 in self._terms.items():
             for (x2, z2), c2 in other._terms.items():
-                e = _product_phase_exp(x1, z1, x2, z2)
+                e = product_phase_exp(x1, z1, x2, z2)
                 key = (x1 ^ x2, z1 ^ z2)
                 contrib = (c1 * c2).times_i(e)
                 acc = out.get(key)

@@ -247,6 +247,29 @@ class TestClosure:
                             "--max-dim", "8")
         assert not short["body"]["closed"] and short["body"]["dimension"] == 8
 
+    @pytest.mark.parametrize("cap", [(), ("--max-dim", "8")])
+    def test_each_generator_is_scanned_once(self, tmp_path, monkeypatch, cap):
+        # a closed run reads the flags off classify_algebra's seeds, a
+        # capped one off the generators; the chain has seven of each
+        import qalg.cli
+        import qalg.lie
+
+        calls = []
+        for module in (qalg.cli, qalg.lie):
+            for name in ("conserves_number", "conserves_parity"):
+                def spy(op, real=getattr(module, name), name=name):
+                    calls.append(name)
+                    return real(op)
+                monkeypatch.setattr(module, name, spy)
+        code, doc = run_json(tmp_path, "closure",
+                             "--file", str(SAMPLES / "xy_chain.ops"), *cap)
+        assert code == 0
+        body = doc["body"]
+        assert body["closed"] == (not cap)
+        assert body["conserves_number"] and body["conserves_parity"]
+        assert calls.count("conserves_number") == 7
+        assert calls.count("conserves_parity") == 7
+
     @pytest.mark.parametrize("max_dim", ["0", "-3"])
     def test_max_dim_below_one_exits_two(self, tmp_path, capsys, max_dim):
         out = tmp_path / "x.json"
@@ -295,6 +318,52 @@ class TestClassify:
                      "--out", str(out)]) == 2
         assert "mask exceeds the declared mode count" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestWorkCounters:
+    """Products made by the verbs that map mode expressions to qubits.
+
+    Both fold through integer images, so they form no OperatorSum or
+    Scalar product, whether the image table is cold or warm.
+    """
+
+    MONOMIALS = ("modes: 8\n"
+                 "g0 = 3/2 ad(5) a(2) + 3/2 ad(2) a(5)\n"
+                 "g1 = 2 ad(7) ad(1) a(3) + 2 ad(3) a(7) a(1)\n"
+                 "g2 = 5/4 ad(6) ad(4) ad(2) a(0) + 5/4 ad(0) a(6) a(4) a(2)\n")
+
+    @pytest.mark.parametrize("verb", ["classify", "jw"])
+    def test_image_verbs_multiply_nothing(self, tmp_path, monkeypatch, verb):
+        import qalg.parafermion
+        from qalg.pauli import OperatorSum, Scalar
+
+        products = {"OperatorSum": 0, "Scalar": 0}
+        for cls in (OperatorSum, Scalar):
+            for name in ("__mul__", "__rmul__"):
+                def spy(self, other, real=getattr(cls, name),
+                        key=cls.__name__):
+                    products[key] += 1
+                    return real(self, other)
+                monkeypatch.setattr(cls, name, spy)
+        if verb == "classify":
+            script = tmp_path / "monomials.ops"
+            script.write_text(self.MONOMIALS)
+            argv = ("classify", "--file", str(script))
+        else:
+            argv = ("jw", "--modes", "5",
+                    "--expr", "3/2i fd(1) f(4) - 3/2i fd(4) f(1)")
+        qalg.parafermion._integer_image.cache_clear()
+        for _ in range(2):
+            code, doc = run_json(tmp_path, *argv)
+            assert code == 0
+            assert products == {"OperatorSum": 0, "Scalar": 0}
+        if verb == "classify":
+            flags = [(op["conserves_number"], op["conserves_parity"])
+                     for op in doc["body"]["operators"]]
+            assert flags == [(True, True), (False, False), (False, True)]
+        else:
+            assert doc["body"]["result"] == (
+                "-3/4 Y(1) Z(2) Z(3) X(4) + 3/4 X(1) Z(2) Z(3) Y(4)")
 
 
 class TestDeclaredSpecies:

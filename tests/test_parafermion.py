@@ -5,10 +5,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qalg.dsl
+import qalg.parafermion
 from qalg.errors import SpeciesError
+from qalg.jw import jw_fermion_to_pauli, string_operator
 from qalg.parafermion import (
     GeneratorIndex,
     SecondQuantizedExpr,
@@ -17,6 +20,7 @@ from qalg.parafermion import (
     conserves_number,
     conserves_parity,
     enumerate_generators,
+    fold_terms,
     lowering_op,
     number_operator,
     number_site,
@@ -268,3 +272,87 @@ class TestBilinearTrios:
     def test_bad_family(self):
         with pytest.raises(ValueError):
             bilinear_su2((0, 1), 2, family="squeeze")
+
+
+def _reference_fold(terms, n, images):
+    """The plain fold: identity times the coefficient, one OperatorSum
+    product per factor from left to right, then the terms summed in turn."""
+    total = OperatorSum.zero(n)
+    for coeff, factors in terms:
+        acc = OperatorSum.identity(n) * coeff
+        for kind, mode in factors:
+            acc = acc * images[kind](mode, n)
+        total = total + acc
+    return total
+
+
+# table -> (the fold under test, the reference images of its factors)
+_FOLDS = {
+    "parafermion": (
+        lambda terms, n: to_pauli(E(n, "parafermion", terms)),
+        {"+": raising_op, "-": lowering_op, "n": number_site}),
+    "string": (
+        lambda terms, n: jw_fermion_to_pauli(E(n, "fermion", terms)),
+        {"+": lambda m, n: raising_op(m, n) * string_operator(m, n),
+         "-": lambda m, n: lowering_op(m, n) * string_operator(m, n),
+         "n": number_site}),
+    "qubit": (
+        lambda terms, n: fold_terms(terms, n, qalg.dsl._QUBIT_IMAGES),
+        {"X": OperatorSum.x, "Y": OperatorSum.y, "Z": OperatorSum.z,
+         "n": number_site}),
+}
+
+
+@st.composite
+def fold_inputs(draw):
+    """A table, a mode count of 1 to 6, and up to four terms of up to six
+    factors each.  The factors act on one or two of the modes, so modes
+    repeat; coefficients may be zero, carry sqrt(2) parts, or be units,
+    so that terms cancel, within one product and across terms."""
+    table = draw(st.sampled_from(sorted(_FOLDS)))
+    n = draw(st.integers(1, 6))
+    modes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2,
+                          unique=True))
+    factor = st.tuples(st.sampled_from(sorted(_FOLDS[table][1])),
+                       st.sampled_from(modes))
+    coeff = st.one_of(_SCALARS, st.sampled_from(
+        [Scalar(0), Scalar(1), Scalar(-1), I_UNIT]))
+    terms = draw(st.lists(st.tuples(coeff, st.lists(factor, max_size=6)
+                                    .map(tuple)), min_size=1, max_size=4))
+    return table, n, terms
+
+
+class TestFold:
+    """The integer fold gives the plain OperatorSum fold's value and term
+    order for every image table."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fold_inputs())
+    # a product that cancels to zero part way, then meets those keys again
+    @example(("string", 2, [(I_UNIT, (("n", 0), ("+", 1), ("n", 1))),
+                            (Scalar(2), (("-", 1), ("-", 0), ("+", 0))),
+                            (Scalar(1), (("-", 1),))]))
+    # a key that cancels across terms, then comes back after another key
+    @example(("qubit", 1, [(Scalar(1), (("X", 0),)),
+                           (I_UNIT, (("Y", 0), ("Z", 0))),
+                           (I_UNIT, (("n", 0), ("Z", 0))),
+                           (Scalar(1), (("Y", 0), ("Z", 0), ("n", 0)))]))
+    def test_fold_matches_reference(self, case):
+        table, n, terms = case
+        fold, images = _FOLDS[table]
+        got, want = fold(terms, n), _reference_fold(terms, n, images)
+        assert got == want
+        assert list(got._terms) == list(want._terms)
+
+    def test_image_table_holds_one_entry_per_image_used(self):
+        table = qalg.parafermion._integer_image
+        table.cache_clear()
+        hop = pf("create", 4, 6) * pf("annihilate", 1, 6)
+        expr = hop + hop.adjoint() + pf("number", 4, 6) * pf("number", 4, 6)
+        to_pauli(expr)
+        jw_fermion_to_pauli(E(6, "fermion", expr.terms))
+        # raising and lowering on modes 1 and 4, number_site on mode 4,
+        # and string_operator on modes 1 and 4
+        assert table.cache_info().currsize == 7
+        to_pauli(expr)
+        assert table.cache_info().currsize == table.cache_info().misses == 7
