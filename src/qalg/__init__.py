@@ -37,7 +37,7 @@ _EXPORTS = {
 # exported name -> submodule that defines it; a submodule names itself
 _SOURCE = {name: module for module, names in _EXPORTS.items()
            for name in names}
-_SOURCE.update((module, module) for module in (*_EXPORTS, "config", "errors"))
+_SOURCE.update((module, module) for module in (*_EXPORTS, "errors"))
 
 __all__ = sorted(_SOURCE)
 

@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .codes import build_code, encoded_cphase, encoded_generator, rate, synthesize_su_d
 from .dsl import parse_expr, parse_script, print_expr
-from .errors import DenseLimitError
 from .jw import jw_fermion_to_pauli, string_operator
 from .lie import GeneratorSet, classify_algebra, close
 from .pauli import OperatorSum
@@ -279,7 +278,7 @@ def _cmd_code(args):
                 args.excitations if args.excitations2 is None
                 else args.excitations2)
         except ValueError as err:
-            raise type(err)(
+            raise ValueError(
                 f"right code (--modes2/--excitations2): {err}") from err
         gate = encoded_cphase(code, other)
         body["cphase"] = {
@@ -530,10 +529,6 @@ def main(argv=None) -> int:
         body, lines, ok = args.handler(args)
     except CliError as err:
         print(f"qalg: {err}", file=sys.stderr)
-        return 2
-    except DenseLimitError as err:
-        print(f"qalg: {err} (raise QALG_DENSE_LIMIT to override)",
-              file=sys.stderr)
         return 2
     except (ValueError, OSError) as err:
         print(f"qalg: {err}", file=sys.stderr)

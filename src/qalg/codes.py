@@ -5,7 +5,14 @@ excitations.  Codewords are kept as occupation masks (bit i = occupation of
 mode i) and printed mode-0-first, so the string "001" on three modes means
 mode 2 is excited.  The order is ascending in the printed string value,
 which makes the small examples come out in the familiar ladder order
-|00...01> < |00...10> < ... and fixes every matrix in this module.
+|00...01> < |00...10> < ... and fixes every matrix in this module.  It is
+the reverse of the lexicographic order of the excited modes, so codewords
+are enumerated by combination, without a scan of all 2**N masks.
+
+A code is admitted when its codeword table, N * C(N, n) bits, holds at most
+MAX_TABLE_BITS = 10 * C(10, 5) bits: every code on up to 10 modes, and
+fewer codewords on more modes.  Every encoded operation here then finishes
+in seconds; the largest admitted dimension is C(10, 5) = 252.
 
 Encoded one-pair generators are the projections of the two-mode hopping
 operators: the x kind swaps the two occupations (and kills codewords where
@@ -26,20 +33,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
-from .config import dense_limit
-from .errors import DenseLimitError, SubspaceLeakError
+from .errors import ModeMismatchError, SubspaceLeakError
 from .lie import GeneratorSet, LieBasis, close_on_subspace
 from .pauli import ZERO, OperatorSum, Scalar
 from .parafermion import bilinear_su2
 
+MAX_TABLE_BITS = 10 * math.comb(10, 5)
 
-def _bit_reversed(mask: int, width: int) -> int:
-    out = 0
-    for k in range(width):
-        if mask >> k & 1:
-            out |= 1 << (width - 1 - k)
-    return out
+
+def _check_counts(n_modes: int, excitations: int) -> None:
+    if not 0 <= excitations <= n_modes:
+        raise ValueError(
+            f"excitation count {excitations} invalid for {n_modes} modes")
+    if n_modes < 1:
+        raise ValueError("n_modes must be positive")
 
 
 @dataclass(frozen=True)
@@ -50,21 +59,20 @@ class CodeSubspace:
     excitations: int
 
     def __post_init__(self):
-        if not 0 <= self.excitations <= self.n_modes:
+        n, k = self.n_modes, self.excitations
+        _check_counts(n, k)
+        # the table has at least N bits, so a huge N fails before C(N, k)
+        if n > MAX_TABLE_BITS or n * math.comb(n, k) > MAX_TABLE_BITS:
             raise ValueError(
-                f"excitation count {self.excitations} invalid "
-                f"for {self.n_modes} modes")
-        if self.n_modes > dense_limit():
-            raise DenseLimitError(
-                f"{self.n_modes} modes exceeds the dense limit")
+                f"code C({n}, {k}) exceeds the code bound: its codeword "
+                f"table, N * C(N, k) bits, may hold at most {MAX_TABLE_BITS}")
 
     @cached_property
     def codewords(self) -> tuple:
         """Occupation masks, ascending in printed (mode-0-first) value."""
-        masks = [m for m in range(1 << self.n_modes)
-                 if m.bit_count() == self.excitations]
-        masks.sort(key=lambda m: _bit_reversed(m, self.n_modes))
-        return tuple(masks)
+        masks = [sum(1 << m for m in modes) for modes
+                 in combinations(range(self.n_modes), self.excitations)]
+        return tuple(reversed(masks))
 
     @property
     def dim(self) -> int:
@@ -84,6 +92,9 @@ class CodeSubspace:
     def project(self, op: OperatorSum) -> dict:
         """Exact nonzero matrix elements {(row, col): Scalar} of op between
         codewords; raises SubspaceLeakError on block leakage."""
+        if op.n_modes != self.n_modes:
+            raise ModeMismatchError(
+                f"operator on {op.n_modes} modes, code on {self.n_modes}")
         indices = self.dense_indices
         pos = {label: k for k, label in enumerate(indices)}
         entries = {}
@@ -102,13 +113,13 @@ class CodeSubspace:
 
 
 def build_code(n_modes: int, excitations: int) -> CodeSubspace:
-    code = CodeSubspace(n_modes, excitations)
-    code.codewords  # force enumeration so errors surface here
-    return code
+    return CodeSubspace(n_modes, excitations)
 
 
 def rate(n_modes: int, excitations: int) -> float:
-    """Encoded qubits per physical mode, log2(dim)/N."""
+    """Encoded qubits per physical mode, log2(dim)/N; the code bound does
+    not apply."""
+    _check_counts(n_modes, excitations)
     code_dim = math.comb(n_modes, excitations)
     return math.log2(code_dim) / n_modes
 

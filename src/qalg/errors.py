@@ -6,7 +6,8 @@ class ModeMismatchError(ValueError):
 
 
 class DenseLimitError(ValueError):
-    """A dense realization was requested above the configured mode limit."""
+    """pauli.realize was asked for more modes than its limit (the limit=
+    argument, else pauli.DENSE_LIMIT)."""
 
 
 class SpeciesError(ValueError):

@@ -620,17 +620,15 @@ def close_on_subspace(generator_set: GeneratorSet, subspace,
                       max_dim: int | None = None) -> LieBasis:
     """Exact Lie closure of the generators' actions on a code subspace.
 
-    Each generator must preserve the subspace exactly (subspace.project
-    checks it symbolically on the codeword basis states; leaks raise
-    SubspaceLeakError).  The
+    Each generator must act on the subspace's modes and preserve it
+    exactly (subspace.project checks both, symbolically on the codeword
+    basis states, and raises ModeMismatchError or SubspaceLeakError).  The
     projected d x d matrices are rational, so they close on the same exact
     engine as close: every dimension is an exact rank.  The
     identity-on-subspace component is tracked so both dimensions are
     reported.
     """
     n = generator_set.n_modes
-    if subspace.n_modes != n:
-        raise ValueError("subspace mode count mismatch")
     d = subspace.dim
     return _closure(
         n, [_matrix_vec(subspace.project(g), d)

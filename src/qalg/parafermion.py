@@ -28,7 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .config import DEFAULT_ENUM_LIMIT
 from .errors import ModeMismatchError, SpeciesError
 from .pauli import (
     HALF,
@@ -346,14 +345,20 @@ class GeneratorIndex:
                                    [(ONE, tuple(factors))])
 
 
+DEFAULT_ENUM_LIMIT = 8
+
+
 def enumerate_generators(n_modes: int, filter: str | None = None,
                          limit: int | None = None):
     """All 4**n_modes transfer monomial indices in (alpha, beta) order.
 
     filter "number" keeps the number-conserving ones (equal masses of
     creations and annihilations), "parity" the parity-conserving ones
-    (mass difference even).
+    (mass difference even).  More than limit modes (default
+    DEFAULT_ENUM_LIMIT) are refused.
     """
+    if n_modes < 1:
+        raise ValueError("n_modes must be positive")
     cap = DEFAULT_ENUM_LIMIT if limit is None else limit
     if n_modes > cap:
         raise ValueError(

@@ -25,9 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .config import dense_limit
 from .errors import DenseLimitError, ModeMismatchError
 
+# largest mode count realize builds a dense matrix for, unless told otherwise
+DENSE_LIMIT = 10
 _SQRT2 = 2 ** 0.5
 # shared default for the unset parts of a Scalar; Fractions are immutable
 _Q0 = Fraction(0)
@@ -362,10 +363,12 @@ def realize(op: OperatorSum, limit: int | None = None) -> "np.ndarray":
     """Dense complex matrix of an OperatorSum.
 
     Basis-state labels carry mode i on bit i (mode 0 least significant).
+    A sum on more than limit modes (default DENSE_LIMIT) raises
+    DenseLimitError, since the matrix takes 16**n_modes bytes.
     """
     import numpy as np
 
-    cap = dense_limit() if limit is None else limit
+    cap = DENSE_LIMIT if limit is None else limit
     if op.n_modes > cap:
         raise DenseLimitError(
             f"{op.n_modes} modes exceeds the dense limit of {cap}")

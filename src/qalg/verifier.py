@@ -9,8 +9,7 @@ and human-readable detail lines, so the whole battery can run to the end.
 
 This is the only module that imports numpy when it loads.  Besides the
 checks it holds the rest of the dense oracle: truncated bosonic Fock
-spaces, the compound-particle maps checked as dense matrices, and the
-dense span rank that cross-checks exact closures.
+spaces and the compound-particle maps checked as dense matrices.
 
 Conjugations by exp(i A phi) at eighth-turn angles are done exactly: for
 any Hermitian A with A**3 = A the exponential is I + (cos phi - 1) A**2 +
@@ -302,24 +301,6 @@ def compound_mapping_check(case: int, n_pairs: int,
     checks.append(RelationCheck("vacuum annihilated by every a", ok_vac))
     return CompoundReport(case, n_pairs,
                           cutoff if case == 3 else None, tuple(checks))
-
-
-# -- dense cross-checks ----------------------------------------------------
-
-def dense_span_rank(ops, tol: float = 1e-9) -> int:
-    """Rank of realized operators' vectorizations; closure cross-check.
-
-    Each operator is scaled to unit norm first, since the rank of a set of
-    vectors does not depend on their lengths, while the relative tolerance
-    would drop a short one beside a long one."""
-    mats = [realize(op).reshape(-1) for op in ops]
-    if not mats:
-        return 0
-    stack = np.array(mats)
-    norms = np.linalg.norm(stack, axis=1, keepdims=True)
-    stack /= np.where(norms > 0, norms, 1.0)
-    svals = np.linalg.svd(stack, compute_uv=False)
-    return int(np.sum(svals > tol * max(1.0, svals[0])))
 
 
 # -- selective recoupling ---------------------------------------------------

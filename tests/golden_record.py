@@ -1,0 +1,206 @@
+"""Golden-output corpus: one sha256 per CLI invocation or library closure.
+
+    PYTHONPATH=src python tests/golden_record.py            # record every entry
+    PYTHONPATH=src python tests/golden_record.py KEY ...    # re-record these
+
+A CLI entry runs ``qalg.cli.main(argv)`` in process and hashes its exit code,
+its stdout with ``generated_at`` and ``version`` blanked, and its stderr.  An
+exception that escapes ``main`` is hashed as exit code 1 plus its type and
+message, as the interpreter would report it without the traceback.  A
+library entry hashes the closure's dimensions, ``closed``, ``rounds``,
+provenance and exported elements, each element in its own dict key order.
+
+Bytes that depend on the numpy or scipy version are left out: ``code
+generator`` runs in JSON only, and ``verify`` runs only its four checks
+that use no dense matrix.  ``test_golden.py`` replays the corpus.
+
+A change that alters an entry on purpose re-records only that entry, by
+key, and names it and the reason in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import qalg.cli
+from qalg.codes import build_code, synthesize_su_d
+from qalg.dsl import parse_script
+from qalg.jw import jw_fermion_to_pauli
+from qalg.lie import GeneratorSet, close
+from qalg.parafermion import SecondQuantizedExpr, to_pauli
+from qalg.pauli import OperatorSum
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DIGESTS = GOLDEN / "digests.json"
+
+SCRIPTS = ("su2n_3", "su2n_4", "u5_chain", "so8_fermion", "dense_pair_3")
+EXACT_CHECKS = ("axy-encoded", "axy-split", "boson-commutator", "car")
+# (N, k) at and around the code bound, and far past it
+BOUND_EDGES = ((10, 5), (11, 5), (12, 3), (14, 1), (50, 1), (51, 1),
+               (20000, 0), (100000000, 50000000))
+
+
+def _both(*argv):
+    return [(*argv, "--format", "json"), (*argv, "--format", "text")]
+
+
+def cli_invocations() -> list:
+    """argv tuples; a --file path is relative to the repository root."""
+    out = []
+    for sample in ("samples/single_qubit.ops", "samples/xy_chain.ops"):
+        out += _both("closure", "--file", sample)
+        out += _both("classify", "--file", sample)
+    for name in SCRIPTS:
+        out += _both("closure", "--file", f"tests/golden/{name}.ops")
+    for name in (*SCRIPTS, "monomials_8"):
+        out += _both("classify", "--file", f"tests/golden/{name}.ops")
+    out += _both("closure", "--file", "tests/golden/su2n_3.ops",
+                 "--max-dim", "10")
+    out += _both("jw", "--modes", "3", "--expr", "fd(0) f(2) + fd(2) f(0)")
+    out += _both("jw", "--modes", "3", "--expr", "ad(0) a(2) + ad(2) a(0)")
+    out += _both("jw", "--modes", "4", "--string-op", "3")
+    for n in range(3, 7):
+        for k in range(n + 1):
+            nk = ("-n", str(n), "-k", str(k))
+            for action in ("list", "rate", "cphase"):
+                out += _both("code", action, *nk)
+            for kind in "xz":
+                for pair in ("0,1", f"1,{n - 1}"):
+                    out.append(("code", "generator", *nk, "--kind", kind,
+                                "--pair", pair, "--format", "json"))
+            for pairs in ("all", "nearest"):
+                out.append(("code", "synthesize", *nk, "--pairs", pairs,
+                            "--format", "json"))
+    out += _both("code", "synthesize", "-n", "4", "-k", "2")
+    out += _both("code", "cphase", "-n", "3", "-k", "1", "--modes2", "4",
+                 "--excitations2", "2")
+    out.append(("code", "generator", "-n", "10", "-k", "5", "--kind", "z",
+                "--pair", "3,7", "--format", "json"))
+    for n, k in BOUND_EDGES:
+        out += _both("code", "list", "-n", str(n), "-k", str(k))
+        out.append(("code", "rate", "-n", str(n), "-k", str(k),
+                    "--format", "json"))
+    for action in ("list", "rate", "generator", "cphase", "synthesize"):
+        out += _both("code", action, "-n", "0", "-k", "0")
+    out += _both("code", "cphase", "-n", "2", "-k", "1", "--modes2", "0",
+                 "--excitations2", "0")
+    out += _both("code", "cphase", "-n", "2", "-k", "1", "--modes2", "0")
+    for name in EXACT_CHECKS:
+        out += _both("verify", name)
+    out += _both("enumerate", "-n", "2")
+    out += _both("enumerate", "-n", "3", "--filter", "number")
+    out += _both("enumerate", "-n", "2", "--filter", "parity")
+    for n in ("9", "0", "-2"):
+        out += _both("enumerate", "-n", n)
+    return out
+
+
+def _run_cli(argv) -> str:
+    argv = [str(ROOT / a) if k and argv[k - 1] == "--file" else a
+            for k, a in enumerate(argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = qalg.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # an escaping error is part of the answer
+            code = 1
+            err.write(f"{type(exc).__name__}: {exc}\n")
+    stdout = re.sub(r'"(generated_at|version)":"[^"]*"', r'"\1":""',
+                    out.getvalue())
+    return json.dumps([code, stdout, err.getvalue()])
+
+
+# -- library closures ------------------------------------------------------
+
+def _script_generators(name: str):
+    script = parse_script((GOLDEN / f"{name}.ops").read_text())
+    gens = []
+    for label in script.labels:
+        op = script.operators[label]
+        if isinstance(op, SecondQuantizedExpr):
+            op = (jw_fermion_to_pauli(op) if op.species == "fermion"
+                  else to_pauli(op))
+        gens.append(op)
+    return GeneratorSet(script.n_modes, gens)
+
+
+def _closure(name: str, max_dim=None):
+    return lambda: close(_script_generators(name), max_dim=max_dim)
+
+
+def _synthesis(n: int, k: int, pairs: str):
+    return lambda: synthesize_su_d(build_code(n, k), pairs=pairs).basis
+
+
+def library_cases() -> dict:
+    return {
+        "lib close su2n_3": _closure("su2n_3"),
+        "lib close su2n_3 max_dim=10": _closure("su2n_3", 10),
+        "lib close u5_chain": _closure("u5_chain"),
+        "lib close so8_fermion": _closure("so8_fermion"),
+        "lib close dense_pair_3": _closure("dense_pair_3"),
+        "lib close_on_subspace C(4,2) all": _synthesis(4, 2, "all"),
+        "lib close_on_subspace C(4,2) nearest": _synthesis(4, 2, "nearest"),
+        "lib close_on_subspace C(5,1) nearest": _synthesis(5, 1, "nearest"),
+    }
+
+
+def _scalar(s) -> list:
+    return [str(s.re), str(s.im), str(s.re2), str(s.im2)]
+
+
+def _element(e) -> list:
+    if isinstance(e, OperatorSum):
+        return [[x, z, *_scalar(c)] for (x, z), c in e._terms.items()]
+    return [[r, c, *_scalar(s)] for (r, c), s in e.items()]
+
+
+def _run_library(case) -> str:
+    b = case()
+    return json.dumps([b.n_modes, b.dimension, b.dimension_traceless,
+                       b.closed, b.rounds, b.subspace_dim,
+                       [list(p) if p else None for p in b.provenance],
+                       [_element(e) for e in b.basis]])
+
+
+# -- corpus ----------------------------------------------------------------
+
+def entries() -> dict:
+    """key -> zero-argument callable returning the text that is hashed."""
+    out = {"cli " + " ".join(argv): (lambda argv=argv: _run_cli(argv))
+           for argv in cli_invocations()}
+    out.update((key, lambda case=case: _run_library(case))
+               for key, case in library_cases().items())
+    return out
+
+
+def digest(run) -> str:
+    return hashlib.sha256(run().encode()).hexdigest()
+
+
+def main(keys) -> int:
+    table = entries()
+    unknown = [k for k in keys if k not in table]
+    if unknown:
+        print(f"unknown keys: {unknown}", file=sys.stderr)
+        return 2
+    recorded = json.loads(DIGESTS.read_text()) if keys else {}
+    for key in keys or table:
+        recorded[key] = digest(table[key])
+    DIGESTS.write_text(json.dumps(
+        {k: recorded[k] for k in table if k in recorded}, indent=1) + "\n")
+    print(f"{len(keys or table)} of {len(table)} entries recorded")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -65,7 +66,17 @@ class TestStartup:
 
     def test_modules_import_only_public_names_at_top(self):
         # no module reaches into another's private names, and lie and codes
-        # import their qalg dependencies at module top, not to dodge a cycle
+        # import their qalg dependencies at module top, not to dodge a cycle;
+        # no module reads the environment, so no knob hides behind one
+        env_names = {"environ", "environb", "getenv", "getenvb"}
+
+        def reads_environment(node):
+            if isinstance(node, ast.Attribute):
+                return (isinstance(node.value, ast.Name)
+                        and node.value.id == "os" and node.attr in env_names)
+            return (isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and any(a.name in env_names for a in node.names))
+
         def from_qalg(node):
             if isinstance(node, ast.ImportFrom):
                 return node.level > 0 or (node.module or "").startswith("qalg")
@@ -75,6 +86,7 @@ class TestStartup:
         package = Path(__file__).resolve().parent.parent / "src" / "qalg"
         for path in sorted(package.glob("*.py")):
             tree = ast.parse(path.read_text())
+            assert not any(map(reads_environment, ast.walk(tree))), path.name
             for node in filter(from_qalg, ast.walk(tree)):
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, (path.name, private)
@@ -476,12 +488,36 @@ class TestCode:
             assert synth["success"] is True
             assert synth["dimension_traceless"] == want
 
-    def test_dense_limit_hint(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("QALG_DENSE_LIMIT", raising=False)
+    @pytest.mark.parametrize("n,k", [(10, 5), (14, 1), (50, 1), (2520, 0)])
+    def test_code_bound_admits(self, tmp_path, n, k):
+        # N * C(N, k) <= 2520: every code on 10 modes, small codes on more
+        code, doc = run_json(tmp_path, "code", "list", "-n", str(n),
+                             "-k", str(k))
+        assert code == 0
+        assert len(doc["body"]["codewords"]) == doc["body"]["dim"]
+
+    @pytest.mark.parametrize("n,k", [(11, 5), (12, 3), (51, 1), (2521, 0),
+                                     (20000, 0), (100000000, 50000000)])
+    def test_code_bound_refuses_at_once(self, tmp_path, capsys, n, k):
+        # C(12, 3) and C(51, 1) are just past the bound (2640 and 2601
+        # bits); the last three are refused on N alone, before C(N, k) is
+        # computed
         out = tmp_path / "x.json"
-        assert main(["code", "list", "-n", "14", "-k", "1",
+        start = time.perf_counter()
+        assert main(["code", "list", "-n", str(n), "-k", str(k),
                      "--out", str(out)]) == 2
-        assert "QALG_DENSE_LIMIT" in capsys.readouterr().err
+        assert time.perf_counter() - start < 0.1
+        err = capsys.readouterr().err
+        assert err.startswith(f"qalg: code C({n}, {k}) exceeds the code bound")
+        assert "at most 2520" in err and not out.exists()
+
+    @pytest.mark.parametrize("action", ["list", "rate", "generator", "cphase",
+                                        "synthesize"])
+    def test_zero_mode_code_exits_two(self, tmp_path, capsys, action):
+        out = tmp_path / "x.json"
+        assert main(["code", action, "-n", "0", "-k", "0",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "qalg: n_modes must be positive\n"
 
     def test_cphase(self, tmp_path):
         code, doc = run_json(tmp_path, "code", "cphase", "-n", "2", "-k", "1")
@@ -491,6 +527,14 @@ class TestCode:
         assert gate["right_signs"] == [1, -1]
         assert gate["zz_diagonal"] == [-1, 1, 1, -1]
         assert gate["gate_diagonal"] == [1, -1, -1, 1]
+
+    def test_cphase_zero_mode_right_code_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["code", "cphase", "-n", "2", "-k", "1", "--modes2", "0",
+                     "--excitations2", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "qalg: right code (--modes2/--excitations2): "
+            "n_modes must be positive\n")
 
     def test_cphase_explicit_zero_right_code(self, tmp_path):
         # an explicit 0 is a value, not "same as the left code"
@@ -578,6 +622,13 @@ class TestEnumerate:
     def test_limit_guard_maps_to_exit_two(self, tmp_path):
         out = tmp_path / "x.json"
         assert main(["enumerate", "-n", "9", "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_mode_count_checked_first(self, tmp_path, capsys, n):
+        # -2 used to reach a shift and fail as "negative shift count"
+        out = tmp_path / "x.json"
+        assert main(["enumerate", "-n", n, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "qalg: n_modes must be positive\n"
 
 
 class TestTextFormat:

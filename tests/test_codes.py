@@ -16,7 +16,8 @@ from qalg.codes import (
     shannon_entropy,
     synthesize_su_d,
 )
-from qalg.pauli import Scalar, realize
+from qalg.errors import ModeMismatchError
+from qalg.pauli import OperatorSum, Scalar, realize
 
 
 def dense(gate):
@@ -52,6 +53,19 @@ class TestCodewords:
         with pytest.raises(ValueError):
             build_code(3, 4)
 
+    def test_combinations_keep_the_mask_scan_order(self):
+        # the order codewords had when every 2**N mask was scanned and
+        # sorted by its printed (mode-0-first) value; every code on up to
+        # 10 modes is admitted
+        def scan(n, k):
+            masks = [m for m in range(1 << n) if m.bit_count() == k]
+            return tuple(sorted(masks, key=lambda m: [m >> i & 1
+                                                      for i in range(n)]))
+
+        for n in range(1, 11):
+            for k in range(n + 1):
+                assert build_code(n, k).codewords == scan(n, k), (n, k)
+
 
 class TestEncodedGenerators:
     def test_transposition_matrix(self):
@@ -84,6 +98,10 @@ class TestEncodedGenerators:
             phys = realize(physical_generator(kind, (1, 3), 4))
             idx = list(code.dense_indices)
             assert np.allclose(dense(g), phys[np.ix_(idx, idx)])
+
+    def test_projection_checks_the_mode_count(self):
+        with pytest.raises(ModeMismatchError):
+            build_code(3, 1).project(OperatorSum.z(1, 5))
 
     def test_bad_kind_and_pair(self):
         code = build_code(3, 1)
@@ -180,3 +198,11 @@ class TestRates:
     def test_rate_of_trivial_codes(self):
         assert rate(4, 0) == 0.0
         assert rate(4, 4) == 0.0
+
+    def test_rate_validates_counts_as_codes_do(self):
+        with pytest.raises(ValueError, match="excitation count 5 invalid"):
+            rate(3, 5)
+        with pytest.raises(ValueError, match="n_modes must be positive"):
+            rate(0, 0)
+        # the code bound does not apply to the rate
+        assert rate(64, 32) < shannon_entropy(0.5)

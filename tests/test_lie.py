@@ -30,7 +30,6 @@ from qalg.parafermion import (
     to_pauli,
 )
 from qalg.pauli import I_UNIT, OperatorSum, Scalar, realize
-from qalg.verifier import dense_span_rank
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -294,6 +293,22 @@ def _dense(elem, d):
         m[r, c] = s.to_complex()
     assert np.array_equal(m, m.conj().T)
     return m
+
+
+def dense_span_rank(ops, tol: float = 1e-9) -> int:
+    """Rank of realized operators' vectorizations; closure cross-check.
+
+    Each operator is scaled to unit norm first, since the rank of a set of
+    vectors does not depend on their lengths, while the relative tolerance
+    would drop a short one beside a long one."""
+    mats = [realize(op).reshape(-1) for op in ops]
+    if not mats:
+        return 0
+    stack = np.array(mats)
+    norms = np.linalg.norm(stack, axis=1, keepdims=True)
+    stack /= np.where(norms > 0, norms, 1.0)
+    svals = np.linalg.svd(stack, compute_uv=False)
+    return int(np.sum(svals > tol * max(1.0, svals[0])))
 
 
 def _check_dense(basis):

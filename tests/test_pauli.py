@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qalg.errors import DenseLimitError
 from qalg.pauli import (
+    DENSE_LIMIT,
     HALF,
     I_UNIT,
     ONE,
@@ -169,17 +170,14 @@ class TestDense:
         got = matrix_exponential(m, scale=-0.3j)
         assert np.allclose(got, scipy.linalg.expm(-0.3j * m), atol=1e-12)
 
-    def test_dense_limit_guard(self, monkeypatch):
-        monkeypatch.setenv("QALG_DENSE_LIMIT", "2")
+    def test_dense_limit_guard(self):
+        # refused before any matrix is allocated
+        with pytest.raises(DenseLimitError, match=f"limit of {DENSE_LIMIT}"):
+            realize(OperatorSum.x(0, DENSE_LIMIT + 1))
         with pytest.raises(DenseLimitError):
-            realize(OperatorSum.x(0, 3))
-        # explicit limit argument overrides the environment
+            realize(OperatorSum.x(0, 3), limit=2)
+        # the limit argument is the only override
         assert realize(OperatorSum.x(0, 3), limit=3).shape == (8, 8)
-
-    def test_dense_limit_env_validation(self, monkeypatch):
-        monkeypatch.setenv("QALG_DENSE_LIMIT", "zero")
-        with pytest.raises(ValueError):
-            realize(OperatorSum.x(0, 1))
 
 
 _PART = st.fractions(-3, 3, max_denominator=4)
