@@ -10,10 +10,11 @@ with raising/lowering built from (X +- iY)/2, so the occupied state of a
 mode is the Z = +1 eigenstate.  ``fold_terms`` multiplies a sum of factor
 products out through a table of such images; it is the one place where
 ``to_pauli``, the string transform in ``jw`` and the qubit expressions of
-``dsl`` turn factors into Pauli sums.  It works in integers: each image is
-read once per process into Gaussian-integer numerators over a denominator,
-the factors of a term multiply as Gaussian integers under the phase rule of
-``pauli``, and each output term gets one exact Scalar at the end.
+``dsl`` turn factors into Pauli sums.  It works in integers, on the
+product kernel that ``OperatorSum.__mul__`` uses: each image is read once
+per process into Gaussian-integer numerators over a denominator, the
+factors of a term multiply through ``pauli.integer_product``, and each
+output term gets one exact Scalar at the end.
 
 Number and parity conservation of an operator, that is exact commutation
 with the total number operator and with the product of on-site (1 - 2n)
@@ -36,7 +37,9 @@ from .pauli import (
     OperatorSum,
     Scalar,
     commutator,
-    product_phase_exp,
+    from_integers,
+    integer_product,
+    integer_terms,
 )
 
 SPECIES = ("parafermion", "fermion", "boson")
@@ -196,18 +199,17 @@ def parity_operator(n_modes: int) -> OperatorSum:
 
 @lru_cache(maxsize=None)
 def _integer_image(image, mode: int, n_modes: int):
-    """image(mode, n_modes) as (den, ((x, z, re, im), ...)).
+    """image(mode, n_modes) as ``integer_terms`` reads it.
 
-    The image is the sum of (re + i*im)/den * P(x, z) over its terms, in
-    canonical order, with den the least common denominator; single-site
-    images are Gaussian-rational, with no sqrt(2) parts.  The table lives
-    for the process and holds one entry per (image, mode, n_modes) a fold
-    has used.
+    That is (den, {(x, z): (re, im)}) in the image's term order.  Single-site
+    images are Gaussian-rational; one with a sqrt(2) part is
+    refused.  The table lives for the process and holds one entry per
+    (image, mode, n_modes) a fold has used.
     """
-    terms = image(mode, n_modes).items()
-    den = lcm(*(part.denominator for _, c in terms for part in (c.re, c.im)))
-    return den, tuple((x, z, int(c.re * den), int(c.im * den))
-                      for (x, z), c in terms)
+    den, terms = integer_terms(image(mode, n_modes))
+    if any(len(parts) != 2 for parts in terms.values()):
+        raise ValueError("a fold image must have Gaussian-rational coefficients")
+    return den, terms
 
 
 def _fold_factors(factors, n_modes: int, images):
@@ -218,22 +220,8 @@ def _fold_factors(factors, n_modes: int, images):
         for image in images[kind]:
             image_den, image_terms = _integer_image(image, mode, n_modes)
             den *= image_den
-            out = {}
-            for (x1, z1), (r1, i1) in acc.items():
-                for x2, z2, r2, i2 in image_terms:
-                    re = r1 * r2 - i1 * i2
-                    im = r1 * i2 + i1 * r2
-                    e = product_phase_exp(x1, z1, x2, z2)
-                    if e & 2:
-                        re, im = -re, -im
-                    if e & 1:
-                        re, im = -im, re
-                    key = (x1 ^ x2, z1 ^ z2)
-                    old = out.get(key)
-                    if old is not None:
-                        re, im = old[0] + re, old[1] + im
-                    out[key] = (re, im)
-            acc = {key: g for key, g in out.items() if g != (0, 0)}
+            acc = {key: g for key, g in integer_product(acc, image_terms).items()
+                   if g != (0, 0)}
     return den, acc
 
 
@@ -246,14 +234,15 @@ def fold_terms(terms, n_modes: int, images) -> OperatorSum:
     order are those of the plain fold: coeff times the identity, multiplied
     by one image at a time as OperatorSums, the terms then added in turn.
 
-    The work is done in integers.  Each image is read once per process
+    The work is done in integers, on the kernel ``OperatorSum.__mul__``
+    uses.  Each image is read once per process by ``pauli.integer_terms``
     into Gaussian-integer numerators over a denominator (``_integer_image``).
-    The images of a term multiply as Gaussian integers, rotated by the phase
-    ``product_phase_exp`` gives, and zero entries are dropped after each
-    image.  The term's coefficient a + b*sqrt(2) + i(c + d*sqrt(2)) is then
-    applied once per output key, into a running total of the four rational
-    parts per key, kept as integers over one shared denominator.  Keys that
-    cancel are dropped after each term; the Scalars are built at the end.
+    The images of a term multiply through ``pauli.integer_product``, and
+    zero entries are dropped after each image.  The term's coefficient
+    a + b*sqrt(2) + i(c + d*sqrt(2)) is then applied once per output key,
+    into a running total of the four rational parts per key, kept as
+    integers over one shared denominator.  Keys that cancel are dropped
+    after each term; ``pauli.from_integers`` builds the Scalars at the end.
     """
     den_total, total = 1, {}
     for coeff, factors in terms:
@@ -279,9 +268,7 @@ def fold_terms(terms, n_modes: int, images) -> OperatorSum:
                 nums[k] += add[k]
             if not any(nums):
                 del total[key]
-    return OperatorSum(n_modes, {
-        key: Scalar(*(Fraction(p, den_total) for p in nums))
-        for key, nums in total.items()})
+    return from_integers(n_modes, den_total, total)
 
 
 _SITE_IMAGES = {CREATE: (raising_op,), ANNIHILATE: (lowering_op,),
@@ -397,24 +384,26 @@ def conserves_parity(op: OperatorSum) -> bool:
 
 
 def conserves_number(op: OperatorSum) -> bool:
-    """Exactly [op, N] = 0, with Scalar additions only.
+    """Exactly [op, N] = 0, with integer additions only.
 
     2[op, N] = -sum_i [Z_i, op], and [Z_i, P(x, z)] is 0 when bit i of x is
     clear, else 2i * (+1 if bit i of z is clear, else -1) * P(x, z ^ 2**i).
     op conserves number when the signed coefficients landing on each target
-    string sum to zero.
+    string sum to zero.  The coefficients are read by ``integer_terms`` as
+    numerators over one denominator, so the sums are sums of integers.
     """
     sums = {}
-    for (x, z), c in op.items():
+    for (x, z), parts in integer_terms(op)[1].items():
         rest = x
         while rest:
             bit = rest & -rest
             rest ^= bit
             key = (x, z ^ bit)
-            term = -c if z & bit else c
-            acc = sums.get(key)
-            sums[key] = term if acc is None else acc + term
-    return not any(sums.values())
+            sign = -1 if z & bit else 1
+            acc = sums.setdefault(key, [0] * len(parts))
+            for k, p in enumerate(parts):
+                acc[k] += sign * p
+    return not any(any(acc) for acc in sums.values())
 
 
 def classify(op: OperatorSum) -> SubalgebraVerdict:
@@ -425,7 +414,8 @@ def classify(op: OperatorSum) -> SubalgebraVerdict:
     X/Y factors, popcount(x) even.  Number: sum_i [Z_i, op] = 0, where
     [Z_i, P(x, z)] is 0 when bit i of x is clear and otherwise
     2i * (+1 if bit i of z is clear, else -1) * P(x, z ^ 2**i); the signed
-    coefficients landing on each string must sum to zero.
+    coefficients landing on each string, read as integer numerators over
+    one denominator, must sum to zero.
     """
     if not op.is_hermitian:
         raise ValueError("classify expects a Hermitian operator")

@@ -16,6 +16,14 @@ eighth-turn exponentials (cos and sin both sqrt(2)/2) stays inside the
 representation; everyday operators carry plain Gaussian-rational
 coefficients.
 
+Products of Pauli sums are formed in integers, by one kernel that both
+``OperatorSum.__mul__`` and the fold in ``parafermion`` use.
+``integer_terms`` reads a sum as integer numerators over its least common
+denominator; ``integer_product`` multiplies two such readings term pair by
+term pair, as Gaussian integers when neither carries a sqrt(2) part, each
+product rotated by the power of i that ``product_phase_exp`` gives; and
+``from_integers`` builds one Scalar per nonzero output term.
+
 Mode 0 is the least significant bit of basis-state labels in the dense
 realization, i.e. ``realize`` maps mode 0 to the last Kronecker factor.
 """
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import DenseLimitError, ModeMismatchError
 
@@ -262,6 +271,15 @@ class OperatorSum:
                            {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
+        """Product with a scalar, or with another sum on the same modes.
+
+        Two sums multiply in integers: each is read once as numerators over
+        its least common denominator (``integer_terms``), the term pairs
+        multiply as integers (``integer_product``), and each nonzero output
+        term gets one Scalar over the product of the two denominators.  The
+        terms come out in the order the pair loop, self's terms outside and
+        other's inside, first meets their keys.
+        """
         if isinstance(other, (int, Fraction, Scalar)):
             scale = Scalar.of(other)
             return OperatorSum(self.n_modes,
@@ -269,15 +287,10 @@ class OperatorSum:
         if not isinstance(other, OperatorSum):
             return NotImplemented
         self._check_modes(other)
-        out = {}
-        for (x1, z1), c1 in self._terms.items():
-            for (x2, z2), c2 in other._terms.items():
-                e = product_phase_exp(x1, z1, x2, z2)
-                key = (x1 ^ x2, z1 ^ z2)
-                contrib = (c1 * c2).times_i(e)
-                acc = out.get(key)
-                out[key] = contrib if acc is None else acc + contrib
-        return OperatorSum(self.n_modes, out)
+        den1, left = integer_terms(self)
+        den2, right = integer_terms(other)
+        return from_integers(self.n_modes, den1 * den2,
+                             integer_product(left, right))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -333,6 +346,96 @@ class OperatorSum:
             label = ".".join(ops) if ops else "I"
             bits.append(f"({c.to_complex():.3g})*{label}")
         return " + ".join(bits)
+
+
+# -- the integer product kernel -------------------------------------------
+
+def integer_terms(op: OperatorSum) -> tuple:
+    """(den, {(x, z): parts}): op's coefficients as integers over den.
+
+    den is the least common denominator of every coefficient part, and the
+    terms keep op's order.  parts is (re, im) when no coefficient has a
+    sqrt(2) part, else (re, im, re2, im2), for the coefficient
+    (re + i*im + sqrt(2)*(re2 + i*im2)) / den.
+    """
+    coeffs = op._terms.values()
+    if all(c.is_rational for c in coeffs):
+        den = lcm(*(p.denominator for c in coeffs for p in (c.re, c.im)))
+        return den, {key: (c.re.numerator * (den // c.re.denominator),
+                           c.im.numerator * (den // c.im.denominator))
+                     for key, c in op._terms.items()}
+    den = lcm(*(p.denominator for c in coeffs
+                for p in (c.re, c.im, c.re2, c.im2)))
+    return den, {key: tuple(p.numerator * (den // p.denominator)
+                            for p in (c.re, c.im, c.re2, c.im2))
+                 for key, c in op._terms.items()}
+
+
+def integer_product(left: dict, right: dict) -> dict:
+    """{(x, z): parts} of the product of two ``integer_terms`` readings.
+
+    The product of the sums over den1 * den2.  Keys appear in the order the
+    pair loop, left outside and right inside, first meets them; a key whose
+    contributions cancel stays in place with zero parts.  Each term product
+    is rotated by the power of i that ``product_phase_exp`` gives.  The
+    parts are Gaussian pairs when both readings are, else quadruples.
+    """
+    if not left or not right:
+        return {}
+    out = {}
+    get = out.get
+    if len(next(iter(left.values()))) == len(next(iter(right.values()))) == 2:
+        rows = [(x, z, re, im) for (x, z), (re, im) in right.items()]
+        for (x1, z1), (a1, c1) in left.items():
+            for x2, z2, a2, c2 in rows:
+                re = a1 * a2 - c1 * c2
+                im = a1 * c2 + c1 * a2
+                e = product_phase_exp(x1, z1, x2, z2)
+                if e & 2:
+                    re, im = -re, -im
+                if e & 1:
+                    re, im = -im, re
+                key = (x1 ^ x2, z1 ^ z2)
+                old = get(key)
+                out[key] = (re, im) if old is None else (old[0] + re,
+                                                         old[1] + im)
+        return out
+    # a Gaussian operand meets a sqrt(2) one: pad its parts with zeros
+    rows = [(x, z, *parts, *(0,) * (4 - len(parts)))
+            for (x, z), parts in right.items()]
+    for (x1, z1), parts in left.items():
+        a1, c1, b1, d1 = *parts, *(0,) * (4 - len(parts))
+        for x2, z2, a2, c2, b2, d2 in rows:
+            re = a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2
+            im = a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)
+            re2 = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
+            im2 = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+            e = product_phase_exp(x1, z1, x2, z2)
+            if e & 2:
+                re, im, re2, im2 = -re, -im, -re2, -im2
+            if e & 1:
+                re, im, re2, im2 = -im, re, -im2, re2
+            key = (x1 ^ x2, z1 ^ z2)
+            old = get(key)
+            out[key] = ((re, im, re2, im2) if old is None else
+                        (old[0] + re, old[1] + im, old[2] + re2, old[3] + im2))
+    return out
+
+
+def _part(num: int, den: int) -> Fraction:
+    return Fraction(num, den) if num else _Q0
+
+
+def from_integers(n_modes: int, den: int, terms: dict) -> OperatorSum:
+    """The OperatorSum of {(x, z): parts} over den, one Scalar per key.
+
+    parts is (re, im) or (re, im, re2, im2) as ``integer_terms`` gives
+    them; keys whose parts are all zero are left out, the rest keep their
+    order.
+    """
+    return OperatorSum(n_modes, {
+        key: Scalar(*(_part(p, den) for p in parts))
+        for key, parts in terms.items() if any(parts)})
 
 
 def commutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:

@@ -9,6 +9,8 @@ exception that escapes ``main`` is hashed as exit code 1 plus its type and
 message, as the interpreter would report it without the traceback.  A
 library entry hashes the closure's dimensions, ``closed``, ``rounds``,
 provenance and exported elements, each element in its own dict key order.
+A conjugation entry hashes the terms of one exact eighth-turn conjugation
+(``verifier.conjugate_eighth``) of a seeded random operator, in term order.
 
 Bytes that depend on the numpy or scipy version are left out: ``code
 generator`` runs in JSON only, and ``verify`` runs only its four checks
@@ -23,9 +25,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import qalg.cli
@@ -34,7 +38,8 @@ from qalg.dsl import parse_script
 from qalg.jw import jw_fermion_to_pauli
 from qalg.lie import GeneratorSet, close
 from qalg.parafermion import SecondQuantizedExpr, to_pauli
-from qalg.pauli import OperatorSum
+from qalg.pauli import OperatorSum, Scalar
+from qalg.verifier import conjugate_eighth
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -172,6 +177,38 @@ def _run_library(case) -> str:
                        [_element(e) for e in b.basis]])
 
 
+# -- exact conjugations ----------------------------------------------------
+
+def _conjugation(n: int, eighths: int):
+    """conjugate_eighth of a 12-term operator on n modes by a hopping
+    generator (XX + YY)/2, both drawn from a seed fixed by (n, eighths).
+    A third of the operator's coefficients carry a sqrt(2) part."""
+    def run():
+        rng = random.Random(8 * n + eighths)
+        coeffs = {}
+        while len(coeffs) < 12:
+            word = (rng.randrange(1 << n), rng.randrange(1 << n))
+            parts = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(2)]
+            if len(coeffs) % 3 == 0:
+                parts.append(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+            if any(parts):
+                coeffs[word] = Scalar(*parts)
+        i, j = rng.sample(range(n), 2)
+        both = 1 << i | 1 << j
+        half = Scalar(Fraction(1, 2))
+        gen = OperatorSum(n, {(both, 0): half, (both, both): half})
+        out = conjugate_eighth(OperatorSum(n, coeffs), gen, eighths)
+        return json.dumps([out.n_modes, _element(out)])
+    return run
+
+
+def conjugation_cases() -> dict:
+    return {f"lib conjugate_eighth n={n} eighths={eighths}":
+            _conjugation(n, eighths)
+            for n in (6, 7, 8) for eighths in range(1, 8)}
+
+
 # -- corpus ----------------------------------------------------------------
 
 def entries() -> dict:
@@ -180,6 +217,7 @@ def entries() -> dict:
            for argv in cli_invocations()}
     out.update((key, lambda case=case: _run_library(case))
                for key, case in library_cases().items())
+    out.update(conjugation_cases())
     return out
 
 

@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qalg.errors import DenseLimitError
+from qalg.errors import DenseLimitError, ModeMismatchError
 from qalg.pauli import (
     DENSE_LIMIT,
     HALF,
@@ -22,6 +22,7 @@ from qalg.pauli import (
     anticommutator,
     commutator,
     matrix_exponential,
+    product_phase_exp,
     realize,
 )
 
@@ -270,9 +271,12 @@ class TestStructure:
         assert not (base * I_UNIT).is_hermitian
 
     def test_mode_mismatch_rejected(self):
-        from qalg.errors import ModeMismatchError
-        with pytest.raises(ModeMismatchError):
-            OperatorSum.x(0, 1) * OperatorSum.x(0, 2)
+        # empty and sqrt(2) operands too: the modes are checked first
+        for a, b in ((OperatorSum.x(0, 1), OperatorSum.x(0, 2)),
+                     (OperatorSum.zero(1), OperatorSum.zero(2)),
+                     (OperatorSum.x(0, 2) * RT2_HALF, OperatorSum.x(0, 1))):
+            with pytest.raises(ModeMismatchError):
+                a * b
 
     def test_support(self):
         op = OperatorSum.x(0, 3) * OperatorSum.z(2, 3)
@@ -289,3 +293,121 @@ class TestStructure:
         for _ in range(5):
             a, b, c = (random_sum(rng, 2, 3) for _ in range(3))
             assert (a * b) * c == a * (b * c)
+
+
+# -- the integer product against the Scalar-by-Scalar pair loop -------------
+
+def _pair_loop(a, b):
+    """a * b as Scalar products and sums, term pair by term pair: the
+    plain loop whose value and term order the integer product keeps."""
+    out = {}
+    for (x1, z1), c1 in a._terms.items():
+        for (x2, z2), c2 in b._terms.items():
+            e = product_phase_exp(x1, z1, x2, z2)
+            key = (x1 ^ x2, z1 ^ z2)
+            contrib = (c1 * c2).times_i(e)
+            acc = out.get(key)
+            out[key] = contrib if acc is None else acc + contrib
+    return OperatorSum(a.n_modes, out)
+
+
+_UNITS = [ONE, -ONE, I_UNIT, -I_UNIT, HALF]
+
+
+@st.composite
+def _product_operands(draw):
+    """Two sums of up to 8 terms on 0-4 modes.  Each operand either has
+    Gaussian-rational coefficients or carries sqrt(2) parts; units and
+    halves are frequent, and the keys come from a small pool, so that
+    products meet the same key often and cancel."""
+    n = draw(st.integers(0, 4))
+    mask = st.integers(0, (1 << n) - 1)
+    pool = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=5))
+
+    def operand():
+        root = draw(st.booleans())
+        zero = st.just(Fraction(0))
+        coeff = st.one_of(
+            st.sampled_from(_UNITS + [RT2_HALF] * root),
+            st.builds(Scalar, re=_PART, im=_PART,
+                      re2=_ROOT_PART if root else zero,
+                      im2=_ROOT_PART if root else zero))
+        keys = st.one_of(st.sampled_from(pool), st.tuples(mask, mask))
+        return OperatorSum(n, draw(st.dictionaries(keys, coeff, max_size=8)))
+
+    return operand(), operand()
+
+
+class TestIntegerProduct:
+    """OperatorSum * OperatorSum, formed in integers, gives the pair loop's
+    value and term order, and the dense product."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_product_operands())
+    # X + Y times X + Y: the Z terms cancel between the I terms
+    @example((OperatorSum(1, {(1, 0): ONE, (1, 1): ONE}),
+              OperatorSum(1, {(1, 0): ONE, (1, 1): ONE})))
+    # (1 + X)(1 - X) = 0: every key cancels
+    @example((OperatorSum(1, {(0, 0): ONE, (1, 0): ONE}),
+              OperatorSum(1, {(0, 0): ONE, (1, 0): -ONE})))
+    # keys that cancel and come back after a later key: the I of the first
+    # pair, the Y of the second (which has sqrt(2) parts)
+    @example((OperatorSum(1, {(1, 0): -I_UNIT, (1, 1): -I_UNIT, (0, 0): ONE}),
+              OperatorSum(1, {(1, 1): ONE, (1, 0): -ONE, (0, 0): -ONE})))
+    @example((OperatorSum(1, {(0, 1): RT2_HALF, (0, 0): -RT2_HALF * I_UNIT,
+                              (1, 1): ONE}),
+              OperatorSum(1, {(1, 1): -I_UNIT, (0, 0): -RT2_HALF * I_UNIT,
+                              (0, 1): RT2_HALF})))
+    def test_matches_pair_loop(self, pair):
+        a, b = pair
+        got, want = a * b, _pair_loop(a, b)
+        assert got == want
+        assert list(got._terms) == list(want._terms)
+        assert all(got._terms.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(_product_operands())
+    def test_matches_matmul(self, pair):
+        a, b = pair
+        assert np.allclose(realize(a * b), realize(a) @ realize(b),
+                           rtol=0, atol=1e-12)
+
+    def test_empty_and_identity(self):
+        rng = random.Random(29)
+        for n in range(4):
+            op = random_sum(rng, n, 5) * RT2_HALF + random_sum(rng, n, 3)
+            zero, ident = OperatorSum.zero(n), OperatorSum.identity(n)
+            assert (op * zero).is_zero and (zero * op).is_zero
+            assert (zero * zero).is_zero
+            for got in (op * ident, ident * op):
+                assert got == op
+                assert list(got._terms) == list(op._terms)
+
+
+class TestProductWorkCounters:
+    """A product of sums multiplies no Scalars and builds exactly one
+    Scalar per output term: a return to per-pair Scalar arithmetic fails
+    here."""
+
+    @pytest.mark.parametrize("root", [False, True])
+    def test_one_scalar_per_output_key(self, monkeypatch, root):
+        rng = random.Random(31)
+        a, b = random_sum(rng, 4, 8), random_sum(rng, 4, 8)
+        if root:
+            a = a * RT2_HALF + random_sum(rng, 4, 3)
+        counts = {"mul": 0, "init": 0}
+        real_mul, real_init = Scalar.__mul__, Scalar.__init__
+
+        def mul(self, other):
+            counts["mul"] += 1
+            return real_mul(self, other)
+
+        def init(self, *args, **kwargs):
+            counts["init"] += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Scalar, "__mul__", mul)
+        monkeypatch.setattr(Scalar, "__init__", init)
+        prod = a * b
+        assert counts == {"mul": 0, "init": prod.n_terms}
+        assert prod.n_terms > 8
