@@ -13,7 +13,12 @@ spaces and the compound-particle maps checked as dense matrices.
 
 Conjugations by exp(i A phi) at eighth-turn angles are done exactly: for
 any Hermitian A with A**3 = A the exponential is I + (cos phi - 1) A**2 +
-i sin phi A, and eighth-turn sines/cosines live in the scalar ring.
+i sin phi A, and 2 cos phi and 2 sin phi lie in Z[sqrt(2)].  The work is
+done in integers, on the product kernel of ``pauli``: A is read once as
+numerators over its denominator, squared once and checked against its cube
+once, and the exponential is built directly as an integer reading over
+2 den(A)**2.  A conjugation is then two integer products, and it builds
+one Scalar per output term.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .jw import (
     jw_fermion_to_pauli,
     verify_car,
 )
+from .errors import ModeMismatchError
 from .pauli import (
     HALF,
     I_UNIT,
@@ -40,6 +46,9 @@ from .pauli import (
     OperatorSum,
     Scalar,
     commutator,
+    from_integers,
+    integer_product,
+    integer_terms,
     matrix_exponential,
     realize,
 )
@@ -66,30 +75,93 @@ class IdentityCheck:
 
 # -- exact eighth-turn conjugation ----------------------------------------
 
-_COS8 = (Scalar(1), Scalar(0, 0, Fraction(1, 2)), Scalar(0),
-         Scalar(0, 0, Fraction(-1, 2)), Scalar(-1),
-         Scalar(0, 0, Fraction(-1, 2)), Scalar(0),
-         Scalar(0, 0, Fraction(1, 2)))
-_SIN8 = (Scalar(0), Scalar(0, 0, Fraction(1, 2)), Scalar(1),
-         Scalar(0, 0, Fraction(1, 2)), Scalar(0),
-         Scalar(0, 0, Fraction(-1, 2)), Scalar(-1),
-         Scalar(0, 0, Fraction(-1, 2)))
+# 2 cos(k pi/4) and 2 sin(k pi/4) as (a, b) for a + b*sqrt(2)
+_COS2 = ((2, 0), (0, 1), (0, 0), (0, -1), (-2, 0), (0, -1), (0, 0), (0, 1))
+_SIN2 = ((0, 0), (0, 1), (2, 0), (0, 1), (0, 0), (0, -1), (-2, 0), (0, -1))
+
+
+def _read_generator(gen: OperatorSum) -> tuple:
+    """(den, gen, gen**2) as integer readings over den and den**2, after
+    checking gen**3 = gen in integers."""
+    den, terms = integer_terms(gen)
+    sq = {k: v for k, v in integer_product(terms, terms).items() if any(v)}
+    cube = {k: v for k, v in integer_product(sq, terms).items() if any(v)}
+    d2 = den * den
+    if cube != {k: tuple(d2 * p for p in v) for k, v in terms.items()}:
+        raise ValueError("exact_exp needs gen**3 = gen")
+    return den, terms, sq
+
+
+def _scaled(parts: tuple, a: int, b: int, width: int) -> tuple:
+    """parts times the real a + b*sqrt(2), as a tuple of width parts."""
+    if width == 2:
+        return (a * parts[0], a * parts[1])
+    re, im, re2, im2 = *parts, *(0,) * (4 - len(parts))
+    return (a * re + 2 * b * re2, a * im + 2 * b * im2,
+            a * re2 + b * re, a * im2 + b * im)
+
+
+def _plus(out: dict, terms) -> dict:
+    """out plus (key, parts) pairs, new keys appended in the order met,
+    then every key whose total is zero dropped."""
+    for key, add in terms:
+        old = out.get(key)
+        out[key] = add if old is None else tuple(
+            a + b for a, b in zip(old, add))
+    return {key: v for key, v in out.items() if any(v)}
+
+
+def _times_i(parts: tuple) -> tuple:
+    if len(parts) == 2:
+        return (-parts[1], parts[0])
+    return (-parts[1], parts[0], -parts[3], parts[2])
+
+
+def _exponential(den: int, gen: dict, sq: dict, k: int) -> dict:
+    """I + (cos phi - 1) G**2 + i sin phi G at phi = k pi/4, as an integer
+    reading over 2 den**2.
+
+    Keys come in the order of those sums: the identity, then the keys of
+    G**2, then those of G; a key whose total is zero after the G**2 or the
+    G stage is dropped there, as adding OperatorSums drops it.
+    """
+    c, c2 = _COS2[k]
+    s, s2 = _SIN2[k]
+    width = 4 if c2 or s2 or len(next(iter(gen.values()), ())) == 4 else 2
+    out = _plus({(0, 0): (2 * den * den, 0, 0, 0)[:width]},
+                ((key, _scaled(parts, c - 2, c2, width))
+                 for key, parts in sq.items()))
+    return _plus(out, ((key, _scaled(_times_i(parts), s * den, s2 * den,
+                                     width))
+                       for key, parts in gen.items()))
 
 
 def exact_exp(gen: OperatorSum, eighths: int) -> OperatorSum:
     """exp(i gen (eighths * pi/4)) for generators satisfying gen**3 = gen."""
-    sq = gen * gen
-    if sq * gen != gen:
-        raise ValueError("exact_exp needs gen**3 = gen")
-    k = eighths % 8
-    ident = OperatorSum.identity(gen.n_modes)
-    return ident + sq * (_COS8[k] - ONE) + gen * (_SIN8[k] * I_UNIT)
+    den, terms, sq = _read_generator(gen)
+    return from_integers(gen.n_modes, 2 * den * den,
+                         _exponential(den, terms, sq, eighths % 8))
 
 
 def conjugate_eighth(op: OperatorSum, gen: OperatorSum,
                      eighths: int) -> OperatorSum:
-    """exp(-i gen phi) op exp(i gen phi) at phi = eighths * pi/4, exact."""
-    return exact_exp(gen, -eighths) * op * exact_exp(gen, eighths)
+    """exp(-i gen phi) op exp(i gen phi) at phi = eighths * pi/4, exact.
+
+    Two integer products, U(-phi) op and then that times U(phi), with the
+    terms that cancel in the first dropped before the second.
+    """
+    den, terms, sq = _read_generator(gen)
+    if op.n_modes != gen.n_modes:
+        raise ModeMismatchError(
+            f"operands on {gen.n_modes} and {op.n_modes} modes")
+    op_den, op_terms = integer_terms(op)
+    left = integer_product(_exponential(den, terms, sq, -eighths % 8),
+                           op_terms)
+    left = {key: v for key, v in left.items() if any(v)}
+    right = _exponential(den, terms, sq, eighths % 8)
+    u_den = 2 * den * den
+    return from_integers(gen.n_modes, u_den * op_den * u_den,
+                         integer_product(left, right))
 
 
 def _exact_residual(diff: OperatorSum) -> float:

@@ -10,11 +10,22 @@ message, as the interpreter would report it without the traceback.  A
 library entry hashes the closure's dimensions, ``closed``, ``rounds``,
 provenance and exported elements, each element in its own dict key order.
 A conjugation entry hashes the terms of one exact eighth-turn conjugation
-(``verifier.conjugate_eighth``) of a seeded random operator, in term order.
+(``verifier.conjugate_eighth``) of a seeded random operator, in term order;
+an exponential entry hashes the terms of one ``verifier.exact_exp``, in
+term order.
 
 Bytes that depend on the numpy or scipy version are left out: ``code
-generator`` runs in JSON only, and ``verify`` runs only its four checks
-that use no dense matrix.  ``test_golden.py`` replays the corpus.
+generator`` runs in JSON only, and ``verify --all`` is hashed with its
+dense numbers blanked.  The rule: in a check whose metric is
+``max_abs_diff``, the check's residual becomes ``#``, and so does each
+number written after "residual", "residual is", "residual at ...:" or
+"halving ratio" in a detail line that does not begin with "exact".  Lines
+that begin with "exact" report exact conjugations ("exact quarter-turn
+conjugate equals iBA: residual 0") and are kept whole, as is every line of
+an ``exact`` check.  Text output is blanked line by line, each detail line
+under the PASS/FAIL line of its check; JSON output is blanked in the parsed
+body and written back as the CLI writes it.  ``test_golden.py`` replays the
+corpus.
 
 A change that alters an entry on purpose re-records only that entry, by
 key, and names it and the reason in CHANGES.md.
@@ -38,8 +49,8 @@ from qalg.dsl import parse_script
 from qalg.jw import jw_fermion_to_pauli
 from qalg.lie import GeneratorSet, close
 from qalg.parafermion import SecondQuantizedExpr, to_pauli
-from qalg.pauli import OperatorSum, Scalar
-from qalg.verifier import conjugate_eighth
+from qalg.pauli import RT2_HALF, OperatorSum, Scalar
+from qalg.verifier import conjugate_eighth, exact_exp
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -99,12 +110,48 @@ def cli_invocations() -> list:
     out += _both("code", "cphase", "-n", "2", "-k", "1", "--modes2", "0")
     for name in EXACT_CHECKS:
         out += _both("verify", name)
+    out += _both("verify", "--all")
+    out += _both("verify", "--all", "--verbose")
     out += _both("enumerate", "-n", "2")
     out += _both("enumerate", "-n", "3", "--filter", "number")
     out += _both("enumerate", "-n", "2", "--filter", "parity")
     for n in ("9", "0", "-2"):
         out += _both("enumerate", "-n", n)
     return out
+
+
+_DENSE_NUMBER = re.compile(
+    r"((?:residual(?: is| at [^:]*:)?|halving ratio) )"
+    r"(?:-?\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)")
+
+
+def _blank_detail(line: str) -> str:
+    if line.lstrip().startswith("exact"):
+        return line
+    return _DENSE_NUMBER.sub(r"\1#", line)
+
+
+def _blank_dense(stdout: str, json_format: bool) -> str:
+    """``verify`` output with the numbers of dense checks blanked."""
+    if json_format:
+        envelope = json.loads(stdout)
+        for check in envelope["body"]["checks"]:
+            if check["metric"] == "max_abs_diff":
+                check["residual"] = "#"
+                check["details"] = [_blank_detail(d)
+                                    for d in check["details"]]
+        return json.dumps(envelope, sort_keys=True,
+                          separators=(",", ":")) + "\n"
+    lines, dense = [], False
+    for line in stdout.split("\n"):
+        if line.startswith(("PASS  ", "FAIL  ")):
+            dense = "(metric max_abs_diff," in line
+            if dense:
+                line = _DENSE_NUMBER.sub(r"\1#", line)
+        elif dense:
+            line = _blank_detail(line)
+        lines.append(line)
+    return "\n".join(lines)
 
 
 def _run_cli(argv) -> str:
@@ -121,6 +168,8 @@ def _run_cli(argv) -> str:
             err.write(f"{type(exc).__name__}: {exc}\n")
     stdout = re.sub(r'"(generated_at|version)":"[^"]*"', r'"\1":""',
                     out.getvalue())
+    if argv[:2] == ["verify", "--all"] and code == 0:
+        stdout = _blank_dense(stdout, "json" in argv)
     return json.dumps([code, stdout, err.getvalue()])
 
 
@@ -177,36 +226,76 @@ def _run_library(case) -> str:
                        [_element(e) for e in b.basis]])
 
 
-# -- exact conjugations ----------------------------------------------------
+# -- exact exponentials and conjugations ---------------------------------
 
-def _conjugation(n: int, eighths: int):
-    """conjugate_eighth of a 12-term operator on n modes by a hopping
-    generator (XX + YY)/2, both drawn from a seed fixed by (n, eighths).
-    A third of the operator's coefficients carry a sqrt(2) part."""
-    def run():
-        rng = random.Random(8 * n + eighths)
-        coeffs = {}
-        while len(coeffs) < 12:
-            word = (rng.randrange(1 << n), rng.randrange(1 << n))
-            parts = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                     for _ in range(2)]
-            if len(coeffs) % 3 == 0:
-                parts.append(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
-            if any(parts):
-                coeffs[word] = Scalar(*parts)
+def _random_operator(rng, n: int) -> OperatorSum:
+    """12 terms on n modes; a third of the coefficients carry a sqrt(2)
+    part."""
+    coeffs = {}
+    while len(coeffs) < 12:
+        word = (rng.randrange(1 << n), rng.randrange(1 << n))
+        parts = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(2)]
+        if len(coeffs) % 3 == 0:
+            parts.append(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+        if any(parts):
+            coeffs[word] = Scalar(*parts)
+    return OperatorSum(n, coeffs)
+
+
+def _generator(kind: str, rng, n: int) -> OperatorSum:
+    """A generator with gen**3 = gen: a hopping term (XX + YY)/2 on two
+    drawn modes, one drawn Pauli string, (X(0) + Z(0)) sqrt(2)/2, or 0."""
+    if kind == "hop":
         i, j = rng.sample(range(n), 2)
         both = 1 << i | 1 << j
         half = Scalar(Fraction(1, 2))
-        gen = OperatorSum(n, {(both, 0): half, (both, both): half})
-        out = conjugate_eighth(OperatorSum(n, coeffs), gen, eighths)
+        return OperatorSum(n, {(both, 0): half, (both, both): half})
+    if kind == "pauli":
+        return OperatorSum(n, {(rng.randrange(1, 1 << n),
+                                rng.randrange(1 << n)): Scalar(1)})
+    if kind == "sqrt2":
+        return OperatorSum(n, {(1, 0): RT2_HALF, (0, 1): RT2_HALF})
+    return OperatorSum.zero(n)
+
+
+def _conjugation(n: int, eighths: int, kind: str = "hop"):
+    """conjugate_eighth of a seeded 12-term operator on n modes by a
+    generator of the given kind, both drawn from a seed fixed by
+    (n, eighths)."""
+    def run():
+        rng = random.Random(8 * n + eighths)
+        op = _random_operator(rng, n)
+        out = conjugate_eighth(op, _generator(kind, rng, n), eighths)
         return json.dumps([out.n_modes, _element(out)])
     return run
 
 
+def _exponential(kind: str, eighths: int):
+    """exact_exp of a generator of the given kind on 6 modes, drawn from a
+    seed fixed by the kind."""
+    def run():
+        rng = random.Random(kind)
+        out = exact_exp(_generator(kind, rng, 6), eighths)
+        return json.dumps([out.n_modes, _element(out)])
+    return run
+
+
+GENERATOR_KINDS = ("hop", "pauli", "sqrt2", "zero")
+
+
 def conjugation_cases() -> dict:
-    return {f"lib conjugate_eighth n={n} eighths={eighths}":
-            _conjugation(n, eighths)
-            for n in (6, 7, 8) for eighths in range(1, 8)}
+    out = {f"lib conjugate_eighth n={n} eighths={eighths}":
+           _conjugation(n, eighths)
+           for n in (6, 7, 8) for eighths in range(1, 8)}
+    out.update((f"lib conjugate_eighth {kind} n={n} eighths={eighths}",
+                _conjugation(n, eighths, kind))
+               for kind in ("pauli", "sqrt2") for n in (6, 8)
+               for eighths in (0, -3))
+    out.update((f"lib exact_exp {kind} eighths={eighths}",
+                _exponential(kind, eighths))
+               for kind in GENERATOR_KINDS for eighths in range(-1, 8))
+    return out
 
 
 # -- corpus ----------------------------------------------------------------

@@ -1,10 +1,17 @@
 """Identity checks: the registry, exact rotation helpers, and edge cases."""
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qalg.pauli import OperatorSum, realize
+import qalg.verifier
+from qalg.errors import ModeMismatchError
+from qalg.pauli import I_UNIT, ONE, RT2_HALF, OperatorSum, Scalar, realize
 from qalg.verifier import (
     CHECKS,
     check_bch_series,
@@ -88,3 +95,184 @@ class TestIndividualChecks:
         chk = check_iontrap_xy(cutoff=3)
         assert chk.passed
         assert any("truncation" in d for d in chk.details)
+
+
+# -- the exponential as a chain of Scalar scalings and sums ----------------
+# The closed form I + (cos phi - 1) G**2 + i sin phi G written with Scalars
+# and OperatorSum arithmetic, as it stood before the integer build; the
+# integer build must give the same values in the same term order.
+
+_COS8 = (Scalar(1), Scalar(0, 0, Fraction(1, 2)), Scalar(0),
+         Scalar(0, 0, Fraction(-1, 2)), Scalar(-1),
+         Scalar(0, 0, Fraction(-1, 2)), Scalar(0),
+         Scalar(0, 0, Fraction(1, 2)))
+_SIN8 = (Scalar(0), Scalar(0, 0, Fraction(1, 2)), Scalar(1),
+         Scalar(0, 0, Fraction(1, 2)), Scalar(0),
+         Scalar(0, 0, Fraction(-1, 2)), Scalar(-1),
+         Scalar(0, 0, Fraction(-1, 2)))
+
+
+def scalar_exp(gen, eighths):
+    sq = gen * gen
+    if sq * gen != gen:
+        raise ValueError("exact_exp needs gen**3 = gen")
+    k = eighths % 8
+    ident = OperatorSum.identity(gen.n_modes)
+    return ident + sq * (_COS8[k] - ONE) + gen * (_SIN8[k] * I_UNIT)
+
+
+def scalar_conjugate(op, gen, eighths):
+    return scalar_exp(gen, -eighths) * op * scalar_exp(gen, eighths)
+
+
+def same_sum(got, want):
+    assert got == want
+    assert list(got._terms) == list(want._terms)
+    assert repr(list(got._terms.items())) == repr(list(want._terms.items()))
+
+
+def generator(kind, n, rng):
+    """A sum with gen**3 = gen: a hopping term (XX + YY)/2, one Pauli
+    string, (X + Z) sqrt(2)/2 on one mode, the sign operator
+    (I + Z_a + Z_b - Z_a Z_b)/2 in a shuffled term order (its identity
+    term cancels at a quarter turn), or 0."""
+    if kind == "hop" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        both = 1 << i | 1 << j
+        return OperatorSum(n, {(both, 0): Scalar(Fraction(1, 2)),
+                               (both, both): Scalar(Fraction(1, 2))})
+    if kind == "pauli":
+        sign = rng.choice((1, -1))
+        return OperatorSum(n, {(rng.randrange(1 << n),
+                                rng.randrange(1 << n)): Scalar(sign)})
+    if kind == "sqrt2":
+        m = 1 << rng.randrange(n)
+        return OperatorSum(n, {(m, 0): RT2_HALF, (0, m): RT2_HALF})
+    if kind == "signs" and n > 1:
+        a, b = (1 << m for m in rng.sample(range(n), 2))
+        half = Fraction(1, 2)
+        terms = [((0, 0), half), ((0, a), half), ((0, b), half),
+                 ((0, a | b), -half)]
+        rng.shuffle(terms)
+        return OperatorSum(n, {key: Scalar(c) for key, c in terms})
+    return OperatorSum.zero(n)
+
+
+_PART = st.fractions(-3, 3, max_denominator=4)
+_ROOT_PART = st.one_of(st.just(Fraction(0)), _PART)
+_KINDS = ("hop", "pauli", "sqrt2", "signs", "zero")
+
+
+@st.composite
+def conjugations(draw):
+    """(op, gen, eighths): an operator of 0-12 terms on 1-5 modes, some
+    coefficients with sqrt(2) parts, and a generator of one of _KINDS."""
+    n = draw(st.integers(1, 5))
+    mask = st.integers(0, (1 << n) - 1)
+    rooted = draw(st.booleans())
+    coeff = st.builds(Scalar, re=_PART, im=_PART,
+                      re2=_ROOT_PART if rooted else st.just(Fraction(0)),
+                      im2=_ROOT_PART if rooted else st.just(Fraction(0)))
+    op = OperatorSum(n, draw(st.dictionaries(st.tuples(mask, mask), coeff,
+                                             max_size=12)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    gen = generator(draw(st.sampled_from(_KINDS)), n, rng)
+    return op, gen, draw(st.integers(-9, 17))
+
+
+def _one_mode(terms):
+    return OperatorSum(1, {key: Scalar(c) for key, c in terms.items()})
+
+
+class TestIntegerConjugation:
+    """exact_exp and conjugate_eighth against the Scalar chain: same values,
+    same term order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(conjugations())
+    # U(-phi) op with op = Z - Y and U(-phi) = (I - iX)/sqrt(2): the Z term
+    # cancels before the second product and must not hold a place there
+    @example((_one_mode({(0, 1): 1, (1, 1): -1}), OperatorSum.x(0, 1), 1))
+    def test_matches_the_scalar_chain(self, case):
+        op, gen, eighths = case
+        same_sum(exact_exp(gen, eighths), scalar_exp(gen, eighths))
+        same_sum(conjugate_eighth(op, gen, eighths),
+                 scalar_conjugate(op, gen, eighths))
+
+    def test_a_cancelled_identity_returns_after_the_generator_keys(self):
+        # G = (Z0 + I + Z1 - Z0 Z1)/2 has G**2 = I; at a quarter turn the
+        # identity cancels against (cos - 1) G**2 and then comes back from
+        # i sin G, after Z0
+        half = Fraction(1, 2)
+        gen = OperatorSum(2, {(0, 1): Scalar(half), (0, 0): Scalar(half),
+                              (0, 2): Scalar(half), (0, 3): Scalar(-half)})
+        got = exact_exp(gen, 2)
+        same_sum(got, scalar_exp(gen, 2))
+        assert list(got._terms) == [(0, 1), (0, 0), (0, 2), (0, 3)]
+
+    def test_a_cancelled_middle_term_holds_no_place(self):
+        op = _one_mode({(0, 1): 1, (1, 1): -1})
+        got = conjugate_eighth(op, OperatorSum.x(0, 1), 1)
+        same_sum(got, scalar_conjugate(op, OperatorSum.x(0, 1), 1))
+        assert list(got._terms) == [(1, 1), (0, 1)]
+
+    def test_cube_error_comes_before_the_mode_check(self):
+        bad = OperatorSum.z(0, 1) * Scalar(Fraction(1, 2))
+        with pytest.raises(ValueError, match=r"gen\*\*3 = gen"):
+            conjugate_eighth(OperatorSum.x(0, 2), bad, 1)
+        with pytest.raises(ValueError, match=r"gen\*\*3 = gen"):
+            exact_exp(bad, 3)
+
+    def test_mode_mismatch_alone(self):
+        with pytest.raises(ModeMismatchError, match="operands on 1 and 2"):
+            conjugate_eighth(OperatorSum.x(0, 2), OperatorSum.z(0, 1), 1)
+        with pytest.raises(ModeMismatchError):
+            scalar_conjugate(OperatorSum.x(0, 2), OperatorSum.z(0, 1), 1)
+
+
+class TestConjugationWorkCounters:
+    """An exponential or a conjugation multiplies and adds no Scalars, forms
+    no OperatorSum product, and builds exactly one Scalar per output term; a
+    conjugation squares and cubes its generator once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"scalar_mul": 0, "scalar_add": 0, "sum_mul": 0,
+                  "init": 0, "integer_product": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for owner, attr, name in (
+                (Scalar, "__mul__", "scalar_mul"),
+                (Scalar, "__add__", "scalar_add"),
+                (Scalar, "__init__", "init"),
+                (OperatorSum, "__mul__", "sum_mul"),
+                (qalg.verifier, "integer_product", "integer_product")):
+            monkeypatch.setattr(owner, attr,
+                                counted(name, getattr(owner, attr)))
+        return counts
+
+    @pytest.mark.parametrize("kind", ["hop", "sqrt2"])
+    def test_conjugation(self, counts, kind):
+        rng = random.Random(13)
+        gen = generator(kind, 6, rng)
+        op = OperatorSum(6, {(rng.randrange(64), rng.randrange(64)):
+                             Scalar(Fraction(rng.randint(1, 4), 3), 1,
+                                    Fraction(1, 2))
+                             for _ in range(12)})
+        counts.update(dict.fromkeys(counts, 0))
+        out = conjugate_eighth(op, gen, 3)
+        assert out.n_terms > 8
+        assert counts == {"scalar_mul": 0, "scalar_add": 0, "sum_mul": 0,
+                          "init": out.n_terms, "integer_product": 4}
+
+    def test_exponential(self, counts):
+        gen = generator("hop", 6, random.Random(5))
+        counts.update(dict.fromkeys(counts, 0))
+        out = exact_exp(gen, 1)
+        assert counts == {"scalar_mul": 0, "scalar_add": 0, "sum_mul": 0,
+                          "init": out.n_terms, "integer_product": 2}
