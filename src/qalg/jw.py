@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SpeciesError
-from .pauli import ONE, OperatorSum, Scalar
+from .pauli import ONE, OperatorSum, Scalar, anticommutator, commutator
 from .parafermion import (
     ANNIHILATE,
     CREATE,
@@ -94,14 +94,14 @@ def verify_car(n_modes: int) -> CarReport:
     checks = []
     for i in range(n_modes):
         for j in range(i, n_modes):
-            mixed = f[i] * fd[j] + fd[j] * f[i]
+            mixed = anticommutator(f[i], fd[j])
             want = ident if i == j else OperatorSum.zero(n_modes)
             checks.append(RelationCheck(
                 f"{{f{i}, f{j}+}} = {'1' if i == j else '0'}",
                 mixed == want))
-            ann = f[i] * f[j] + f[j] * f[i]
+            ann = anticommutator(f[i], f[j])
             checks.append(RelationCheck(f"{{f{i}, f{j}}} = 0", ann.is_zero))
-            cre = fd[i] * fd[j] + fd[j] * fd[i]
+            cre = anticommutator(fd[i], fd[j])
             checks.append(RelationCheck(f"{{f{i}+, f{j}+}} = 0", cre.is_zero))
     return CarReport(n_modes, tuple(checks))
 
@@ -119,5 +119,4 @@ def boson_approx_commutator(n_modes: int) -> OperatorSum:
     for i in range(n_modes):
         low = low + lowering_op(i, n_modes)
         high = high + raising_op(i, n_modes)
-    comm = low * high - high * low
-    return comm * Scalar(Fraction(1, n_modes))
+    return commutator(low, high) * Scalar(Fraction(1, n_modes))

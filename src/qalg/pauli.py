@@ -16,13 +16,17 @@ eighth-turn exponentials (cos and sin both sqrt(2)/2) stays inside the
 representation; everyday operators carry plain Gaussian-rational
 coefficients.
 
-Products of Pauli sums are formed in integers, by one kernel that both
-``OperatorSum.__mul__`` and the fold in ``parafermion`` use.
-``integer_terms`` reads a sum as integer numerators over its least common
-denominator; ``integer_product`` multiplies two such readings term pair by
-term pair, as Gaussian integers when neither carries a sqrt(2) part, each
-product rotated by the power of i that ``product_phase_exp`` gives; and
-``from_integers`` builds one Scalar per nonzero output term.
+Products and linear combinations of Pauli sums are formed in integers, by
+one kernel that the operators of ``OperatorSum``, ``commutator``,
+``anticommutator`` and the fold in ``parafermion`` use.  ``integer_terms``
+reads a sum as integer numerators over its least common denominator;
+``integer_product`` multiplies two such readings term pair by term pair, as
+Gaussian integers when neither carries a sqrt(2) part, each product rotated
+by the power of i that ``product_phase_exp`` gives; ``integer_sum`` adds
+integer multiples of two readings over one denominator; and
+``from_integers`` builds one Scalar per nonzero output term.  A sum,
+difference, scalar multiple or bracket reads each operand once and builds
+each output Scalar once.
 
 Mode 0 is the least significant bit of basis-state labels in the dense
 realization, i.e. ``realize`` maps mode 0 to the last Kronecker factor.
@@ -51,6 +55,15 @@ def _frac(value) -> Fraction:
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
 
 
+def _operand(value):
+    """A binary operator's other operand as a Scalar, or NotImplemented when
+    it is not a number, so that its own reflected operator can answer.
+    Floats and complex numbers raise TypeError, as the constructor does."""
+    if isinstance(value, (Scalar, int, Fraction, float, complex)):
+        return Scalar.of(value)
+    return NotImplemented
+
+
 class Scalar:
     """Exact complex number a + b*sqrt(2) + i*(c + d*sqrt(2)), rational a..d."""
 
@@ -69,20 +82,27 @@ class Scalar:
         return cls(_frac(value))
 
     def __add__(self, other):
-        other = Scalar.of(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         return Scalar(self.re + other.re, self.im + other.im,
                       self.re2 + other.re2, self.im2 + other.im2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-Scalar.of(other))
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
+        return self + (-other)
 
     def __neg__(self):
         return Scalar(-self.re, -self.im, -self.re2, -self.im2)
 
     def __mul__(self, other):
-        other = Scalar.of(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         a1, b1, c1, d1 = self.re, self.re2, self.im, self.im2
         a2, b2, c2, d2 = other.re, other.re2, other.im, other.im2
         return Scalar(
@@ -254,17 +274,26 @@ class OperatorSum:
             raise ModeMismatchError(
                 f"operands on {self.n_modes} and {other.n_modes} modes")
 
+    def _combine(self, other, sign: int) -> "OperatorSum":
+        """self + sign * other over the lcm of the two denominators."""
+        self._check_modes(other)
+        den1, left = integer_terms(self)
+        den2, right = integer_terms(other)
+        den = lcm(den1, den2)
+        return from_integers(self.n_modes, den, integer_sum(
+            left, den // den1, right, sign * (den // den2)))
+
     def __add__(self, other):
+        """Sum in integers: self's terms in order, then other's new ones."""
         if not isinstance(other, OperatorSum):
             return NotImplemented
-        self._check_modes(other)
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            out[key] = out.get(key, ZERO) + coeff
-        return OperatorSum(self.n_modes, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        """Difference in integers, with the terms of self + (-other)."""
+        if not isinstance(other, OperatorSum):
+            return NotImplemented
+        return self._combine(other, -1)
 
     def __neg__(self):
         return OperatorSum(self.n_modes,
@@ -273,22 +302,22 @@ class OperatorSum:
     def __mul__(self, other):
         """Product with a scalar, or with another sum on the same modes.
 
-        Two sums multiply in integers: each is read once as numerators over
-        its least common denominator (``integer_terms``), the term pairs
-        multiply as integers (``integer_product``), and each nonzero output
-        term gets one Scalar over the product of the two denominators.  The
-        terms come out in the order the pair loop, self's terms outside and
-        other's inside, first meets their keys.
+        Both multiply in integers: each operand is read once as numerators
+        over its least common denominator (``integer_terms``; a scalar is
+        read as itself times the identity), the term pairs multiply as
+        integers (``integer_product``), and each nonzero output term gets
+        one Scalar over the product of the two denominators.  The terms
+        come out in the order the pair loop, self's terms outside and
+        other's inside, first meets their keys; a scalar keeps self's order.
         """
-        if isinstance(other, (int, Fraction, Scalar)):
-            scale = Scalar.of(other)
-            return OperatorSum(self.n_modes,
-                               {k: c * scale for k, c in self._terms.items()})
-        if not isinstance(other, OperatorSum):
+        if isinstance(other, OperatorSum):
+            self._check_modes(other)
+            den2, right = integer_terms(other)
+        elif isinstance(other, (int, Fraction, Scalar)):
+            den2, right = _scalar_terms(other)
+        else:
             return NotImplemented
-        self._check_modes(other)
         den1, left = integer_terms(self)
-        den2, right = integer_terms(other)
         return from_integers(self.n_modes, den1 * den2,
                              integer_product(left, right))
 
@@ -371,6 +400,19 @@ def integer_terms(op: OperatorSum) -> tuple:
                  for key, c in op._terms.items()}
 
 
+def _scalar_terms(value) -> tuple:
+    """``integer_terms`` of an int, Fraction or Scalar times the identity."""
+    if not isinstance(value, Scalar):
+        parts = (Fraction(value), _Q0)
+    elif value.is_rational:
+        parts = (value.re, value.im)
+    else:
+        parts = (value.re, value.im, value.re2, value.im2)
+    den = lcm(*(p.denominator for p in parts))
+    return den, {(0, 0): tuple(p.numerator * (den // p.denominator)
+                               for p in parts)}
+
+
 def integer_product(left: dict, right: dict) -> dict:
     """{(x, z): parts} of the product of two ``integer_terms`` readings.
 
@@ -422,6 +464,39 @@ def integer_product(left: dict, right: dict) -> dict:
     return out
 
 
+def integer_sum(left: dict, m1: int, right: dict, m2: int) -> dict:
+    """{(x, z): parts} of m1 * left + m2 * right, for integers m1 and m2.
+
+    Keys come in left's order, skipping those with zero parts there, then
+    right's keys that left does not hold; a key whose total is zero stays
+    in place with zero parts.  The parts are Gaussian pairs when both
+    readings are, else quadruples.
+    """
+    if all(len(next(iter(t.values()), ())) != 4 for t in (left, right)):
+        out = {key: (m1 * a, m1 * c) for key, (a, c) in left.items()
+               if a or c}
+        get = out.get
+        for key, (a, c) in right.items():
+            old = get(key)
+            out[key] = ((m2 * a, m2 * c) if old is None else
+                        (old[0] + m2 * a, old[1] + m2 * c))
+        return out
+    # a Gaussian operand meets a sqrt(2) one: pad its parts with zeros
+    out = {}
+    for key, parts in left.items():
+        if any(parts):
+            a, c, b, d = *parts, *(0,) * (4 - len(parts))
+            out[key] = (m1 * a, m1 * c, m1 * b, m1 * d)
+    get = out.get
+    for key, parts in right.items():
+        a, c, b, d = *parts, *(0,) * (4 - len(parts))
+        old = get(key)
+        out[key] = ((m2 * a, m2 * c, m2 * b, m2 * d) if old is None else
+                    (old[0] + m2 * a, old[1] + m2 * c,
+                     old[2] + m2 * b, old[3] + m2 * d))
+    return out
+
+
 def _part(num: int, den: int) -> Fraction:
     return Fraction(num, den) if num else _Q0
 
@@ -438,12 +513,24 @@ def from_integers(n_modes: int, den: int, terms: dict) -> OperatorSum:
         for key, parts in terms.items() if any(parts)})
 
 
+def _bracket(a: OperatorSum, b: OperatorSum, sign: int) -> OperatorSum:
+    """a*b + sign * b*a: both products over one denominator, combined in
+    integers and built once.  The terms are those of the two products
+    formed and then added: a*b's nonzero terms in order, then b*a's new
+    ones; a key that cancels in a*b and comes back from b*a goes last."""
+    a._check_modes(b)
+    den1, left = integer_terms(a)
+    den2, right = integer_terms(b)
+    return from_integers(a.n_modes, den1 * den2, integer_sum(
+        integer_product(left, right), 1, integer_product(right, left), sign))
+
+
 def commutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
-    return a * b - b * a
+    return _bracket(a, b, -1)
 
 
 def anticommutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
-    return a * b + b * a
+    return _bracket(a, b, 1)
 
 
 # -- dense realization ----------------------------------------------------

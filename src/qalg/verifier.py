@@ -45,6 +45,7 @@ from .pauli import (
     ONE,
     OperatorSum,
     Scalar,
+    anticommutator,
     commutator,
     from_integers,
     integer_product,
@@ -394,7 +395,7 @@ def check_recoupling(A: OperatorSum | None = None,
     if B is None:
         B = OperatorSum.x(0, 1)
     details = []
-    anti = A * B + B * A
+    anti = anticommutator(A, B)
     sq = A * A
     ident = OperatorSum.identity(A.n_modes)
     details.append(f"precondition {{A,B}} = 0: {'ok' if anti.is_zero else 'VIOLATED'}")

@@ -12,7 +12,10 @@ provenance and exported elements, each element in its own dict key order.
 A conjugation entry hashes the terms of one exact eighth-turn conjugation
 (``verifier.conjugate_eighth``) of a seeded random operator, in term order;
 an exponential entry hashes the terms of one ``verifier.exact_exp``, in
-term order.
+term order.  A linear entry hashes, in term order, the terms of a sum,
+difference, scalar multiple, commutator or anticommutator of seeded
+operators whose keys come from a small pool, so that terms cancel; of a
+``bilinear_su2`` triple; or of ``jw.boson_approx_commutator``.
 
 Bytes that depend on the numpy or scipy version are left out: ``code
 generator`` runs in JSON only, and ``verify --all`` is hashed with its
@@ -46,10 +49,18 @@ from pathlib import Path
 import qalg.cli
 from qalg.codes import build_code, synthesize_su_d
 from qalg.dsl import parse_script
-from qalg.jw import jw_fermion_to_pauli
+from qalg.jw import boson_approx_commutator, jw_fermion_to_pauli
 from qalg.lie import GeneratorSet, close
-from qalg.parafermion import SecondQuantizedExpr, to_pauli
-from qalg.pauli import RT2_HALF, OperatorSum, Scalar
+from qalg.parafermion import SecondQuantizedExpr, bilinear_su2, to_pauli
+from qalg.pauli import (
+    I_UNIT,
+    ONE,
+    RT2_HALF,
+    OperatorSum,
+    Scalar,
+    anticommutator,
+    commutator,
+)
 from qalg.verifier import conjugate_eighth, exact_exp
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -298,6 +309,88 @@ def conjugation_cases() -> dict:
     return out
 
 
+# -- linear combinations and brackets -------------------------------------
+
+def _pool_operand(rng, n: int, pool: list, root: bool) -> OperatorSum:
+    """Up to 9 terms on n modes, most keys from pool; with root, a third
+    of the coefficients carry a sqrt(2) part."""
+    coeffs = {}
+    for k in range(rng.randint(3, 9)):
+        word = (rng.choice(pool) if rng.random() < 0.75 else
+                (rng.randrange(1 << n), rng.randrange(1 << n)))
+        parts = [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                 for _ in range(2)]
+        if root and k % 3 == 0:
+            parts += [Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
+                      Fraction(rng.randint(-1, 1), 2)]
+        coeffs[word] = Scalar(*parts)
+    return OperatorSum(n, coeffs)
+
+
+def _pool_pair(seed: str, n: int, root: bool):
+    rng = random.Random(seed)
+    pool = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(4)]
+    return (_pool_operand(rng, n, pool, root),
+            _pool_operand(rng, n, pool, root), rng)
+
+
+def _scalar_of(rng, root: bool) -> Scalar:
+    parts = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(2)]
+    if root:
+        parts += [Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                  Fraction(rng.randint(-1, 1), 2)]
+    return Scalar(*parts)
+
+
+_LINEAR = {
+    "add": lambda a, b, rng, root: [a + b, b + a],
+    "sub": lambda a, b, rng, root: [a - b, b - a],
+    "scale": lambda a, b, rng, root: [a * _scalar_of(rng, root),
+                                      b * _scalar_of(rng, root),
+                                      a * 0, -3 * a, Fraction(5, 6) * b],
+    "commutator": lambda a, b, rng, root: [commutator(a, b),
+                                           commutator(b, a)],
+    "anticommutator": lambda a, b, rng, root: [anticommutator(a, b),
+                                               anticommutator(b, a)],
+}
+
+# I + iX and Z + Y: Z is met first in a*b and cancels there, Y cancels in
+# b*a, so both brackets come out as Y then Z
+_CANCEL_AND_RETURN = (OperatorSum(1, {(0, 0): ONE, (1, 0): I_UNIT}),
+                      OperatorSum(1, {(0, 1): ONE, (1, 1): ONE}))
+
+
+def _terms_json(*ops) -> str:
+    return json.dumps([[op.n_modes, _element(op)] for op in ops])
+
+
+def _linear(name: str, n: int, root: bool):
+    """The operation on a pair drawn from a seed fixed by its arguments."""
+    def run():
+        a, b, rng = _pool_pair(f"{name} {n} {root}", n, root)
+        return _terms_json(*_LINEAR[name](a, b, rng, root))
+    return run
+
+
+def linear_cases() -> dict:
+    out = {f"lib {name} n={n}{' sqrt2' if root else ''}": _linear(name, n, root)
+           for name in _LINEAR for n in (0, 1, 3, 5) for root in (False, True)}
+    a, b = _CANCEL_AND_RETURN
+    out["lib commutator cancel-and-return"] = (
+        lambda: _terms_json(commutator(a, b), commutator(b, a)))
+    out["lib anticommutator cancel-and-return"] = (
+        lambda: _terms_json(anticommutator(a, b), anticommutator(b, a)))
+    out.update((f"lib bilinear_su2 {family} n={n} pair={i},{j}",
+                lambda pair=(i, j), n=n, family=family: _terms_json(
+                    *bilinear_su2(pair, n, family=family)))
+               for family in ("hopping", "pairing") for n in (3, 4)
+               for i, j in ((0, 1), (2, 0), (1, n - 1)))
+    out.update((f"lib boson_approx_commutator n={n}",
+                lambda n=n: _terms_json(boson_approx_commutator(n)))
+               for n in range(1, 7))
+    return out
+
+
 # -- corpus ----------------------------------------------------------------
 
 def entries() -> dict:
@@ -307,6 +400,7 @@ def entries() -> dict:
     out.update((key, lambda case=case: _run_library(case))
                for key, case in library_cases().items())
     out.update(conjugation_cases())
+    out.update(linear_cases())
     return out
 
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qalg.errors import DenseLimitError, ModeMismatchError
+from qalg.parafermion import SecondQuantizedExpr
 from qalg.pauli import (
     DENSE_LIMIT,
     HALF,
@@ -75,6 +76,42 @@ class TestScalar:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             Scalar(0.5)
+        # in arithmetic too, from either side
+        for value in (0.5, 1j):
+            for form in (lambda: HALF + value, lambda: value + HALF,
+                         lambda: HALF - value, lambda: HALF * value,
+                         lambda: value * HALF):
+                with pytest.raises(TypeError, match="exact rational expected"):
+                    form()
+
+    def test_exact_operands_from_either_side(self):
+        third = Fraction(1, 3)
+        assert HALF + 1 == 1 + HALF == Scalar(Fraction(3, 2))
+        assert HALF - 1 == Scalar(Fraction(-1, 2))
+        assert HALF * third == third * HALF == Scalar(Fraction(1, 6))
+        assert HALF + third == third + HALF == Scalar(Fraction(5, 6))
+        assert RT2_HALF * 2 == 2 * RT2_HALF == Scalar(0, 0, 1)
+        assert HALF + HALF == ONE and HALF - HALF == ZERO
+
+    def test_other_operands_get_their_turn(self):
+        # a Scalar on the left defers to the operand's reflected operator
+        op = OperatorSum.x(0, 2) + OperatorSum.z(1, 2) * I_UNIT
+        for s in (HALF, RT2_HALF, I_UNIT, ZERO):
+            got = s * op
+            assert got == op * s
+            assert list(got._terms) == list((op * s)._terms)
+        expr = SecondQuantizedExpr.create(0, 2, "fermion")
+        assert HALF * expr == expr * HALF
+        # and a value that is no number gets Python's own error
+        for form in (lambda: HALF + "a", lambda: HALF * None,
+                     lambda: HALF + op, lambda: op + HALF,
+                     lambda: HALF - op, lambda: op - HALF):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                form()
+        with pytest.raises(TypeError, match="for -: 'OperatorSum' and 'int'"):
+            op - 1
+        with pytest.raises(TypeError, match="for \\+: 'OperatorSum' and 'int'"):
+            op + 1
 
     def test_conjugate(self):
         s = Scalar(Fraction(1), Fraction(2), Fraction(3), Fraction(4))
@@ -411,3 +448,159 @@ class TestProductWorkCounters:
         prod = a * b
         assert counts == {"mul": 0, "init": prod.n_terms}
         assert prod.n_terms > 8
+
+
+# -- linear combinations against the Scalar-by-Scalar loops -----------------
+
+def _loop_add(a, b):
+    """a + b as Scalar sums, key by key: a's keys, then b's new keys."""
+    a._check_modes(b)
+    out = dict(a._terms)
+    for key, coeff in b._terms.items():
+        out[key] = out.get(key, ZERO) + coeff
+    return OperatorSum(a.n_modes, out)
+
+
+def _loop_sub(a, b):
+    return _loop_add(a, OperatorSum(b.n_modes,
+                                    {k: -c for k, c in b._terms.items()}))
+
+
+def _loop_scale(a, value):
+    scale = Scalar.of(value)
+    return OperatorSum(a.n_modes, {k: c * scale for k, c in a._terms.items()})
+
+
+def _loop_commutator(a, b):
+    return _loop_sub(_pair_loop(a, b), _pair_loop(b, a))
+
+
+def _loop_anticommutator(a, b):
+    return _loop_add(_pair_loop(a, b), _pair_loop(b, a))
+
+
+_OPERATIONS = {
+    "add": (lambda a, b: a + b, _loop_add),
+    "sub": (lambda a, b: a - b, _loop_sub),
+    "commutator": (commutator, _loop_commutator),
+    "anticommutator": (anticommutator, _loop_anticommutator),
+}
+
+
+def _same_terms(got, want):
+    """Equal values, the same key order and the same coefficient reprs."""
+    assert got.n_modes == want.n_modes
+    assert got == want
+    assert list(got._terms) == list(want._terms)
+    assert ([repr(c) for c in got._terms.values()]
+            == [repr(c) for c in want._terms.values()])
+
+
+_SCALARS = st.one_of(
+    st.integers(-4, 4), st.fractions(-3, 3, max_denominator=6),
+    st.sampled_from(_UNITS + [ZERO, RT2_HALF, RT2_HALF * I_UNIT]),
+    st.builds(Scalar, re=_PART, im=_PART, re2=_ROOT_PART, im2=_ROOT_PART))
+
+# I + iX and Z + Y on one mode: Z is met first in a*b and cancels there;
+# b*a brings it back (and cancels Y), so the brackets end with Z
+_CANCEL_AND_RETURN = (OperatorSum(1, {(0, 0): ONE, (1, 0): I_UNIT}),
+                      OperatorSum(1, {(0, 1): ONE, (1, 1): ONE}))
+
+
+class TestIntegerLinear:
+    """Sums, differences, scalar multiples and brackets formed in integers
+    give the Scalar loops' values, term order and coefficients."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_product_operands(), st.sampled_from(sorted(_OPERATIONS)))
+    @example(_CANCEL_AND_RETURN, "commutator")
+    @example(_CANCEL_AND_RETURN, "anticommutator")
+    # X + Z and Y - X: X cancels in the sum
+    @example((OperatorSum(1, {(1, 0): ONE, (0, 1): ONE}),
+              OperatorSum(1, {(1, 1): ONE, (1, 0): -ONE})), "add")
+    @example((OperatorSum.zero(2), OperatorSum.zero(2)), "sub")
+    @example((OperatorSum.zero(1), OperatorSum.x(0, 1) * RT2_HALF), "add")
+    @example((OperatorSum.y(0, 1) * RT2_HALF, OperatorSum.zero(1)), "sub")
+    def test_matches_scalar_loops(self, pair, name):
+        a, b = pair
+        new, old = _OPERATIONS[name]
+        _same_terms(new(a, b), old(a, b))
+        _same_terms(new(b, a), old(b, a))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_product_operands(), _SCALARS)
+    @example((OperatorSum.x(0, 1) + OperatorSum.z(0, 1), OperatorSum.zero(1)),
+             ZERO)
+    @example((OperatorSum.zero(2), OperatorSum.zero(2)), HALF)
+    @example((OperatorSum.y(0, 1) * RT2_HALF, OperatorSum.zero(1)), 0)
+    def test_scalar_multiple_matches_loop(self, pair, value):
+        op = pair[0]
+        want = _loop_scale(op, value)
+        _same_terms(op * value, want)
+        _same_terms(value * op, want)
+
+    def test_cancel_and_return_goes_last(self):
+        a, b = _CANCEL_AND_RETURN
+        assert list((a * b)._terms) == [(1, 1)]
+        assert list((b * a)._terms) == [(0, 1)]
+        # Z is met before Y in a*b, but it cancels there
+        for got in (commutator(a, b), anticommutator(a, b)):
+            assert list(got._terms) == [(1, 1), (0, 1)]
+        # a*b = 2Y and b*a = 2Z
+        assert commutator(a, b) == OperatorSum(1, {(1, 1): Scalar(2),
+                                                   (0, 1): Scalar(-2)})
+
+    def test_mode_mismatch_message_kept(self):
+        for a, b in ((OperatorSum.x(0, 1), OperatorSum.x(0, 2)),
+                     (OperatorSum.zero(1), OperatorSum.zero(2) * RT2_HALF)):
+            for new, _ in _OPERATIONS.values():
+                with pytest.raises(ModeMismatchError,
+                                   match="^operands on 1 and 2 modes$"):
+                    new(a, b)
+
+    def test_float_scalar_rejected(self):
+        op = OperatorSum.x(0, 1)
+        for value in (0.5, 1j, float("nan")):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op * value
+            with pytest.raises(TypeError, match="unsupported operand"):
+                value * op
+
+
+class TestLinearWorkCounters:
+    """Sums, differences, scalar multiples and brackets add, multiply and
+    negate no Scalars, and build exactly one Scalar per output term."""
+
+    @pytest.mark.parametrize("root", [False, True])
+    def test_one_scalar_per_output_key(self, monkeypatch, root):
+        rng = random.Random(37)
+        a, b = random_sum(rng, 4, 8), random_sum(rng, 4, 8)
+        if root:
+            a = a * RT2_HALF + random_sum(rng, 4, 3)
+        forms = {
+            "add": lambda: a + b,
+            "sub": lambda: a - b,
+            "scale": lambda: a * (RT2_HALF if root else HALF),
+            "int": lambda: 3 * a,
+            "fraction": lambda: Fraction(-2, 3) * b,
+            "commutator": lambda: commutator(a, b),
+            "anticommutator": lambda: anticommutator(a, b),
+        }
+        counts = {}
+        real = {name: getattr(Scalar, name)
+                for name in ("__add__", "__mul__", "__neg__", "__init__")}
+
+        def spy(name):
+            def method(self, *args, **kwargs):
+                counts[name] += 1
+                return real[name](self, *args, **kwargs)
+            return method
+
+        for name in real:
+            monkeypatch.setattr(Scalar, name, spy(name))
+        for label, form in forms.items():
+            counts.update(dict.fromkeys(real, 0))
+            got = form()
+            assert got.n_terms > 4, label
+            assert counts == {"__add__": 0, "__mul__": 0, "__neg__": 0,
+                              "__init__": got.n_terms}, label
