@@ -110,13 +110,13 @@ def boson_approx_commutator(n_modes: int) -> OperatorSum:
     """[B, B+] for the collective mode B = (1/sqrt(N)) sum_i a_i.
 
     Computed as [sum a_i, sum a_i+]/N so every coefficient stays rational;
-    the result equals 1 - (2/N) sum_i n_i exactly.
+    the result equals 1 - (2/N) sum_i n_i exactly.  The on-site terms of
+    the two sums have distinct keys, so each sum is built in one step, its
+    terms in mode order.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be positive")
-    low = OperatorSum.zero(n_modes)
-    high = OperatorSum.zero(n_modes)
-    for i in range(n_modes):
-        low = low + lowering_op(i, n_modes)
-        high = high + raising_op(i, n_modes)
+    low, high = (OperatorSum(n_modes, {key: c for i in range(n_modes)
+                                       for key, c in site(i, n_modes).items()})
+                 for site in (lowering_op, raising_op))
     return commutator(low, high) * Scalar(Fraction(1, n_modes))

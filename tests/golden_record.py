@@ -15,7 +15,9 @@ an exponential entry hashes the terms of one ``verifier.exact_exp``, in
 term order.  A linear entry hashes, in term order, the terms of a sum,
 difference, scalar multiple, commutator or anticommutator of seeded
 operators whose keys come from a small pool, so that terms cancel; of a
-``bilinear_su2`` triple; or of ``jw.boson_approx_commutator``.
+``bilinear_su2`` triple; or of ``jw.boson_approx_commutator``.  A compound
+entry hashes the relation names and verdicts of one
+``verifier.compound_mapping_check``.
 
 Bytes that depend on the numpy or scipy version are left out: ``code
 generator`` runs in JSON only, and ``verify --all`` is hashed with its
@@ -61,7 +63,7 @@ from qalg.pauli import (
     anticommutator,
     commutator,
 )
-from qalg.verifier import conjugate_eighth, exact_exp
+from qalg.verifier import compound_mapping_check, conjugate_eighth, exact_exp
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -387,7 +389,25 @@ def linear_cases() -> dict:
                for i, j in ((0, 1), (2, 0), (1, n - 1)))
     out.update((f"lib boson_approx_commutator n={n}",
                 lambda n=n: _terms_json(boson_approx_commutator(n)))
-               for n in range(1, 7))
+               for n in range(1, 9))
+    return out
+
+
+# -- dense compound-particle maps -----------------------------------------
+
+def _compound(case: int, n_pairs: int, cutoff=None):
+    def run():
+        report = compound_mapping_check(case, n_pairs, cutoff)
+        return json.dumps([report.case, report.n_pairs, report.cutoff,
+                           [[c.name, c.passed] for c in report.checks]])
+    return run
+
+
+def compound_cases() -> dict:
+    out = {f"lib compound_mapping_check case={case} n_pairs={p}":
+           _compound(case, p) for case in (1, 2, 3) for p in (1, 2, 3)}
+    out.update((f"lib compound_mapping_check case=3 n_pairs={p} cutoff=2",
+                _compound(3, p, 2)) for p in (1, 2, 3))
     return out
 
 
@@ -401,6 +421,7 @@ def entries() -> dict:
                for key, case in library_cases().items())
     out.update(conjugation_cases())
     out.update(linear_cases())
+    out.update(compound_cases())
     return out
 
 

@@ -1,6 +1,7 @@
 """String attachment, anticommutation checks, and composite-mode maps."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +13,20 @@ from qalg.jw import (
     string_operator,
     verify_car,
 )
-from qalg.parafermion import SecondQuantizedExpr, number_site, to_pauli
-from qalg.pauli import OperatorSum, anticommutator, realize
+from qalg.parafermion import (
+    SecondQuantizedExpr,
+    lowering_op,
+    number_site,
+    raising_op,
+    to_pauli,
+)
+from qalg.pauli import (
+    OperatorSum,
+    Scalar,
+    anticommutator,
+    commutator,
+    realize,
+)
 from qalg.verifier import TruncatedBosonSpace, compound_mapping_check
 
 E = SecondQuantizedExpr
@@ -113,6 +126,73 @@ class TestCollectiveMode:
             vac = (1 << n) - 1
             column = op.apply_basis_state(vac)
             assert sum(c.to_complex() for row, c in column.items() if row == vac) == 1
+
+
+def loop_boson_commutator(n):
+    """boson_approx_commutator as it stood: each sum built by N additions."""
+    low = OperatorSum.zero(n)
+    high = OperatorSum.zero(n)
+    for i in range(n):
+        low = low + lowering_op(i, n)
+        high = high + raising_op(i, n)
+    return commutator(low, high) * Scalar(Fraction(1, n))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_collective_commutator_matches_the_loop_of_additions(n):
+    got, want = boson_approx_commutator(n), loop_boson_commutator(n)
+    assert got == want
+    assert list(got._terms) == list(want._terms)
+    assert repr(list(got._terms.values())) == repr(list(want._terms.values()))
+
+
+# -- the kron construction of the boson operators, as it stood ------------
+
+def kron_embed(space, op, mode):
+    d = space.cutoff + 1
+    return np.kron(np.eye(d ** (space.n_modes - 1 - mode)),
+                   np.kron(op, np.eye(d ** mode)))
+
+
+def kron_annihilate(space, mode):
+    d = space.cutoff + 1
+    op = np.diag(np.sqrt(np.arange(1, d)), k=1).astype(complex)
+    return kron_embed(space, op, mode)
+
+
+def kron_number(space, mode):
+    d = space.cutoff + 1
+    return kron_embed(space, np.diag(np.arange(d)).astype(complex), mode)
+
+
+class TestBosonSpaceByIndex:
+    """The operators built from the digits of the basis index equal the
+    kron construction entry for entry, and hop(i, j) equals the product
+    create(i) @ annihilate(j)."""
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cutoff", [1, 2, 3])
+    def test_matches_kron(self, n_modes, cutoff):
+        sp = TruncatedBosonSpace(n_modes, cutoff)
+        ladder = [kron_annihilate(sp, mode) for mode in range(n_modes)]
+        for mode, a in enumerate(ladder):
+            assert np.array_equal(sp.annihilate(mode), a)
+            assert np.array_equal(sp.create(mode), a.conj().T)
+            assert np.array_equal(sp.number(mode), kron_number(sp, mode))
+            assert sp.annihilate(mode).dtype == sp.number(mode).dtype == complex
+            for other, b in enumerate(ladder):
+                if other != mode:
+                    assert np.array_equal(sp.hop(mode, other), a.conj().T @ b)
+
+    def test_bad_modes_rejected(self):
+        sp = TruncatedBosonSpace(2, cutoff=2)
+        for mode in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                sp.annihilate(mode)
+            with pytest.raises(ValueError, match="out of range"):
+                sp.number(mode)
+        with pytest.raises(ValueError, match="two different modes"):
+            sp.hop(1, 1)
 
 
 class TestBosonSpace:

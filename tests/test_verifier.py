@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from hypothesis import strategies as st
 
 import qalg.verifier
 from qalg.errors import ModeMismatchError
+from qalg.jw import jw_fermion_to_pauli
+from qalg.parafermion import SecondQuantizedExpr
 from qalg.pauli import I_UNIT, ONE, RT2_HALF, OperatorSum, Scalar, realize
 from qalg.verifier import (
     CHECKS,
+    TruncatedBosonSpace,
     check_bch_series,
     check_iontrap_xy,
     check_recoupling,
@@ -276,3 +280,114 @@ class TestConjugationWorkCounters:
         out = exact_exp(gen, 1)
         assert counts == {"scalar_mul": 0, "scalar_add": 0, "sum_mul": 0,
                           "init": out.n_terms, "integer_product": 2}
+
+
+# -- constraint index sets, as the per-label loops gave them ----------------
+
+def loop_fermion_constraint(case, n_pairs):
+    n = 2 * n_pairs
+    full = (1 << n) - 1
+
+    def occ(label, mode):
+        return 1 - (label >> mode & 1)
+    indices = [label for label in range(1 << n) if all(
+        (occ(label, 2 * p) == occ(label, 2 * p + 1)) if case == 1
+        else (occ(label, 2 * p) + occ(label, 2 * p + 1) == 1)
+        for p in range(n_pairs))]
+    if case == 1:
+        return indices, full
+    return indices, full ^ sum(1 << m for m in range(n) if m % 2)
+
+
+def loop_boson_constraint(n_pairs, cutoff):
+    space = TruncatedBosonSpace(2 * n_pairs, cutoff)
+    indices = [k for k in range(space.dim)
+               if all(space.occupations(k)[2 * p]
+                      + space.occupations(k)[2 * p + 1] == 1
+                      for p in range(n_pairs))]
+    return indices, space.index_of([m % 2 for m in range(2 * n_pairs)])
+
+
+def string_partner(case, lo, hi, n):
+    """The sl(2) partner 2n - 1 of a fermion pair through the string
+    transform, as it was built before it came from the labels."""
+    number = partial(SecondQuantizedExpr.number, n_modes=n, species="fermion")
+    if case == 1:
+        expr = (number(lo) + number(hi)
+                - SecondQuantizedExpr.constant(1, n, "fermion"))
+    else:
+        expr = number(lo) - number(hi)
+    return realize(jw_fermion_to_pauli(expr))
+
+
+class TestConstraintIndices:
+    @pytest.mark.parametrize("case", [1, 2])
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    def test_fermion(self, case, n_pairs):
+        _, zt, indices, vacuum = qalg.verifier._fermion_dense(case, n_pairs)
+        assert (indices, vacuum) == loop_fermion_constraint(case, n_pairs)
+        assert all(type(k) is int for k in indices)
+        for p, z in enumerate(zt):
+            assert np.array_equal(
+                z, string_partner(case, 2 * p, 2 * p + 1, 2 * n_pairs))
+
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    def test_boson(self, cutoff, n_pairs):
+        _, _, indices, vacuum = qalg.verifier._boson_dense(n_pairs, cutoff)
+        assert (indices, vacuum) == loop_boson_constraint(n_pairs, cutoff)
+        assert all(type(k) is int for k in indices)
+
+
+class TestBatteryWorkCounters:
+    """Per check: how many dense exponentials it forms, the largest of
+    them, and its np.kron calls.  Each exponential is formed once; the
+    diagonal Kerr generators take none, and only iontrap calls np.kron, to
+    couple its qubits to the boson mode.  The counts do not depend on the
+    machine."""
+
+    WANT = {  # name: (exponentials, largest dimension, np.kron calls)
+        "recoupling": (4, 2, 0),
+        "angular": (4, 4, 0),
+        "canonical": (11, 4, 0),
+        "kerr": (2, 81, 0),
+        "bch": (4, 2, 0),
+        "iontrap": (2, 12, 6),
+        **dict.fromkeys(("axy-encoded", "axy-split", "boson-commutator",
+                         "compound-1", "compound-2", "compound-3", "car"),
+                        (0, 0, 0)),
+    }
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        counts = {"exp": [], "kron": 0}
+        real_exp, real_kron = qalg.verifier.matrix_exponential, np.kron
+
+        def exponential(matrix, scale=1.0):
+            counts["exp"].append(len(matrix))
+            return real_exp(matrix, scale)
+
+        def kron(a, b):
+            counts["kron"] += 1
+            return real_kron(a, b)
+        monkeypatch.setattr(qalg.verifier, "matrix_exponential", exponential)
+        monkeypatch.setattr(np, "kron", kron)
+        return counts
+
+    def test_per_check(self, spies):
+        got = {}
+        for name, check in CHECKS.items():
+            spies["exp"].clear()
+            spies["kron"] = 0
+            assert check().passed, name
+            got[name] = (len(spies["exp"]), max(spies["exp"], default=0),
+                         spies["kron"])
+        assert got == self.WANT
+
+    def test_boson_space_builders_call_no_kron(self, spies):
+        sp = TruncatedBosonSpace(3, cutoff=2)
+        for mode in range(3):
+            sp.annihilate(mode), sp.create(mode), sp.number(mode)
+            sp.hop(mode, (mode + 1) % 3)
+        sp.identity()
+        assert spies["kron"] == 0
