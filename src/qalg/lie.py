@@ -13,7 +13,8 @@ on the smallest key by gcd-normalized cross-multiplication, and its
 nonzero rest becomes the next element.  Those rows can grow to thousands
 of bits.  Once one holds an entry of 2**61 - 1 or more, the closure
 switches its elements to the raw brackets, whose entries grow only with
-bracket depth, and decides on an echelon of them modulo that prime.
+bracket depth, and decides on an echelon of them modulo that prime, whose
+rows are packed one lane per key into an int: one multiply-add per row.
 Independence mod p implies independence over Q; a dependence mod p counts
 only after the combination, rebuilt by rational reconstruction, passes an
 exact integer identity check, and otherwise the integer echelon decides
@@ -388,6 +389,11 @@ class _Span:
     is in it, and _rest rejects it without a reduction.  Lead keys are
     unique, so pivots and rows each hold the row of element k as their k-th
     entry.
+
+    A modular row is packed: residue c of key k sits in lane k - lead, each
+    lane 2 * bitlen(p) + 64 bits or more, scaled so the lead's lane holds 1.
+    _mod_reduce walks a packed vector upward, shifting out each lane once
+    read, and clears a pivot's lane with one multiply-add (p - f) * row.
     """
 
     def __init__(self, bracket):
@@ -397,7 +403,7 @@ class _Span:
         self.seeds: dict = {}   # index -> primitive seed vector
         self.pivots: dict = {}  # integer echelon: lead key -> row
         self.switched = False
-        self.rows = None        # echelon mod p: lead -> (row, inv, factors)
+        self.rows = None        # mod p: lead -> (packed row, inv, factors)
         self.decided = set()    # frozenset(vec.items()) of vectors in the span
 
     def insert(self, vec: dict, src) -> bool:
@@ -451,6 +457,9 @@ class _Span:
                 self.bracket(raw[src[0]], raw[src[1]])))
         self.elements[:] = raw
         self.rows = {}
+        # bytes per lane: a lane starts below p and gains less than p**2
+        # from each of fewer than 2**63 rows (sys.maxsize) before it is read
+        self.lane_bytes = (2 * _MODULUS.bit_length() + 71) // 8
         for vec in raw:
             rest, factors = self._mod_reduce(vec)
             if not rest:
@@ -468,26 +477,41 @@ class _Span:
 
     def _mod_reduce(self, vec: dict):
         """(rest, factors) with vec = rest + sum f * rows[lead] (mod p) over
-        (lead, f) in factors.  Residues are taken only where they are read;
-        in between, an entry grows by less than p**2 per row."""
-        p = _MODULUS
-        rest = dict(vec)
-        factors = []
-        for lead in sorted(self.rows):
-            f = rest.get(lead, 0) % p
-            if f:
-                for k, x in self.rows[lead][0].items():
-                    rest[k] = rest.get(k, 0) - f * x
-                factors.append((lead, f))
-        return {k: c % p for k, c in rest.items() if c % p}, factors
+        (lead, f) in factors, in ascending lead order, by the lane walk."""
+        p, width = _MODULUS, 8 * self.lane_bytes
+        mask, key, rows = (1 << width) - 1, min(vec), self.rows
+        lanes, rest, factors = self._pack(vec, key), {}, []
+        while lanes:
+            if not lanes & mask:  # jump to the lowest nonzero lane
+                skip = ((lanes & -lanes).bit_length() - 1) // width
+                lanes >>= skip * width
+                key += skip
+            f = (lanes & mask) % p
+            if f and key in rows:
+                lanes += (p - f) * rows[key][0]
+                factors.append((key, f))
+            elif f:
+                rest[key] = f
+            lanes >>= width
+            key += 1
+        return rest, factors
 
     def _mod_add(self, rest: dict, factors: list):
-        """Add the row of the next element b: rest = b - sum f * rows[lead]."""
+        """Add the row of the next element b: rest = b - sum f * rows[lead],
+        scaled to 1 at its lead."""
         p = _MODULUS
         lead = min(rest)
         inv = pow(rest[lead], -1, p)
-        self.rows[lead] = ({k: c * inv % p for k, c in rest.items()},
-                           inv, factors)
+        self.rows[lead] = (self._pack({k: c * inv for k, c in rest.items()},
+                                      lead), inv, factors)
+
+    def _pack(self, vec: dict, lead: int) -> int:
+        """The residues of vec mod p as one int, key k in lane k - lead."""
+        size, p = self.lane_bytes, _MODULUS
+        parts = [bytes(size)] * (max(vec) - lead + 1)
+        for k, c in vec.items():
+            parts[k - lead] = (c % p).to_bytes(size, "little")
+        return int.from_bytes(b"".join(parts), "little")
 
     def _combination(self, factors: list) -> dict:
         """{l: c} with sum f * rows[lead] = sum c * elements[l] (mod p).

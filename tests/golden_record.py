@@ -1,7 +1,13 @@
 """Golden-output corpus: one sha256 per CLI invocation or library closure.
 
-    PYTHONPATH=src python tests/golden_record.py            # record every entry
-    PYTHONPATH=src python tests/golden_record.py KEY ...    # re-record these
+    PYTHONPATH=src python tests/golden_record.py          # compare only
+    PYTHONPATH=src python tests/golden_record.py --new    # record missing keys
+    PYTHONPATH=src python tests/golden_record.py KEY ...  # re-record these
+
+By default the recorder compares: it lists every key whose digest differs
+from ``digests.json``, and every key not recorded yet, and exits 1 if there
+is one.  It writes only with ``--new``, which records the keys not yet in the
+file and leaves every recorded digest alone, or with keys named.
 
 A CLI entry runs ``qalg.cli.main(argv)`` in process and hashes its exit code,
 its stdout with ``generated_at`` and ``version`` blanked, and its stderr.  An
@@ -429,18 +435,34 @@ def digest(run) -> str:
     return hashlib.sha256(run().encode()).hexdigest()
 
 
-def main(keys) -> int:
+def main(argv, digests: Path = DIGESTS) -> int:
     table = entries()
+    keys = [a for a in argv if a != "--new"]
     unknown = [k for k in keys if k not in table]
     if unknown:
         print(f"unknown keys: {unknown}", file=sys.stderr)
         return 2
-    recorded = json.loads(DIGESTS.read_text()) if keys else {}
-    for key in keys or table:
+    if keys and "--new" in argv:
+        print("--new records the missing keys; name none", file=sys.stderr)
+        return 2
+    recorded = json.loads(digests.read_text()) if digests.exists() else {}
+    if not argv:
+        missing = [k for k in table if k not in recorded]
+        changed = [k for k in table
+                   if k in recorded and digest(table[k]) != recorded[k]]
+        for key in changed:
+            print(f"differs: {key}")
+        for key in missing:
+            print(f"not recorded: {key}")
+        print(f"{len(table) - len(changed) - len(missing)} of {len(table)} "
+              f"entries match")
+        return 1 if changed or missing else 0
+    keys = keys or [k for k in table if k not in recorded]
+    for key in keys:
         recorded[key] = digest(table[key])
-    DIGESTS.write_text(json.dumps(
+    digests.write_text(json.dumps(
         {k: recorded[k] for k in table if k in recorded}, indent=1) + "\n")
-    print(f"{len(keys or table)} of {len(table)} entries recorded")
+    print(f"{len(keys)} of {len(table)} entries recorded")
     return 0
 
 

@@ -683,6 +683,89 @@ class TestSignRows:
             assert all(len(row) == 4 ** n <= 256 for row in rows.values())
 
 
+def _dict_mod_reduce(rows, vec, p):
+    """The modular reduction on dict rows {lead: {key: residue}} that the
+    packed lanes replaced, kept as the reference."""
+    rest = dict(vec)
+    factors = []
+    for lead in sorted(rows):
+        f = rest.get(lead, 0) % p
+        if f:
+            for k, x in rows[lead].items():
+                rest[k] = rest.get(k, 0) - f * x
+            factors.append((lead, f))
+    return {k: c % p for k, c in rest.items() if c % p}, factors
+
+
+def _dict_mod_add(rows, rest, p):
+    lead = min(rest)
+    inv = pow(rest[lead], -1, p)
+    rows[lead] = {k: c * inv % p for k, c in rest.items()}
+
+
+@st.composite
+def _residue_cases(draw):
+    """A prime, and 1-12 integer vectors over a pool of up to 24 keys below
+    4, 64 or 4**6: dense ones hold every pool key, sparse ones a few; later
+    vectors may be combinations of earlier ones, so some are dependent."""
+    p = draw(st.sampled_from([(1 << 61) - 1, 8191, 101]))
+    size = draw(st.sampled_from([4, 64, 4 ** 6]))
+    pool = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=24,
+                         unique=True))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-p, 2 * p),
+                      st.integers(-(1 << 80), 1 << 80)).filter(bool)
+    vectors = []
+    for _ in range(draw(st.integers(1, 12))):
+        if vectors and draw(st.booleans()):
+            vec = {}
+            for old in draw(st.lists(st.sampled_from(vectors), min_size=1,
+                                     max_size=3)):
+                c = draw(st.integers(-5, 5))
+                for k, x in old.items():
+                    vec[k] = vec.get(k, 0) + c * x
+            vec = {k: x for k, x in vec.items() if x}
+        elif draw(st.booleans()):
+            vec = {k: draw(entry) for k in pool}
+        else:
+            vec = draw(st.dictionaries(st.sampled_from(pool), entry,
+                                       min_size=1, max_size=4))
+        if vec:
+            vectors.append(vec)
+    assume(vectors)
+    return p, vectors
+
+
+class TestPackedEchelon:
+    """The packed modular echelon against the dict rows it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_residue_cases())
+    def test_walk_matches_the_dict_rows(self, case):
+        p, vectors = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lie, "_MODULUS", p)
+            self._compare(p, vectors)
+
+    def _compare(self, p, vectors):
+        span = lie._Span(None)
+        span._switch()  # no elements yet: an empty echelon mod p
+        rows = {}
+        for vec in vectors:
+            rest, factors = span._mod_reduce(vec)
+            assert (rest, factors) == _dict_mod_reduce(rows, vec, p)
+            if rest:
+                span._mod_add(rest, factors)
+                span.elements.append(vec)
+                _dict_mod_add(rows, rest, p)
+                continue
+            rebuilt = {}
+            for l, c in span._combination(factors).items():
+                for k, x in span.elements[l].items():
+                    rebuilt[k] = rebuilt.get(k, 0) + c * x
+            assert all((rebuilt.get(k, 0) - vec.get(k, 0)) % p == 0
+                       for k in rebuilt.keys() | vec.keys())
+
+
 def _spy_work(monkeypatch):
     """Count the reductions a closure runs and the memo hits that spare one."""
     counts = {"reductions": 0, "memo hits": 0}
@@ -707,9 +790,65 @@ def _spy_work(monkeypatch):
     return counts
 
 
+def _spy_modular(monkeypatch):
+    """Count the modular reductions and certificates of a closure, and the
+    elements it holds when it switches; the spans that switch are listed."""
+    switched = []
+    counts = {"modular reductions": 0, "certificates passed": 0,
+              "certificates failed": 0, "switched at": None}
+    span = lie._Span
+    mod_reduce, certified, switch = (span._mod_reduce, span._certified,
+                                     span._switch)
+
+    def spy_mod_reduce(self, vec):
+        counts["modular reductions"] += 1
+        return mod_reduce(self, vec)
+
+    def spy_certified(self, vec, factors):
+        ok = certified(self, vec, factors)
+        counts["certificates passed" if ok else "certificates failed"] += 1
+        return ok
+
+    def spy_switch(self):
+        counts["switched at"] = len(self.elements)
+        switched.append(self)
+        switch(self)
+
+    monkeypatch.setattr(span, "_mod_reduce", spy_mod_reduce)
+    monkeypatch.setattr(span, "_certified", spy_certified)
+    monkeypatch.setattr(span, "_switch", spy_switch)
+    return counts, switched
+
+
+def _switched_su_2n(n):
+    """The su(2^N) set after a first seed X0 + 2**62 Z1, whose entry of at
+    least p switches the span at once."""
+    seed = OperatorSum.x(0, n) + OperatorSum.z(1, n) * (1 << 62)
+    return GeneratorSet(n, [seed] + _su_2n(n).generators)
+
+
 class TestWorkCounters:
     """Deterministic work counts of the closure kernel, pinned as perf
     regression signals."""
+
+    def test_dense_pair_modular_work(self, monkeypatch):
+        counts, spans = _spy_modular(monkeypatch)
+        assert close(GeneratorSet(3, _dense_pair(0, 8))).dimension == 63
+        assert counts == {"modular reductions": 72, "certificates passed": 8,
+                          "certificates failed": 0, "switched at": 9}
+        assert spans[0].rows is not None
+
+    def test_sparse_switch_at_once(self, monkeypatch):
+        # the packed walk jumps over empty lanes among 4**5 keys; once X0
+        # or Z1 is in the span, the other depends on it and the seed with a
+        # coefficient 2**62 or 2**-62, which no reconstruction mod p finds,
+        # so that certificate fails and the integer echelon finishes
+        counts, spans = _spy_modular(monkeypatch)
+        basis = close(_switched_su_2n(5))
+        assert basis.dimension_traceless == 4 ** 5 - 1
+        assert counts == {"modular reductions": 21, "certificates passed": 0,
+                          "certificates failed": 1, "switched at": 1}
+        assert spans[0].rows is None
 
     @pytest.mark.parametrize("n, reductions, hits", [(4, 488, 2021),
                                                      (5, 2480, 14713)])
