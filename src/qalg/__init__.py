@@ -9,7 +9,7 @@ and thermal occupation curves.
 Every exported name loads its submodule on first access (PEP 562), so
 ``import qalg`` stays cheap.  Only ``qalg.verifier``, the dense oracle,
 imports numpy when it loads; ``realize`` and ``matrix_exponential`` import
-numpy and scipy when they are called.
+numpy, and nothing else, when they are called.
 """
 
 import importlib

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import ceil, lcm, log2
 
 from .errors import DenseLimitError, ModeMismatchError
 
@@ -152,7 +152,10 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im, self.re2, self.im2))
+        # a Scalar equal to a rational must hash as that rational
+        if self.im or self.re2 or self.im2:
+            return hash((self.re, self.im, self.re2, self.im2))
+        return hash(self.re)
 
     def to_complex(self) -> complex:
         return complex(float(self.re) + float(self.re2) * _SQRT2,
@@ -534,8 +537,17 @@ def anticommutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
 
 
 # -- dense realization ----------------------------------------------------
-# The dense oracle's entry points stay here, but numpy and scipy load only
-# when they are called: the exact algebra above never needs them.
+# The dense oracle's entry points stay here, but numpy loads only when they
+# are called: the exact algebra above never needs it.
+
+# Numerator coefficients b_0..b_13 of the degree-13 Pade approximant to exp,
+# and the 1-norm up to which it meets double precision without scaling
+# (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3).
+_PADE13 = (64764752532480000, 32382376266240000, 7771770303897600,
+           1187353796428800, 129060195264000, 10559470521600, 670442572800,
+           33522128640, 1323241920, 40840800, 960960, 16380, 182, 1)
+_THETA13 = 5.371920351148152
+
 
 @lru_cache(maxsize=None)
 def _parity_signs(n_modes: int) -> "np.ndarray":
@@ -574,13 +586,35 @@ def realize(op: OperatorSum, limit: int | None = None) -> "np.ndarray":
 
 def matrix_exponential(matrix: "np.ndarray",
                        scale: complex = 1.0) -> "np.ndarray":
-    """exp(scale * matrix) by scaling and squaring (deterministic)."""
+    """exp(scale * matrix) by scaling and squaring (deterministic).
+
+    One path for every square matrix, normal or not: scale by 2**-s until
+    the 1-norm is at most theta_13, take the degree-13 Pade approximant
+    and square s times (Higham 2005).  Raises ValueError for a matrix that
+    is not square, or when scale * matrix has an entry that is not finite.
+    """
     import numpy as np
-    import scipy.linalg
 
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("square matrix required")
-    if not np.all(np.isfinite(m)):
+    with np.errstate(invalid="ignore", over="ignore"):
+        a = scale * m
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return scipy.linalg.expm(scale * m)
+    norm = np.abs(a).sum(axis=0).max(initial=0.0)
+    s = max(0, ceil(log2(norm / _THETA13))) if norm else 0
+    a = a / 2 ** s
+    b = _PADE13
+    ident = np.eye(len(a), dtype=complex)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r

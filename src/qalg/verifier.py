@@ -20,7 +20,7 @@ once, as stacks of matrices.  Each check forms each exponential once:
 a diagonal generator (the Kerr gate n1 n3, the self-interaction) is
 exponentiated elementwise, an exponential that a loop does not change is
 formed before the loop, and for a Hermitian H the pair exp(-i t H),
-exp(i t H) comes from one scipy exponential and its adjoint.  The
+exp(i t H) comes from one dense exponential and its adjoint.  The
 generators of ``recoupling`` and ``bch`` are the caller's, so those
 checks exponentiate both signs.  Nothing is kept between calls.
 
@@ -601,6 +601,8 @@ def check_bch_series(A: OperatorSum | None = None,
         A = OperatorSum.z(0, 1)
     if B is None:
         B = OperatorSum.x(0, 1)
+    if order < 0:
+        raise ValueError("order must be non-negative")
     if order > 6:
         raise ValueError("order capped at 6")
     details = []

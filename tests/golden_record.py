@@ -25,7 +25,7 @@ operators whose keys come from a small pool, so that terms cancel; of a
 entry hashes the relation names and verdicts of one
 ``verifier.compound_mapping_check``.
 
-Bytes that depend on the numpy or scipy version are left out: ``code
+Bytes that depend on the numpy version or its BLAS are left out: ``code
 generator`` runs in JSON only, and ``verify --all`` is hashed with its
 dense numbers blanked.  The rule: in a check whose metric is
 ``max_abs_diff``, the check's residual becomes ``#``, and so does each

@@ -24,9 +24,9 @@ def run_json(tmp_path, *argv):
 
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):
-        # only the dense oracle needs numpy and scipy, and only --version
-        # and the JSON envelope read the package metadata; neither the
-        # package nor the CLI may pay for those imports at startup
+        # only the dense oracle needs numpy, and only --version and the
+        # JSON envelope read the package metadata; neither the package nor
+        # the CLI may pay for those imports at startup
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         heavy = ("numpy", "scipy", "importlib.metadata")
@@ -38,6 +38,19 @@ class TestStartup:
                 env=env, capture_output=True, text=True, timeout=60,
                 check=True)
             assert done.stdout.strip() == "[]", module
+
+    def test_verify_all_leaves_scipy_unloaded(self):
+        # the dense oracle runs on numpy alone; scipy is a test reference
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from qalg.cli import main; "
+             "code = main(['verify', '--all']); "
+             "print(code, 'numpy' in sys.modules, "
+             "[m for m in sys.modules if m.partition('.')[0] == 'scipy'])"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.splitlines()[-1] == "0 True []"
 
     def test_parser_and_text_verbs_leave_metadata_unloaded(self):
         # --version reads the package metadata only when it fires

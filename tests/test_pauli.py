@@ -1,6 +1,8 @@
 """Exact-coefficient operator algebra: scalars, products, dense forms."""
 
+import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +115,18 @@ class TestScalar:
         with pytest.raises(TypeError, match="for \\+: 'OperatorSum' and 'int'"):
             op + 1
 
+    def test_hash_agrees_with_equality(self):
+        # a Scalar equal to a rational hashes as that rational
+        assert {1: "one"}.get(Scalar(1)) == "one"
+        assert {Scalar(2)} == {2}
+        assert {Fraction(1, 3): "third"}.get(Scalar(Fraction(1, 3))) == "third"
+        for value in (ZERO, ONE, HALF, Scalar(-7), Scalar(Fraction(-5, 4))):
+            assert hash(value) == hash(value.re)
+        # and equal Scalars hash alike with imaginary and sqrt(2) parts too
+        for value in (I_UNIT, RT2_HALF, Scalar(1, 2, 3, 4)):
+            twin = Scalar(value.re, value.im, value.re2, value.im2)
+            assert twin == value and hash(twin) == hash(value)
+
     def test_conjugate(self):
         s = Scalar(Fraction(1), Fraction(2), Fraction(3), Fraction(4))
         c = s.conjugate()
@@ -207,6 +221,48 @@ class TestDense:
         m = realize(herm)
         got = matrix_exponential(m, scale=-0.3j)
         assert np.allclose(got, scipy.linalg.expm(-0.3j * m), atol=1e-12)
+        # non-normal matrices, with 1-norms on both sides of theta_13
+        gen = np.random.default_rng(13)
+        for dim in (1, 3, 8, 27):
+            for norm in (0.1, 3.0, 30.0):
+                m = (gen.standard_normal((dim, dim))
+                     + 1j * gen.standard_normal((dim, dim)))
+                m *= norm / np.abs(m).sum(axis=0).max()
+                got, want = matrix_exponential(m), scipy.linalg.expm(m)
+                assert (np.linalg.norm(got - want)
+                        <= 1e-12 * np.linalg.norm(want)), (dim, norm)
+
+    def test_matrix_exponential_of_a_jordan_block(self):
+        # exp(tN) for the nilpotent shift N is the finite series
+        # sum_k (tN)**k / k!: entry (i, j) is t**(j-i) / (j-i)!
+        shift = np.eye(5, k=1)
+        for t in (2.5, 20.0):  # the second forces two squarings
+            want = sum(np.linalg.matrix_power(t * shift, k) / math.factorial(k)
+                       for k in range(5))
+            got = matrix_exponential(shift, t)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_matrix_exponential_after_squarings(self):
+        # 1-norm 50 takes four squarings; exp(tJ) rotates by t
+        rot = np.array([[0, -1], [1, 0]])
+        want = np.array([[np.cos(50), -np.sin(50)], [np.sin(50), np.cos(50)]])
+        assert np.allclose(matrix_exponential(rot, 50), want, rtol=0,
+                           atol=1e-13)
+
+    def test_matrix_exponential_input_checks(self):
+        with pytest.raises(ValueError, match="square matrix required"):
+            matrix_exponential(np.ones((2, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for matrix, scale in ((np.array([[0, np.nan], [0, 0]]), 1.0),
+                                  (np.eye(2), float("nan")),
+                                  (np.eye(2), float("inf")),
+                                  (np.eye(2), complex(0, float("inf"))),
+                                  (np.full((2, 2), 1e200), 1e200)):
+                with pytest.raises(ValueError,
+                                   match="matrix entries must be finite"):
+                    matrix_exponential(matrix, scale)
+            assert matrix_exponential(np.zeros((0, 0))).shape == (0, 0)
 
     def test_dense_limit_guard(self):
         # refused before any matrix is allocated

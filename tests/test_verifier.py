@@ -14,7 +14,15 @@ import qalg.verifier
 from qalg.errors import ModeMismatchError
 from qalg.jw import jw_fermion_to_pauli
 from qalg.parafermion import SecondQuantizedExpr
-from qalg.pauli import I_UNIT, ONE, RT2_HALF, OperatorSum, Scalar, realize
+from qalg.pauli import (
+    I_UNIT,
+    ONE,
+    RT2_HALF,
+    OperatorSum,
+    Scalar,
+    matrix_exponential,
+    realize,
+)
 from qalg.verifier import (
     CHECKS,
     TruncatedBosonSpace,
@@ -94,6 +102,12 @@ class TestIndividualChecks:
         r4 = float(next(d for d in c4.details if "halving ratio" in d).split()[2].rstrip(","))
         assert abs(r3 - 16) < 3
         assert abs(r4 - 32) < 7
+
+    def test_bch_order_out_of_range_is_refused(self):
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            check_bch_series(order=-1)
+        with pytest.raises(ValueError, match="order capped at 6"):
+            check_bch_series(order=7)
 
     def test_iontrap_truncation_reported(self):
         chk = check_iontrap_xy(cutoff=3)
@@ -232,6 +246,18 @@ class TestIntegerConjugation:
             conjugate_eighth(OperatorSum.x(0, 2), OperatorSum.z(0, 1), 1)
         with pytest.raises(ModeMismatchError):
             scalar_conjugate(OperatorSum.x(0, 2), OperatorSum.z(0, 1), 1)
+
+
+class TestExactAgainstDenseExponential:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(("hop", "pauli", "sqrt2")), st.integers(1, 4),
+           st.integers(0, 2 ** 32), st.integers(-9, 17))
+    def test_exact_exp_matches_the_dense_exponential(self, kind, n, seed,
+                                                     eighths):
+        gen = generator(kind, n, random.Random(seed))
+        got = realize(exact_exp(gen, eighths))
+        want = matrix_exponential(realize(gen), 1j * eighths * np.pi / 4)
+        assert np.allclose(got, want, rtol=0, atol=1e-14)
 
 
 class TestConjugationWorkCounters:
