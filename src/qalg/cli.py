@@ -21,6 +21,8 @@ import sys
 import time
 from pathlib import Path
 
+import qalg
+
 from .codes import build_code, encoded_cphase, encoded_generator, rate, synthesize_su_d
 from .dsl import parse_expr, parse_script, print_expr
 from .jw import jw_fermion_to_pauli, string_operator
@@ -39,29 +41,6 @@ from .thermal import ThermalParams, occupation, sweep
 
 class CliError(Exception):
     """Input or usage problem; reported on stderr with exit code 2."""
-
-
-@functools.cache
-def _version() -> str:
-    from importlib import metadata
-
-    try:
-        return metadata.version("qalg")
-    except metadata.PackageNotFoundError:
-        return "0.0.0"
-
-
-class _VersionAction(argparse.Action):
-    """--version that reads the package metadata only when it fires."""
-
-    def __init__(self, option_strings, dest):
-        super().__init__(option_strings, dest, nargs=0,
-                         default=argparse.SUPPRESS,
-                         help="show program's version number and exit")
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        sys.stdout.write(_version() + "\n")
-        parser.exit()
 
 
 def _bits(mask: int, width: int) -> str:
@@ -420,7 +399,7 @@ def _write_output(args, command: str, body, lines, ok: bool):
     if args.format == "json":
         envelope = {
             "schema": 1,
-            "version": _version(),
+            "version": qalg.__version__,
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "input_hash": _input_hash(args, command),
             "body": body,
@@ -452,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qalg",
         description="Exact operator algebra tools: Lie closures, "
                     "transfer-monomial maps, encoded gates, identity checks.")
-    parser.add_argument("--version", action=_VersionAction)
+    parser.add_argument("--version", action="version",
+                        version=qalg.__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("closure", parents=[common, source],

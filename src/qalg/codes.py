@@ -171,9 +171,9 @@ def encoded_generator(code: CodeSubspace, kind: str, pair) -> EncodedGate:
 
     kind "x" swaps the occupations of the pair (zero on codewords where
     they agree); kind "z" is diag(q_j - q_i).  Accepts "x"/"z" or the
-    longer "Tx"/"Tz" spellings.
+    longer "Tx"/"Tz" spellings, in any case.
     """
-    kind = kind.lower().lstrip("t")
+    kind = kind.lower().removeprefix("t")
     i, j = pair
     if not 0 <= i < j < code.n_modes:
         raise ValueError(f"invalid pair {pair!r} for {code.n_modes} modes")

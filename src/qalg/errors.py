@@ -6,8 +6,8 @@ class ModeMismatchError(ValueError):
 
 
 class DenseLimitError(ValueError):
-    """pauli.realize was asked for more modes than its limit (the limit=
-    argument, else pauli.DENSE_LIMIT)."""
+    """A dense matrix above the one cap, 2**pauli.DENSE_LIMIT rows, was
+    asked for: by pauli.realize, or as a truncated boson space."""
 
 
 class SpeciesError(ValueError):

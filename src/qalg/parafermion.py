@@ -11,10 +11,10 @@ mode is the Z = +1 eigenstate.  ``fold_terms`` multiplies a sum of factor
 products out through a table of such images; it is the one place where
 ``to_pauli``, the string transform in ``jw`` and the qubit expressions of
 ``dsl`` turn factors into Pauli sums.  It works in integers, on the
-product kernel that ``OperatorSum.__mul__`` uses: each image is read once
-per process into Gaussian-integer numerators over a denominator, the
-factors of a term multiply through ``pauli.integer_product``, and each
-output term gets one exact Scalar at the end.
+kernel of ``pauli``: each image is read once per process into integer
+numerators over a denominator, the factors of a term multiply through
+``integer_product``, the terms are scaled and added by ``integer_scaled``
+and ``integer_sum``, and each output term gets one exact Scalar at the end.
 
 Number and parity conservation of an operator, that is exact commutation
 with the total number operator and with the product of on-site (1 - 2n)
@@ -39,6 +39,8 @@ from .pauli import (
     commutator,
     from_integers,
     integer_product,
+    integer_scaled,
+    integer_sum,
     integer_terms,
 )
 
@@ -199,29 +201,26 @@ def parity_operator(n_modes: int) -> OperatorSum:
 
 @lru_cache(maxsize=None)
 def _integer_image(image, mode: int, n_modes: int):
-    """image(mode, n_modes) as ``integer_terms`` reads it.
-
-    That is (den, {(x, z): (re, im)}) in the image's term order.  Single-site
-    images are Gaussian-rational; one with a sqrt(2) part is
-    refused.  The table lives for the process and holds one entry per
-    (image, mode, n_modes) a fold has used.
-    """
-    den, terms = integer_terms(image(mode, n_modes))
-    if any(len(parts) != 2 for parts in terms.values()):
-        raise ValueError("a fold image must have Gaussian-rational coefficients")
-    return den, terms
+    """image(mode, n_modes) as ``integer_terms`` reads it, (den, terms) in
+    the image's term order.  The table lives for the process and holds one
+    entry per (image, mode, n_modes) a fold has used."""
+    return integer_terms(image(mode, n_modes))
 
 
-def _fold_factors(factors, n_modes: int, images):
-    """(den, {(x, z): (re, im)}): the product of the factor images as
-    Gaussian integers over den, formed left to right from the identity."""
-    den, acc = 1, {(0, 0): (1, 0)}
+_IDENTITY = integer_terms(OperatorSum.identity(0))[1]
+
+
+def _fold_term(coeff, factors, n_modes: int, images):
+    """(den, terms): coeff times the product of the factor images, as an
+    integer reading over den, formed left to right from coeff times the
+    identity."""
+    den, acc = integer_scaled(_IDENTITY, coeff)
     for kind, mode in factors:
         for image in images[kind]:
             image_den, image_terms = _integer_image(image, mode, n_modes)
             den *= image_den
-            acc = {key: g for key, g in integer_product(acc, image_terms).items()
-                   if g != (0, 0)}
+            acc = {key: v for key, v in integer_product(acc, image_terms).items()
+                   if any(v)}
     return den, acc
 
 
@@ -234,40 +233,21 @@ def fold_terms(terms, n_modes: int, images) -> OperatorSum:
     order are those of the plain fold: coeff times the identity, multiplied
     by one image at a time as OperatorSums, the terms then added in turn.
 
-    The work is done in integers, on the kernel ``OperatorSum.__mul__``
-    uses.  Each image is read once per process by ``pauli.integer_terms``
-    into Gaussian-integer numerators over a denominator (``_integer_image``).
-    The images of a term multiply through ``pauli.integer_product``, and
-    zero entries are dropped after each image.  The term's coefficient
-    a + b*sqrt(2) + i(c + d*sqrt(2)) is then applied once per output key,
-    into a running total of the four rational parts per key, kept as
-    integers over one shared denominator.  Keys that cancel are dropped
-    after each term; ``pauli.from_integers`` builds the Scalars at the end.
+    The work is done on the integer kernel of ``pauli``.  Each image is
+    read once per process by ``integer_terms`` (``_integer_image``).  A
+    term starts as its coefficient times the identity (``integer_scaled``)
+    and multiplies through its images by ``integer_product``, with zero
+    entries dropped after each image.  ``integer_sum`` adds it to the
+    running total over the lcm of the two denominators, dropping the keys
+    that cancelled in the previous term.  ``from_integers`` builds the
+    Scalars at the end.
     """
     den_total, total = 1, {}
     for coeff, factors in terms:
-        if not coeff:  # adds nothing, and would leave zero keys behind
-            continue
-        den, acc = _fold_factors(factors, n_modes, images)
-        parts = (coeff.re, coeff.im, coeff.re2, coeff.im2)
-        step = den * lcm(*(p.denominator for p in parts))
-        new_total = lcm(den_total, step)
-        if new_total != den_total:
-            up = new_total // den_total
-            total = {key: [p * up for p in nums] for key, nums in total.items()}
-            den_total = new_total
-        a, c, b, d = (p.numerator * (den_total // (p.denominator * den))
-                      for p in parts)
-        for key, (r, i) in acc.items():
-            add = (a * r - c * i, a * i + c * r, b * r - d * i, b * i + d * r)
-            nums = total.get(key)
-            if nums is None:
-                total[key] = list(add)
-                continue
-            for k in range(4):
-                nums[k] += add[k]
-            if not any(nums):
-                del total[key]
+        den, acc = _fold_term(coeff, factors, n_modes, images)
+        new_total = lcm(den_total, den)
+        total = integer_sum(total, new_total // den_total, acc, new_total // den)
+        den_total = new_total
     return from_integers(n_modes, den_total, total)
 
 

@@ -17,16 +17,18 @@ representation; everyday operators carry plain Gaussian-rational
 coefficients.
 
 Products and linear combinations of Pauli sums are formed in integers, by
-one kernel that the operators of ``OperatorSum``, ``commutator``,
-``anticommutator`` and the fold in ``parafermion`` use.  ``integer_terms``
+one kernel that ``OperatorSum``, the brackets, the fold in ``parafermion``
+and the eighth-turn exponential in ``verifier`` use.  ``integer_terms``
 reads a sum as integer numerators over its least common denominator;
 ``integer_product`` multiplies two such readings term pair by term pair, as
 Gaussian integers when neither carries a sqrt(2) part, each product rotated
-by the power of i that ``product_phase_exp`` gives; ``integer_sum`` adds
-integer multiples of two readings over one denominator; and
-``from_integers`` builds one Scalar per nonzero output term.  A sum,
-difference, scalar multiple or bracket reads each operand once and builds
-each output Scalar once.
+by the power of i that ``product_phase_exp`` gives; ``integer_scaled``
+multiplies a reading by a number; ``integer_sum`` adds integer multiples of
+two readings over one denominator; and ``from_integers`` builds one Scalar
+per nonzero output term.  A sum, difference, scalar multiple or bracket
+reads each operand once and builds each output Scalar once.  Only this
+module builds, pads or indexes the parts of a reading; others compare
+them, sum them elementwise or test them with ``any``.
 
 Mode 0 is the least significant bit of basis-state labels in the dense
 realization, i.e. ``realize`` maps mode 0 to the last Kronecker factor.
@@ -40,7 +42,7 @@ from math import ceil, lcm, log2
 
 from .errors import DenseLimitError, ModeMismatchError
 
-# largest mode count realize builds a dense matrix for, unless told otherwise
+# largest mode count realize builds a dense matrix for
 DENSE_LIMIT = 10
 _SQRT2 = 2 ** 0.5
 # shared default for the unset parts of a Scalar; Fractions are immutable
@@ -95,6 +97,12 @@ class Scalar:
         if other is NotImplemented:
             return other
         return self + (-other)
+
+    def __rsub__(self, other):
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
+        return other - self
 
     def __neg__(self):
         return Scalar(-self.re, -self.im, -self.re2, -self.im2)
@@ -416,6 +424,14 @@ def _scalar_terms(value) -> tuple:
                                for p in parts)}
 
 
+def integer_scaled(terms: dict, value) -> tuple:
+    """(den, terms times value) for an int, Fraction or Scalar value, over
+    den times the denominator of terms: their product with value times the
+    identity, so the keys and their order are kept, zero parts included."""
+    den, scalar = _scalar_terms(value)
+    return den, integer_product(terms, scalar)
+
+
 def integer_product(left: dict, right: dict) -> dict:
     """{(x, z): parts} of the product of two ``integer_terms`` readings.
 
@@ -561,19 +577,18 @@ def _parity_signs(n_modes: int) -> "np.ndarray":
     return np.where(pop & 1, -1.0, 1.0)
 
 
-def realize(op: OperatorSum, limit: int | None = None) -> "np.ndarray":
+def realize(op: OperatorSum) -> "np.ndarray":
     """Dense complex matrix of an OperatorSum.
 
     Basis-state labels carry mode i on bit i (mode 0 least significant).
-    A sum on more than limit modes (default DENSE_LIMIT) raises
-    DenseLimitError, since the matrix takes 16**n_modes bytes.
+    A sum on more than DENSE_LIMIT modes raises DenseLimitError, since the
+    matrix takes 16**n_modes bytes.
     """
     import numpy as np
 
-    cap = DENSE_LIMIT if limit is None else limit
-    if op.n_modes > cap:
+    if op.n_modes > DENSE_LIMIT:
         raise DenseLimitError(
-            f"{op.n_modes} modes exceeds the dense limit of {cap}")
+            f"{op.n_modes} modes exceeds the dense limit of {DENSE_LIMIT}")
     dim = 1 << op.n_modes
     out = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)

@@ -27,11 +27,13 @@ checks exponentiate both signs.  Nothing is kept between calls.
 Conjugations by exp(i A phi) at eighth-turn angles are done exactly: for
 any Hermitian A with A**3 = A the exponential is I + (cos phi - 1) A**2 +
 i sin phi A, and 2 cos phi and 2 sin phi lie in Z[sqrt(2)].  The work is
-done in integers, on the product kernel of ``pauli``: A is read once as
-numerators over its denominator, squared once and checked against its cube
-once, and the exponential is built directly as an integer reading over
-2 den(A)**2.  A conjugation is then two integer products, and it builds
-one Scalar per output term.
+done in integers, on the kernel of ``pauli``: A is read once as numerators
+over its denominator, squared once and checked against its cube once, and
+the exponential is built as an integer reading over 2 den(A)**2 by kernel
+sums of A**2 and A, scaled by the exact 2 cos phi - 2 and 2i sin phi; the
+part even in phi is formed once for exp(-i A phi) and exp(i A phi).  A
+conjugation is then two integer products, and it builds one Scalar per
+output term.
 """
 
 from __future__ import annotations
@@ -51,17 +53,21 @@ from .jw import (
     jw_fermion_to_pauli,
     verify_car,
 )
-from .errors import ModeMismatchError
+from .errors import DenseLimitError, ModeMismatchError
 from .pauli import (
+    DENSE_LIMIT,
     HALF,
     I_UNIT,
     ONE,
+    RT2_HALF,
     OperatorSum,
     Scalar,
     anticommutator,
     commutator,
     from_integers,
     integer_product,
+    integer_scaled,
+    integer_sum,
     integer_terms,
     matrix_exponential,
     realize,
@@ -88,9 +94,12 @@ class IdentityCheck:
 
 # -- exact eighth-turn conjugation ----------------------------------------
 
-# 2 cos(k pi/4) and 2 sin(k pi/4) as (a, b) for a + b*sqrt(2)
-_COS2 = ((2, 0), (0, 1), (0, 0), (0, -1), (-2, 0), (0, -1), (0, 0), (0, 1))
-_SIN2 = ((0, 0), (0, 1), (2, 0), (0, 1), (0, 0), (0, -1), (-2, 0), (0, -1))
+_RT2 = 2 * RT2_HALF
+_COS2 = (2, _RT2, 0, -_RT2, -2, -_RT2, 0, _RT2)  # 2 cos(k pi/4), k = 0..7
+# the multipliers 2 cos phi - 2 of G**2 and 2i sin phi of G in 2 exp(i G phi)
+# at phi = k pi/4, since sin(k pi/4) = cos((k - 2) pi/4)
+_MULTIPLIERS = tuple((_COS2[k] - 2, I_UNIT * _COS2[k - 2]) for k in range(8))
+_IDENTITY = integer_terms(OperatorSum.identity(0))[1]
 
 
 def _read_generator(gen: OperatorSum) -> tuple:
@@ -99,61 +108,34 @@ def _read_generator(gen: OperatorSum) -> tuple:
     den, terms = integer_terms(gen)
     sq = {k: v for k, v in integer_product(terms, terms).items() if any(v)}
     cube = {k: v for k, v in integer_product(sq, terms).items() if any(v)}
-    d2 = den * den
-    if cube != {k: tuple(d2 * p for p in v) for k, v in terms.items()}:
+    if cube != integer_sum(terms, den**2, {}, 0):
         raise ValueError("exact_exp needs gen**3 = gen")
     return den, terms, sq
 
 
-def _scaled(parts: tuple, a: int, b: int, width: int) -> tuple:
-    """parts times the real a + b*sqrt(2), as a tuple of width parts."""
-    if width == 2:
-        return (a * parts[0], a * parts[1])
-    re, im, re2, im2 = *parts, *(0,) * (4 - len(parts))
-    return (a * re + 2 * b * re2, a * im + 2 * b * im2,
-            a * re2 + b * re, a * im2 + b * im)
-
-
-def _plus(out: dict, terms) -> dict:
-    """out plus (key, parts) pairs, new keys appended in the order met,
-    then every key whose total is zero dropped."""
-    for key, add in terms:
-        old = out.get(key)
-        out[key] = add if old is None else tuple(
-            a + b for a, b in zip(old, add))
-    return {key: v for key, v in out.items() if any(v)}
-
-
-def _times_i(parts: tuple) -> tuple:
-    if len(parts) == 2:
-        return (-parts[1], parts[0])
-    return (-parts[1], parts[0], -parts[3], parts[2])
-
-
-def _exponential(den: int, gen: dict, sq: dict, k: int) -> dict:
-    """I + (cos phi - 1) G**2 + i sin phi G at phi = k pi/4, as an integer
-    reading over 2 den**2.
+def _exponentials(den: int, gen: dict, sq: dict, k: int) -> tuple:
+    """exp(-i G phi) and exp(i G phi) at phi = k pi/4, each
+    I + (cos phi - 1) G**2 -+ i sin phi G as an integer reading over
+    2 den**2, by kernel sums of scaled readings; the even part, I and G**2,
+    is formed once for both.
 
     Keys come in the order of those sums: the identity, then the keys of
     G**2, then those of G; a key whose total is zero after the G**2 or the
     G stage is dropped there, as adding OperatorSums drops it.
     """
-    c, c2 = _COS2[k]
-    s, s2 = _SIN2[k]
-    width = 4 if c2 or s2 or len(next(iter(gen.values()), ())) == 4 else 2
-    out = _plus({(0, 0): (2 * den * den, 0, 0, 0)[:width]},
-                ((key, _scaled(parts, c - 2, c2, width))
-                 for key, parts in sq.items()))
-    return _plus(out, ((key, _scaled(_times_i(parts), s * den, s2 * den,
-                                     width))
-                       for key, parts in gen.items()))
+    cos2, sin2 = _MULTIPLIERS[k]
+    even = integer_sum(_IDENTITY, 2 * den * den,
+                       integer_scaled(sq, cos2)[1], 1)
+    odd = integer_scaled(gen, sin2)[1]
+    both = (integer_sum(even, 1, odd, -den), integer_sum(even, 1, odd, den))
+    return tuple({key: v for key, v in u.items() if any(v)} for u in both)
 
 
 def exact_exp(gen: OperatorSum, eighths: int) -> OperatorSum:
     """exp(i gen (eighths * pi/4)) for generators satisfying gen**3 = gen."""
     den, terms, sq = _read_generator(gen)
     return from_integers(gen.n_modes, 2 * den * den,
-                         _exponential(den, terms, sq, eighths % 8))
+                         _exponentials(den, terms, sq, eighths % 8)[1])
 
 
 def conjugate_eighth(op: OperatorSum, gen: OperatorSum,
@@ -168,13 +150,12 @@ def conjugate_eighth(op: OperatorSum, gen: OperatorSum,
         raise ModeMismatchError(
             f"operands on {gen.n_modes} and {op.n_modes} modes")
     op_den, op_terms = integer_terms(op)
-    left = integer_product(_exponential(den, terms, sq, -eighths % 8),
-                           op_terms)
-    left = {key: v for key, v in left.items() if any(v)}
-    right = _exponential(den, terms, sq, eighths % 8)
+    minus, plus = _exponentials(den, terms, sq, eighths % 8)
+    left = {key: v for key, v in integer_product(minus, op_terms).items()
+            if any(v)}
     u_den = 2 * den * den
     return from_integers(gen.n_modes, u_den * op_den * u_den,
-                         integer_product(left, right))
+                         integer_product(left, plus))
 
 
 def _exact_residual(diff: OperatorSum) -> float:
@@ -205,7 +186,8 @@ class TruncatedBosonSpace:
 
     Basis index = sum_i n_i * (cutoff+1)**i, so mode 0 is the fastest
     varying digit.  [b, b+] = 1 holds on states below the cap; the top
-    rung is truncated.
+    rung is truncated.  A space of more than 2**DENSE_LIMIT states, the
+    dimension of the largest matrix realize builds, raises DenseLimitError.
     """
 
     n_modes: int
@@ -216,6 +198,9 @@ class TruncatedBosonSpace:
         if self.n_modes < 1 or self.cutoff < 1:
             raise ValueError("need at least one mode and cutoff >= 1")
         self.dim = (self.cutoff + 1) ** self.n_modes
+        if self.dim > 1 << DENSE_LIMIT:
+            raise DenseLimitError(f"{self.dim} states exceeds the dense "
+                                  f"limit of {1 << DENSE_LIMIT}")
 
     def occupation(self, mode: int) -> np.ndarray:
         """The occupation of mode in every basis state: digit mode of each
@@ -259,6 +244,8 @@ class TruncatedBosonSpace:
         return np.eye(self.dim, dtype=complex)
 
     def occupations(self, index: int):
+        if not 0 <= index < self.dim:
+            raise ValueError(f"index {index} out of range for {self.dim} states")
         d = self.cutoff + 1
         out = []
         for _ in range(self.n_modes):

@@ -219,6 +219,29 @@ class TestEnvelope:
         assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         assert doc["body"]["generator"]["action"]["real"][1][3] == 1.0
 
+    def test_version_is_the_package_version(self, capsys):
+        # a JSON verb in a fresh process prints qalg.__version__ and never
+        # looks the version up in the package metadata
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        script = ("import io, json, sys\n"
+                  "from contextlib import redirect_stdout\n"
+                  "import qalg\n"
+                  "from qalg.cli import main\n"
+                  "out = io.StringIO()\n"
+                  "with redirect_stdout(out):\n"
+                  "    main(['enumerate', '-n', '1', '--format', 'json'])\n"
+                  "print(json.loads(out.getvalue())['version'] == "
+                  "qalg.__version__, 'importlib.metadata' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert done.stdout == "True False\n"
+        import qalg
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().out == qalg.__version__ + "\n"
+
     def test_version_runs(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

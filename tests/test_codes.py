@@ -103,10 +103,17 @@ class TestEncodedGenerators:
         with pytest.raises(ModeMismatchError):
             build_code(3, 1).project(OperatorSum.z(1, 5))
 
+    def test_kind_spellings(self):
+        code = build_code(3, 1)
+        for kind in ("x", "X", "tx", "Tx", "TX", "z", "Z", "tz", "Tz", "TZ"):
+            gate = encoded_generator(code, kind, (0, 1))
+            assert gate.name == f"T{kind[-1].lower()}(0,1)"
+
     def test_bad_kind_and_pair(self):
         code = build_code(3, 1)
-        with pytest.raises(ValueError):
-            encoded_generator(code, "y", (0, 1))
+        for kind in ("y", "t", "ttx", "TTTz", "xt"):
+            with pytest.raises(ValueError, match="unknown generator kind"):
+                encoded_generator(code, kind, (0, 1))
         with pytest.raises(ValueError):
             encoded_generator(code, "x", (0, 0))
         with pytest.raises(ValueError):

@@ -224,6 +224,10 @@ class TestBosonSpace:
             sp.index_of((0, 2))
         with pytest.raises(ValueError):
             sp.index_of((0, 0, 0))
+        assert sp.occupations(3) == (1, 1)
+        for index in (-1, 4, 100):
+            with pytest.raises(ValueError, match="out of range for 4 states"):
+                sp.occupations(index)
         with pytest.raises(ValueError):
             TruncatedBosonSpace(0, cutoff=1)
 

@@ -28,7 +28,15 @@ from qalg.parafermion import (
     raising_op,
     to_pauli,
 )
-from qalg.pauli import HALF, I_UNIT, OperatorSum, Scalar, commutator, realize
+from qalg.pauli import (
+    HALF,
+    I_UNIT,
+    RT2_HALF,
+    OperatorSum,
+    Scalar,
+    commutator,
+    realize,
+)
 
 E = SecondQuantizedExpr
 
@@ -286,6 +294,11 @@ def _reference_fold(terms, n, images):
     return total
 
 
+def _rooted_raising(mode, n):
+    """A raising image with sqrt(2) coefficients."""
+    return raising_op(mode, n) * RT2_HALF
+
+
 # table -> (the fold under test, the reference images of its factors)
 _FOLDS = {
     "parafermion": (
@@ -300,6 +313,11 @@ _FOLDS = {
         lambda terms, n: fold_terms(terms, n, qalg.dsl._QUBIT_IMAGES),
         {"X": OperatorSum.x, "Y": OperatorSum.y, "Z": OperatorSum.z,
          "n": number_site}),
+    "rooted": (
+        lambda terms, n: fold_terms(terms, n, {"+": (_rooted_raising,),
+                                               "-": (lowering_op,),
+                                               "n": (number_site,)}),
+        {"+": _rooted_raising, "-": lowering_op, "n": number_site}),
 }
 
 
@@ -343,6 +361,17 @@ class TestFold:
         got, want = fold(terms, n), _reference_fold(terms, n, images)
         assert got == want
         assert list(got._terms) == list(want._terms)
+
+    def test_sqrt2_image(self):
+        # a sqrt(2) image folds like any other: the X term of the rooted
+        # (sqrt(2)/2) a'(0) cancels against -(sqrt(2)/2) a(0), and a(0)
+        # brings it back after Y
+        terms = [(Scalar(1), (("+", 0),)), (-RT2_HALF, (("-", 0),)),
+                 (Scalar(1), (("-", 0),))]
+        got = _FOLDS["rooted"][0](terms, 1)
+        want = _reference_fold(terms, 1, _FOLDS["rooted"][1])
+        assert got == want and not got.is_rational
+        assert list(got._terms) == list(want._terms) == [(1, 1), (1, 0)]
 
     def test_image_table_holds_one_entry_per_image_used(self):
         table = qalg.parafermion._integer_image

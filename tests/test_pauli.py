@@ -24,10 +24,14 @@ from qalg.pauli import (
     Scalar,
     anticommutator,
     commutator,
+    from_integers,
+    integer_scaled,
+    integer_terms,
     matrix_exponential,
     product_phase_exp,
     realize,
 )
+from qalg.verifier import TruncatedBosonSpace, compound_mapping_check
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -81,8 +85,8 @@ class TestScalar:
         # in arithmetic too, from either side
         for value in (0.5, 1j):
             for form in (lambda: HALF + value, lambda: value + HALF,
-                         lambda: HALF - value, lambda: HALF * value,
-                         lambda: value * HALF):
+                         lambda: HALF - value, lambda: value - HALF,
+                         lambda: HALF * value, lambda: value * HALF):
                 with pytest.raises(TypeError, match="exact rational expected"):
                     form()
 
@@ -90,6 +94,9 @@ class TestScalar:
         third = Fraction(1, 3)
         assert HALF + 1 == 1 + HALF == Scalar(Fraction(3, 2))
         assert HALF - 1 == Scalar(Fraction(-1, 2))
+        assert 1 - Scalar(2) == Scalar(-1)
+        assert Fraction(1, 2) - Scalar(1) == Scalar(Fraction(-1, 2))
+        assert third - RT2_HALF == Scalar(third, 0, Fraction(-1, 2))
         assert HALF * third == third * HALF == Scalar(Fraction(1, 6))
         assert HALF + third == third + HALF == Scalar(Fraction(5, 6))
         assert RT2_HALF * 2 == 2 * RT2_HALF == Scalar(0, 0, 1)
@@ -265,13 +272,17 @@ class TestDense:
             assert matrix_exponential(np.zeros((0, 0))).shape == (0, 0)
 
     def test_dense_limit_guard(self):
-        # refused before any matrix is allocated
+        # refused before any matrix is allocated: a sum on more than
+        # DENSE_LIMIT modes, and a boson space of more than 2**DENSE_LIMIT
+        # states, such as the 4**6 of three boson pairs at cutoff 3
         with pytest.raises(DenseLimitError, match=f"limit of {DENSE_LIMIT}"):
             realize(OperatorSum.x(0, DENSE_LIMIT + 1))
+        cap = 1 << DENSE_LIMIT
+        with pytest.raises(DenseLimitError, match=f"4096 states .* {cap}$"):
+            TruncatedBosonSpace(6, cutoff=3)
         with pytest.raises(DenseLimitError):
-            realize(OperatorSum.x(0, 3), limit=2)
-        # the limit argument is the only override
-        assert realize(OperatorSum.x(0, 3), limit=3).shape == (8, 8)
+            compound_mapping_check(3, 3, cutoff=3)
+        assert TruncatedBosonSpace(DENSE_LIMIT, cutoff=1).dim == cap
 
 
 _PART = st.fractions(-3, 3, max_denominator=4)
@@ -594,6 +605,19 @@ class TestIntegerLinear:
         want = _loop_scale(op, value)
         _same_terms(op * value, want)
         _same_terms(value * op, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_product_operands(), _SCALARS)
+    @example((OperatorSum.zero(1), OperatorSum.zero(1)), RT2_HALF)
+    @example((OperatorSum.x(0, 1) * RT2_HALF, OperatorSum.zero(1)), 0)
+    def test_integer_scaled_matches_loop(self, pair, value):
+        # a reading over den scaled by value is over den * d, in op's order
+        op = pair[0]
+        den, terms = integer_terms(op)
+        d, scaled = integer_scaled(terms, value)
+        assert list(scaled) == list(terms)
+        _same_terms(from_integers(op.n_modes, den * d, scaled),
+                    _loop_scale(op, value))
 
     def test_cancel_and_return_goes_last(self):
         a, b = _CANCEL_AND_RETURN
