@@ -39,10 +39,9 @@ import math
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
-from .pauli import OperatorSum, Scalar
+from .pauli import OperatorSum, Scalar, from_integers, integer_terms
 from .parafermion import conserves_number, conserves_parity
 
 
@@ -121,18 +120,14 @@ _IRRATIONAL = ("exact closure requires rational coefficients; "
                "irrational coefficient encountered")
 
 
-def _primitive(coords: dict) -> dict:
-    """Primitive integer vector of rational coordinates {key: Fraction}."""
-    denom = math.lcm(*(v.denominator for v in coords.values()))
-    return _normalize({k: int(v * denom) for k, v in coords.items() if v})
-
-
 def _to_vec(op: OperatorSum) -> dict:
-    """Primitive integer coordinate vector of a rational Hermitian sum."""
+    """Primitive integer coordinate vector of a rational Hermitian sum: the
+    real parts of its integer reading, in sorted key order, normalized."""
     if not op.is_rational:
         raise ValueError(_IRRATIONAL)
     n = op.n_modes
-    return _primitive({(x << n) | z: c.re for (x, z), c in op.items()})
+    return _normalize({(x << n) | z: parts[0] for (x, z), parts
+                       in sorted(integer_terms(op)[1].items()) if parts[0]})
 
 
 def _normalize(vec: dict) -> dict:
@@ -150,9 +145,8 @@ def _normalize(vec: dict) -> dict:
 
 def _from_vec(vec: dict, n_modes: int) -> OperatorSum:
     mask = (1 << n_modes) - 1
-    return OperatorSum(n_modes, {
-        (k >> n_modes, k & mask): Scalar(Fraction(v))
-        for k, v in vec.items()})
+    return from_integers(n_modes, 1, {(k >> n_modes, k & mask): (v, 0)
+                                      for k, v in vec.items()})
 
 
 def _bracket(va: dict, vb: dict, n_modes: int) -> dict:
@@ -273,8 +267,10 @@ def _matrix_vec(entries: dict, d: int) -> dict:
     """Primitive integer vector of Hermitian entries {(row, col): Scalar}."""
     if not all(s.is_rational for s in entries.values()):
         raise ValueError(_IRRATIONAL)
-    return _primitive({r * d + c: s.re if r <= c else -s.im
-                       for (r, c), s in entries.items()})
+    coords = {r * d + c: s.re if r <= c else -s.im
+              for (r, c), s in entries.items()}
+    denom = math.lcm(*(v.denominator for v in coords.values()))
+    return _normalize({k: int(v * denom) for k, v in coords.items() if v})
 
 
 def _matrix_entries(vec: dict, d: int) -> dict:

@@ -11,10 +11,9 @@ mode is the Z = +1 eigenstate.  ``fold_terms`` multiplies a sum of factor
 products out through a table of such images; it is the one place where
 ``to_pauli``, the string transform in ``jw`` and the qubit expressions of
 ``dsl`` turn factors into Pauli sums.  It works in integers, on the
-kernel of ``pauli``: each image is read once per process into integer
-numerators over a denominator, the factors of a term multiply through
-``integer_product``, the terms are scaled and added by ``integer_scaled``
-and ``integer_sum``, and each output term gets one exact Scalar at the end.
+kernel of ``pauli``: each image's integer reading is kept once per
+process, the factors of a term multiply through ``integer_product``, and
+one ``integer_sum`` adds every term over one denominator.
 
 Number and parity conservation of an operator, that is exact commutation
 with the total number operator and with the product of on-site (1 - 2n)
@@ -39,7 +38,6 @@ from .pauli import (
     commutator,
     from_integers,
     integer_product,
-    integer_scaled,
     integer_sum,
     integer_terms,
 )
@@ -172,14 +170,16 @@ class SecondQuantizedExpr:
 
 # -- single-site Pauli images ---------------------------------------------
 
+_HALF_I = HALF * I_UNIT  # the Y coefficient of the raising image
+
 def raising_op(mode: int, n_modes: int) -> OperatorSum:
     """(X + iY)/2 on one mode; the image of a creation operator."""
     bit = 1 << mode
-    return OperatorSum(n_modes, {(bit, 0): HALF, (bit, bit): HALF.times_i()})
+    return OperatorSum(n_modes, {(bit, 0): HALF, (bit, bit): _HALF_I})
 
 def lowering_op(mode: int, n_modes: int) -> OperatorSum:
     bit = 1 << mode
-    return OperatorSum(n_modes, {(bit, 0): HALF, (bit, bit): HALF.times_i(-1)})
+    return OperatorSum(n_modes, {(bit, 0): HALF, (bit, bit): -_HALF_I})
 
 def number_site(mode: int, n_modes: int) -> OperatorSum:
     """(1 + Z)/2 on one mode: the occupied state is the Z = +1 eigenstate."""
@@ -207,14 +207,11 @@ def _integer_image(image, mode: int, n_modes: int):
     return integer_terms(image(mode, n_modes))
 
 
-_IDENTITY = integer_terms(OperatorSum.identity(0))[1]
-
-
 def _fold_term(coeff, factors, n_modes: int, images):
     """(den, terms): coeff times the product of the factor images, as an
     integer reading over den, formed left to right from coeff times the
     identity."""
-    den, acc = integer_scaled(_IDENTITY, coeff)
+    den, acc = integer_terms(OperatorSum(n_modes, {(0, 0): coeff}))
     for kind, mode in factors:
         for image in images[kind]:
             image_den, image_terms = _integer_image(image, mode, n_modes)
@@ -233,22 +230,19 @@ def fold_terms(terms, n_modes: int, images) -> OperatorSum:
     order are those of the plain fold: coeff times the identity, multiplied
     by one image at a time as OperatorSums, the terms then added in turn.
 
-    The work is done on the integer kernel of ``pauli``.  Each image is
-    read once per process by ``integer_terms`` (``_integer_image``).  A
-    term starts as its coefficient times the identity (``integer_scaled``)
-    and multiplies through its images by ``integer_product``, with zero
-    entries dropped after each image.  ``integer_sum`` adds it to the
-    running total over the lcm of the two denominators, dropping the keys
-    that cancelled in the previous term.  ``from_integers`` builds the
-    Scalars at the end.
+    The work is done on the integer kernel of ``pauli``, in time linear in
+    the number of terms.  Each image is read once per process by
+    ``integer_terms`` (``_integer_image``).  A term starts as its
+    coefficient times the identity and multiplies through its images by
+    ``integer_product``, with zero entries dropped after each image.  One
+    ``integer_sum`` then adds every term into one dict over the lcm of all
+    their denominators, and ``from_integers`` makes the sum.
     """
-    den_total, total = 1, {}
-    for coeff, factors in terms:
-        den, acc = _fold_term(coeff, factors, n_modes, images)
-        new_total = lcm(den_total, den)
-        total = integer_sum(total, new_total // den_total, acc, new_total // den)
-        den_total = new_total
-    return from_integers(n_modes, den_total, total)
+    readings = [_fold_term(coeff, factors, n_modes, images)
+                for coeff, factors in terms]
+    den = lcm(*(d for d, _ in readings))
+    return from_integers(n_modes, den, integer_sum(
+        *((acc, den // d) for d, acc in readings)))
 
 
 _SITE_IMAGES = {CREATE: (raising_op,), ANNIHILATE: (lowering_op,),

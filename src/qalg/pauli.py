@@ -16,19 +16,27 @@ eighth-turn exponentials (cos and sin both sqrt(2)/2) stays inside the
 representation; everyday operators carry plain Gaussian-rational
 coefficients.
 
-Products and linear combinations of Pauli sums are formed in integers, by
-one kernel that ``OperatorSum``, the brackets, the fold in ``parafermion``
-and the eighth-turn exponential in ``verifier`` use.  ``integer_terms``
-reads a sum as integer numerators over its least common denominator;
-``integer_product`` multiplies two such readings term pair by term pair, as
-Gaussian integers when neither carries a sqrt(2) part, each product rotated
-by the power of i that ``product_phase_exp`` gives; ``integer_scaled``
-multiplies a reading by a number; ``integer_sum`` adds integer multiples of
-two readings over one denominator; and ``from_integers`` builds one Scalar
-per nonzero output term.  A sum, difference, scalar multiple or bracket
-reads each operand once and builds each output Scalar once.  Only this
-module builds, pads or indexes the parts of a reading; others compare
-them, sum them elementwise or test them with ``any``.
+An OperatorSum stores its coefficients as one canonical integer reading
+``(den, {(x, z): parts})``: the coefficient of P(x, z) is
+(re + i*im + sqrt(2)*(re2 + i*im2)) / den for parts (re, im), or
+(re, im, re2, im2) on every term when some sqrt(2) part is nonzero.  No
+term has all-zero parts, den > 0, and den has no common factor with every
+part; ``_canonical`` makes that form for the constructor and
+``from_integers`` alike, so equality and hashing compare readings.  A
+Scalar is built only where a coefficient is read (``items``,
+``coefficient``, ``apply_basis_state``, printing).
+
+Products and linear combinations are formed on the readings, by one kernel
+that ``OperatorSum``, the brackets, the fold in ``parafermion`` and the
+eighth-turn exponential in ``verifier`` use.  ``integer_terms`` returns a
+sum's reading; ``integer_product`` multiplies two readings term pair by
+term pair, as Gaussian integers when neither carries a sqrt(2) part, each
+product rotated by the power of i that ``product_phase_exp`` gives;
+``integer_scaled`` multiplies a reading by a number; ``integer_sum`` adds
+integer multiples of any number of readings into one dict; and
+``from_integers`` makes the sum of a reading.  Only this module builds,
+pads or width-tests complex parts; ``lie`` reads and writes real ones,
+(re, 0), and others compare parts, sum them or test them with ``any``.
 
 Mode 0 is the least significant bit of basis-state labels in the dense
 realization, i.e. ``realize`` maps mode 0 to the last Kronecker factor.
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, lcm, log2
+from math import ceil, gcd, lcm, log2
 
 from .errors import DenseLimitError, ModeMismatchError
 
@@ -125,24 +133,9 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im, self.re2, -self.im2)
 
-    def times_i(self, power: int = 1) -> "Scalar":
-        """Multiply by i**power without going through __mul__."""
-        power %= 4
-        if power == 0:
-            return self
-        if power == 1:
-            return Scalar(-self.im, self.re, -self.im2, self.re2)
-        if power == 2:
-            return -self
-        return Scalar(self.im, -self.re, self.im2, -self.re2)
-
     @property
     def is_zero(self) -> bool:
         return not (self.re or self.im or self.re2 or self.im2)
-
-    @property
-    def is_real(self) -> bool:
-        return not (self.im or self.im2)
 
     @property
     def is_rational(self) -> bool:
@@ -197,29 +190,33 @@ def product_phase_exp(x1: int, z1: int, x2: int, z2: int) -> int:
 class OperatorSum:
     """Finite sum of Pauli terms with exact coefficients.
 
-    Stored as a map (x_mask, z_mask) -> Scalar, the coefficient of the
-    Hermitian reference term P(x, z).  Zero coefficients are dropped.  A
+    Built from a map (x_mask, z_mask) -> int, Fraction or Scalar, the
+    coefficient of the Hermitian reference term P(x, z); zero coefficients
+    are dropped, and a float raises TypeError.  Stored as the canonical
+    integer reading of those coefficients that the module docstring
+    describes, so two sums are equal exactly when their readings are.  A
     negative n_modes, or a mask with a bit at or above n_modes (or a
     negative one), raises ValueError.
     """
 
-    __slots__ = ("n_modes", "_terms")
+    __slots__ = ("n_modes", "_den", "_terms")
 
     def __init__(self, n_modes: int, terms=None):
         if n_modes < 0:
             raise ValueError("n_modes must be nonnegative")
         self.n_modes = n_modes
-        clean = {}
-        if terms:
-            used = 0
-            for key, coeff in terms.items():
-                used |= key[0] | key[1]
-                coeff = Scalar.of(coeff)
-                if coeff:
-                    clean[key] = coeff
-            if used >> n_modes:
-                raise ValueError("mask exceeds the declared mode count")
-        self._terms = clean
+        fracs = {}
+        used = 0
+        for key, c in (terms or {}).items():
+            used |= key[0] | key[1]
+            fracs[key] = ((c.re, c.im, c.re2, c.im2) if isinstance(c, Scalar)
+                          else (_frac(c), 0, 0, 0))
+        if used >> n_modes:
+            raise ValueError("mask exceeds the declared mode count")
+        den = lcm(*(p.denominator for parts in fracs.values() for p in parts))
+        self._den, self._terms = _canonical(den, {
+            key: tuple(p.numerator * (den // p.denominator) for p in parts)
+            for key, parts in fracs.items()})
 
     # -- constructors -----------------------------------------------------
 
@@ -247,10 +244,12 @@ class OperatorSum:
 
     def items(self):
         """Terms in canonical (x_mask, z_mask) order."""
-        return sorted(self._terms.items())
+        return [(key, _scalar(parts, self._den))
+                for key, parts in sorted(self._terms.items())]
 
     def coefficient(self, x_mask: int, z_mask: int) -> Scalar:
-        return self._terms.get((x_mask, z_mask), ZERO)
+        parts = self._terms.get((x_mask, z_mask))
+        return ZERO if parts is None else _scalar(parts, self._den)
 
     @property
     def n_terms(self) -> int:
@@ -262,11 +261,11 @@ class OperatorSum:
 
     @property
     def is_hermitian(self) -> bool:
-        return all(c.is_real for c in self._terms.values())
+        return not any(any(parts[1::2]) for parts in self._terms.values())
 
     @property
     def is_rational(self) -> bool:
-        return all(c.is_rational for c in self._terms.values())
+        return all(len(parts) == 2 for parts in self._terms.values())
 
     def support(self) -> int:
         mask = 0
@@ -288,11 +287,10 @@ class OperatorSum:
     def _combine(self, other, sign: int) -> "OperatorSum":
         """self + sign * other over the lcm of the two denominators."""
         self._check_modes(other)
-        den1, left = integer_terms(self)
-        den2, right = integer_terms(other)
-        den = lcm(den1, den2)
+        den = lcm(self._den, other._den)
         return from_integers(self.n_modes, den, integer_sum(
-            left, den // den1, right, sign * (den // den2)))
+            (self._terms, den // self._den),
+            (other._terms, sign * (den // other._den))))
 
     def __add__(self, other):
         """Sum in integers: self's terms in order, then other's new ones."""
@@ -307,30 +305,27 @@ class OperatorSum:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return OperatorSum(self.n_modes,
-                           {k: -c for k, c in self._terms.items()})
+        return from_integers(self.n_modes, self._den, {
+            key: tuple(-p for p in parts)
+            for key, parts in self._terms.items()})
 
     def __mul__(self, other):
         """Product with a scalar, or with another sum on the same modes.
 
-        Both multiply in integers: each operand is read once as numerators
-        over its least common denominator (``integer_terms``; a scalar is
-        read as itself times the identity), the term pairs multiply as
-        integers (``integer_product``), and each nonzero output term gets
-        one Scalar over the product of the two denominators.  The terms
-        come out in the order the pair loop, self's terms outside and
-        other's inside, first meets their keys; a scalar keeps self's order.
+        Both multiply the stored readings in integers: a scalar is read as
+        itself times the identity, the term pairs multiply as integers
+        (``integer_product``), and the output reading is over the product
+        of the two denominators.  The terms come out in the order the pair
+        loop, self's terms outside and other's inside, first meets their
+        keys; a scalar keeps self's order.
         """
-        if isinstance(other, OperatorSum):
-            self._check_modes(other)
-            den2, right = integer_terms(other)
-        elif isinstance(other, (int, Fraction, Scalar)):
-            den2, right = _scalar_terms(other)
-        else:
+        if isinstance(other, (int, Fraction, Scalar)):
+            other = OperatorSum(self.n_modes, {(0, 0): other})
+        elif not isinstance(other, OperatorSum):
             return NotImplemented
-        den1, left = integer_terms(self)
-        return from_integers(self.n_modes, den1 * den2,
-                             integer_product(left, right))
+        self._check_modes(other)
+        return from_integers(self.n_modes, self._den * other._den,
+                             integer_product(self._terms, other._terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -338,36 +333,44 @@ class OperatorSum:
         return NotImplemented
 
     def adjoint(self) -> "OperatorSum":
-        return OperatorSum(self.n_modes,
-                           {k: c.conjugate() for k, c in self._terms.items()})
+        return from_integers(self.n_modes, self._den, {
+            key: tuple(-p if k % 2 else p for k, p in enumerate(parts))
+            for key, parts in self._terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, OperatorSum):
             return NotImplemented
-        return self.n_modes == other.n_modes and self._terms == other._terms
+        return (self.n_modes == other.n_modes and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.n_modes, frozenset(self._terms.items())))
+        return hash((self.n_modes, self._den,
+                     frozenset(self._terms.items())))
 
     def apply_basis_state(self, label: int) -> dict:
         """Exact action on computational basis state |label>.
 
         Returns {out_label: Scalar amplitude}.  Uses Z|0> = +|0>,
-        Z|1> = -|1> and X as the bit flip, with mode i on bit i.
+        Z|1> = -|1> and X as the bit flip, with mode i on bit i.  A label
+        outside [0, 2**n_modes) raises ValueError.
         """
+        if not 0 <= label < 1 << self.n_modes:
+            raise ValueError(
+                f"basis state {label} out of range for {self.n_modes} modes")
         out = {}
-        for (x, z), coeff in self._terms.items():
-            amp = coeff.times_i((x & z).bit_count())
-            if (z & label).bit_count() & 1:
-                amp = -amp
+        for (x, z), parts in self._terms.items():
+            amp = _times_i(parts, (x & z).bit_count()
+                           + 2 * (z & label).bit_count())
             target = label ^ x
             acc = out.get(target)
-            total = amp if acc is None else acc + amp
-            if total:
-                out[target] = total
+            if acc is not None:
+                amp = tuple(a + b for a, b in zip(acc, amp))
+            if any(amp):
+                out[target] = amp
             elif acc is not None:
                 del out[target]
-        return out
+        return {target: _scalar(parts, self._den)
+                for target, parts in out.items()}
 
     def __repr__(self):
         if self.is_zero:
@@ -388,48 +391,54 @@ class OperatorSum:
         return " + ".join(bits)
 
 
-# -- the integer product kernel -------------------------------------------
+# -- the integer kernel ---------------------------------------------------
+
+def _canonical(den: int, terms: dict) -> tuple:
+    """(den, terms) over den > 0 in canonical form: the keys whose parts
+    are all zero left out and the rest in order, pairs when no sqrt(2) part
+    is left, and no common factor of den and every part."""
+    terms = {key: parts for key, parts in terms.items() if any(parts)}
+    if all(len(parts) == 4 and not (parts[2] or parts[3])
+           for parts in terms.values()):
+        terms = {key: parts[:2] for key, parts in terms.items()}
+    g = den
+    for parts in terms.values():
+        g = gcd(g, *parts)
+        if g == 1:
+            break
+    if g != 1:
+        den //= g
+        terms = {key: tuple(p // g for p in parts)
+                 for key, parts in terms.items()}
+    return den, terms
+
+
+def _scalar(parts: tuple, den: int) -> Scalar:
+    """The Scalar of one reading's parts over den."""
+    return Scalar(*(Fraction(p, den) for p in parts))
+
+
+def _times_i(parts: tuple, power: int) -> tuple:
+    """parts times i**power: each (real, imaginary) pair turns alike."""
+    for _ in range(power % 4):
+        parts = tuple(p for re, im in zip(parts[::2], parts[1::2])
+                      for p in (-im, re))
+    return parts
+
 
 def integer_terms(op: OperatorSum) -> tuple:
-    """(den, {(x, z): parts}): op's coefficients as integers over den.
-
-    den is the least common denominator of every coefficient part, and the
-    terms keep op's order.  parts is (re, im) when no coefficient has a
-    sqrt(2) part, else (re, im, re2, im2), for the coefficient
-    (re + i*im + sqrt(2)*(re2 + i*im2)) / den.
-    """
-    coeffs = op._terms.values()
-    if all(c.is_rational for c in coeffs):
-        den = lcm(*(p.denominator for c in coeffs for p in (c.re, c.im)))
-        return den, {key: (c.re.numerator * (den // c.re.denominator),
-                           c.im.numerator * (den // c.im.denominator))
-                     for key, c in op._terms.items()}
-    den = lcm(*(p.denominator for c in coeffs
-                for p in (c.re, c.im, c.re2, c.im2)))
-    return den, {key: tuple(p.numerator * (den // p.denominator)
-                            for p in (c.re, c.im, c.re2, c.im2))
-                 for key, c in op._terms.items()}
-
-
-def _scalar_terms(value) -> tuple:
-    """``integer_terms`` of an int, Fraction or Scalar times the identity."""
-    if not isinstance(value, Scalar):
-        parts = (Fraction(value), _Q0)
-    elif value.is_rational:
-        parts = (value.re, value.im)
-    else:
-        parts = (value.re, value.im, value.re2, value.im2)
-    den = lcm(*(p.denominator for p in parts))
-    return den, {(0, 0): tuple(p.numerator * (den // p.denominator)
-                               for p in parts)}
+    """(den, {(x, z): parts}): op's canonical reading, as the module
+    docstring lays it out.  It is op's own, not a copy: callers read it and
+    never change it."""
+    return op._den, op._terms
 
 
 def integer_scaled(terms: dict, value) -> tuple:
     """(den, terms times value) for an int, Fraction or Scalar value, over
     den times the denominator of terms: their product with value times the
     identity, so the keys and their order are kept, zero parts included."""
-    den, scalar = _scalar_terms(value)
-    return den, integer_product(terms, scalar)
+    den, scalar = integer_terms(OperatorSum(0, {(0, 0): value}))
+    return den, integer_product(terms, scalar or {(0, 0): (0, 0)})
 
 
 def integer_product(left: dict, right: dict) -> dict:
@@ -483,53 +492,53 @@ def integer_product(left: dict, right: dict) -> dict:
     return out
 
 
-def integer_sum(left: dict, m1: int, right: dict, m2: int) -> dict:
-    """{(x, z): parts} of m1 * left + m2 * right, for integers m1 and m2.
+def integer_sum(*pairs) -> dict:
+    """{(x, z): parts} of m1 * terms1 + m2 * terms2 + ... for (terms, m)
+    pairs of integer readings over one denominator and integer multipliers.
 
-    Keys come in left's order, skipping those with zero parts there, then
-    right's keys that left does not hold; a key whose total is zero stays
-    in place with zero parts.  The parts are Gaussian pairs when both
-    readings are, else quadruples.
+    Every term is added in turn into one dict, as adding the sums one by
+    one would add it: a zero contribution is never inserted, a key whose
+    total comes to zero is deleted, and a key that comes back goes last.
+    The parts are pairs when every reading's are, else quadruples.
     """
-    if all(len(next(iter(t.values()), ())) != 4 for t in (left, right)):
-        out = {key: (m1 * a, m1 * c) for key, (a, c) in left.items()
-               if a or c}
-        get = out.get
-        for key, (a, c) in right.items():
-            old = get(key)
-            out[key] = ((m2 * a, m2 * c) if old is None else
-                        (old[0] + m2 * a, old[1] + m2 * c))
-        return out
-    # a Gaussian operand meets a sqrt(2) one: pad its parts with zeros
     out = {}
-    for key, parts in left.items():
-        if any(parts):
-            a, c, b, d = *parts, *(0,) * (4 - len(parts))
-            out[key] = (m1 * a, m1 * c, m1 * b, m1 * d)
     get = out.get
-    for key, parts in right.items():
-        a, c, b, d = *parts, *(0,) * (4 - len(parts))
-        old = get(key)
-        out[key] = ((m2 * a, m2 * c, m2 * b, m2 * d) if old is None else
-                    (old[0] + m2 * a, old[1] + m2 * c,
-                     old[2] + m2 * b, old[3] + m2 * d))
+    if all(len(next(iter(terms.values()), ())) != 4 for terms, _ in pairs):
+        for terms, m in pairs:
+            for key, (a, c) in terms.items():
+                a, c = m * a, m * c
+                old = get(key)
+                if old is not None:
+                    a, c = old[0] + a, old[1] + c
+                if a or c:
+                    out[key] = (a, c)
+                elif old is not None:
+                    del out[key]
+        return out
+    # a Gaussian reading meets a sqrt(2) one: pad its parts with zeros
+    for terms, m in pairs:
+        for key, parts in terms.items():
+            a, c, b, d = parts if len(parts) == 4 else (*parts, 0, 0)
+            a, c, b, d = m * a, m * c, m * b, m * d
+            old = get(key)
+            if old is not None:
+                a, c, b, d = old[0] + a, old[1] + c, old[2] + b, old[3] + d
+            if a or c or b or d:
+                out[key] = (a, c, b, d)
+            elif old is not None:
+                del out[key]
     return out
 
 
-def _part(num: int, den: int) -> Fraction:
-    return Fraction(num, den) if num else _Q0
-
-
 def from_integers(n_modes: int, den: int, terms: dict) -> OperatorSum:
-    """The OperatorSum of {(x, z): parts} over den, one Scalar per key.
-
-    parts is (re, im) or (re, im, re2, im2) as ``integer_terms`` gives
-    them; keys whose parts are all zero are left out, the rest keep their
-    order.
-    """
-    return OperatorSum(n_modes, {
-        key: Scalar(*(_part(p, den) for p in parts))
-        for key, parts in terms.items() if any(parts)})
+    """The OperatorSum of the reading {(x, z): parts} over den, with parts
+    as ``integer_terms`` gives them.  The reading is put in canonical form
+    (``_canonical``): keys whose parts are all zero are left out, the rest
+    keep their order.  No Scalar is built."""
+    op = object.__new__(OperatorSum)
+    op.n_modes = n_modes
+    op._den, op._terms = _canonical(den, terms)
+    return op
 
 
 def _bracket(a: OperatorSum, b: OperatorSum, sign: int) -> OperatorSum:
@@ -538,10 +547,9 @@ def _bracket(a: OperatorSum, b: OperatorSum, sign: int) -> OperatorSum:
     formed and then added: a*b's nonzero terms in order, then b*a's new
     ones; a key that cancels in a*b and comes back from b*a goes last."""
     a._check_modes(b)
-    den1, left = integer_terms(a)
-    den2, right = integer_terms(b)
-    return from_integers(a.n_modes, den1 * den2, integer_sum(
-        integer_product(left, right), 1, integer_product(right, left), sign))
+    left, right = a._terms, b._terms
+    return from_integers(a.n_modes, a._den * b._den, integer_sum(
+        (integer_product(left, right), 1), (integer_product(right, left), sign)))
 
 
 def commutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
@@ -593,8 +601,11 @@ def realize(op: OperatorSum) -> "np.ndarray":
     out = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
     signs = _parity_signs(op.n_modes)
-    for (x, z), coeff in op._terms.items():
-        phase = coeff.to_complex() * (1j) ** ((x & z).bit_count())
+    for (x, z), parts in op._terms.items():
+        # as Scalar.to_complex: p / den is correctly rounded, as float(Fraction)
+        re, im, re2, im2 = (p / op._den for p in (*parts, 0, 0)[:4])
+        phase = (complex(re + re2 * _SQRT2, im + im2 * _SQRT2)
+                 * (1j) ** ((x & z).bit_count()))
         out[cols ^ x, cols] += phase * signs[cols & z]
     return out
 

@@ -27,13 +27,12 @@ checks exponentiate both signs.  Nothing is kept between calls.
 Conjugations by exp(i A phi) at eighth-turn angles are done exactly: for
 any Hermitian A with A**3 = A the exponential is I + (cos phi - 1) A**2 +
 i sin phi A, and 2 cos phi and 2 sin phi lie in Z[sqrt(2)].  The work is
-done in integers, on the kernel of ``pauli``: A is read once as numerators
-over its denominator, squared once and checked against its cube once, and
+done in integers, on the kernel of ``pauli``: A's integer reading is
+squared once and checked against its cube once, and
 the exponential is built as an integer reading over 2 den(A)**2 by kernel
 sums of A**2 and A, scaled by the exact 2 cos phi - 2 and 2i sin phi; the
 part even in phi is formed once for exp(-i A phi) and exp(i A phi).  A
-conjugation is then two integer products, and it builds one Scalar per
-output term.
+conjugation is then two integer products, and it builds no Scalar.
 """
 
 from __future__ import annotations
@@ -108,7 +107,7 @@ def _read_generator(gen: OperatorSum) -> tuple:
     den, terms = integer_terms(gen)
     sq = {k: v for k, v in integer_product(terms, terms).items() if any(v)}
     cube = {k: v for k, v in integer_product(sq, terms).items() if any(v)}
-    if cube != integer_sum(terms, den**2, {}, 0):
+    if cube != integer_sum((terms, den**2)):
         raise ValueError("exact_exp needs gen**3 = gen")
     return den, terms, sq
 
@@ -124,11 +123,11 @@ def _exponentials(den: int, gen: dict, sq: dict, k: int) -> tuple:
     G stage is dropped there, as adding OperatorSums drops it.
     """
     cos2, sin2 = _MULTIPLIERS[k]
-    even = integer_sum(_IDENTITY, 2 * den * den,
-                       integer_scaled(sq, cos2)[1], 1)
+    even = integer_sum((_IDENTITY, 2 * den * den),
+                       (integer_scaled(sq, cos2)[1], 1))
     odd = integer_scaled(gen, sin2)[1]
-    both = (integer_sum(even, 1, odd, -den), integer_sum(even, 1, odd, den))
-    return tuple({key: v for key, v in u.items() if any(v)} for u in both)
+    return (integer_sum((even, 1), (odd, -den)),
+            integer_sum((even, 1), (odd, den)))
 
 
 def exact_exp(gen: OperatorSum, eighths: int) -> OperatorSum:

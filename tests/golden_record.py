@@ -233,7 +233,7 @@ def _scalar(s) -> list:
 
 def _element(e) -> list:
     if isinstance(e, OperatorSum):
-        return [[x, z, *_scalar(c)] for (x, z), c in e._terms.items()]
+        return [[x, z, *_scalar(e.coefficient(x, z))] for x, z in e._terms]
     return [[r, c, *_scalar(s)] for (r, c), s in e.items()]
 
 

@@ -24,9 +24,10 @@ def run_json(tmp_path, *argv):
 
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):
-        # only the dense oracle needs numpy, and only --version and the
-        # JSON envelope read the package metadata; neither the package nor
-        # the CLI may pay for those imports at startup
+        # only the dense oracle needs numpy, and --version and the JSON
+        # envelope print qalg.__version__ without reading package metadata;
+        # neither the package nor the CLI may pay for those imports at
+        # startup
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         heavy = ("numpy", "scipy", "importlib.metadata")
@@ -53,7 +54,8 @@ class TestStartup:
         assert done.stdout.splitlines()[-1] == "0 True []"
 
     def test_parser_and_text_verbs_leave_metadata_unloaded(self):
-        # --version reads the package metadata only when it fires
+        # --version prints qalg.__version__, so no verb, parser included,
+        # loads the package metadata
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         done = subprocess.run(
@@ -80,8 +82,11 @@ class TestStartup:
     def test_modules_import_only_public_names_at_top(self):
         # no module reaches into another's private names, and lie and codes
         # import their qalg dependencies at module top, not to dodge a cycle;
-        # no module reads the environment, so no knob hides behind one
+        # no module reads the environment, so no knob hides behind one; and
+        # only pauli reads an OperatorSum's stored reading, so its format
+        # stays behind the kernel calls
         env_names = {"environ", "environb", "getenv", "getenvb"}
+        storage = {"_terms", "_den"}
 
         def reads_environment(node):
             if isinstance(node, ast.Attribute):
@@ -100,6 +105,10 @@ class TestStartup:
         for path in sorted(package.glob("*.py")):
             tree = ast.parse(path.read_text())
             assert not any(map(reads_environment, ast.walk(tree))), path.name
+            if path.stem != "pauli":
+                assert not [node.attr for node in ast.walk(tree)
+                            if isinstance(node, ast.Attribute)
+                            and node.attr in storage], path.name
             for node in filter(from_qalg, ast.walk(tree)):
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, (path.name, private)

@@ -373,6 +373,25 @@ class TestFold:
         assert got == want and not got.is_rational
         assert list(got._terms) == list(want._terms) == [(1, 1), (1, 0)]
 
+    @pytest.mark.parametrize("n_terms", [10, 100])
+    def test_one_kernel_sum_reads_each_term_once(self, monkeypatch, n_terms):
+        # a fold adds every term into one dict with one integer_sum call,
+        # so the entries it reads grow linearly with the term count, not
+        # with the running total
+        sums = []
+        real = qalg.parafermion.integer_sum
+
+        def counted(*pairs):
+            sums.append(sum(len(terms) for terms, _ in pairs))
+            return real(*pairs)
+
+        monkeypatch.setattr(qalg.parafermion, "integer_sum", counted)
+        # each n(i) term reads as the two strings of (1 + Z_i)/2
+        terms = [(Scalar(k + 1), (("n", k % 8),)) for k in range(n_terms)]
+        got = to_pauli(E(8, "parafermion", terms))
+        assert sums == [2 * n_terms]
+        assert got == _reference_fold(terms, 8, _FOLDS["parafermion"][1])
+
     def test_image_table_holds_one_entry_per_image_used(self):
         table = qalg.parafermion._integer_image
         table.cache_clear()

@@ -146,7 +146,8 @@ def scalar_conjugate(op, gen, eighths):
 def same_sum(got, want):
     assert got == want
     assert list(got._terms) == list(want._terms)
-    assert repr(list(got._terms.items())) == repr(list(want._terms.items()))
+    assert (repr([got.coefficient(*key) for key in got._terms])
+            == repr([want.coefficient(*key) for key in want._terms]))
 
 
 def generator(kind, n, rng):
@@ -261,9 +262,9 @@ class TestExactAgainstDenseExponential:
 
 
 class TestConjugationWorkCounters:
-    """An exponential or a conjugation multiplies and adds no Scalars, forms
-    no OperatorSum product, and builds exactly one Scalar per output term; a
-    conjugation squares and cubes its generator once."""
+    """An exponential or a conjugation multiplies, adds and builds no
+    Scalars and forms no OperatorSum product; a conjugation squares and
+    cubes its generator once."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -298,14 +299,14 @@ class TestConjugationWorkCounters:
         out = conjugate_eighth(op, gen, 3)
         assert out.n_terms > 8
         assert counts == {"scalar_mul": 0, "scalar_add": 0, "sum_mul": 0,
-                          "init": out.n_terms, "integer_product": 4}
+                          "init": 0, "integer_product": 4}
 
     def test_exponential(self, counts):
         gen = generator("hop", 6, random.Random(5))
         counts.update(dict.fromkeys(counts, 0))
-        out = exact_exp(gen, 1)
+        exact_exp(gen, 1)
         assert counts == {"scalar_mul": 0, "scalar_add": 0, "sum_mul": 0,
-                          "init": out.n_terms, "integer_product": 2}
+                          "init": 0, "integer_product": 2}
 
 
 # -- constraint index sets, as the per-label loops gave them ----------------
