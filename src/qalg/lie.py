@@ -22,9 +22,12 @@ again.  No tolerance and no probabilistic step ever decides.
 
 Three things keep a closure cheap without changing an answer.  For n <= 4
 the bracket reads each sign from a per-process row of the key it starts
-from, built once.  A span remembers the normalized vectors it has decided,
-so a repeated bracket is rejected without a reduction.  And a LieBasis
-exports its elements only when they are first read.
+from, built once; when the operands hold many terms, it instead walks the
+shorter one term by term, over only the strings that anticommute with that
+term, and reads the other operand from a list over all keys.  A span
+remembers the normalized vectors it has decided, so a repeated bracket is
+rejected without a reduction.  And a LieBasis exports its elements only
+when they are first read, each in one key order whichever path built it.
 
 Generators projected onto a code subspace close on the same engine: their
 d x d Hermitian matrices are integer vectors over the matrix units E_jj,
@@ -74,7 +77,10 @@ class LieBasis:
     Gaussian-integer values and zero entries left out.  The elements are
     exported on first read: the result keeps the closure's integer vectors,
     and basis converts them all once, when it is first asked for.  A run
-    that reads only the dimensions exports nothing.
+    that reads only the dimensions exports nothing.  A full-space element
+    lists its terms in ascending (x, z) order, whichever bracket path and
+    span phase built it; a subspace element lists its entries as
+    _matrix_entries meets them.
 
     provenance[k] is None for a seed generator and (i, j) when element k
     came from i[basis_i, basis_j].  Element k is that bracket, or the
@@ -122,12 +128,12 @@ _IRRATIONAL = ("exact closure requires rational coefficients; "
 
 def _to_vec(op: OperatorSum) -> dict:
     """Primitive integer coordinate vector of a rational Hermitian sum: the
-    real parts of its integer reading, in sorted key order, normalized."""
+    real parts of its integer reading, normalized."""
     if not op.is_rational:
         raise ValueError(_IRRATIONAL)
     n = op.n_modes
     return _normalize({(x << n) | z: parts[0] for (x, z), parts
-                       in sorted(integer_terms(op)[1].items()) if parts[0]})
+                       in integer_terms(op)[1].items() if parts[0]})
 
 
 def _normalize(vec: dict) -> dict:
@@ -144,42 +150,64 @@ def _normalize(vec: dict) -> dict:
 
 
 def _from_vec(vec: dict, n_modes: int) -> OperatorSum:
+    """The OperatorSum of an integer vector, its terms in ascending (x, z)
+    order.  A vector's own key order depends on the bracket path that built
+    it; this is the one place that fixes the order an element exports in."""
     mask = (1 << n_modes) - 1
-    return from_integers(n_modes, 1, {(k >> n_modes, k & mask): (v, 0)
-                                      for k, v in vec.items()})
+    return from_integers(n_modes, 1, {(k >> n_modes, k & mask): (vec[k], 0)
+                                      for k in sorted(vec)})
 
 
 def _bracket(va: dict, vb: dict, n_modes: int) -> dict:
     """i[A, B] of two integer vectors, unnormalized.
 
     Key (x << n) | z stands for the Hermitian string i^|x & z| X^x Z^z, and
-    i[P_a, P_b] is 0 or +-2 P_(ka ^ kb).  While 4**n <= _SIGN_ROW_KEYS the
-    sign is read from the process's sign rows; above that _popcount_bracket
-    works it out for each pair of terms.
+    i[P_a, P_b] is 0 or +-2 P_(ka ^ kb).  It runs the kernel that
+    _pauli_bracket picks; the key order of the result depends on the path
+    that kernel takes.
     """
+    return _pauli_bracket(n_modes)(va, vb)
+
+
+def _pauli_bracket(n_modes: int) -> Callable:
+    """The bracket kernel of n modes, picked once per closure.  While
+    4**n <= _SIGN_ROW_KEYS it is _SignRows.bracket of the process's sign
+    rows, which runs _dense_bracket on operands with many terms and its own
+    sign-row loop on the rest; above that, _popcount_bracket."""
     if 4 ** n_modes > _SIGN_ROW_KEYS:
-        return _popcount_bracket(va, vb, n_modes)
+        return lambda va, vb: _popcount_bracket(va, vb, n_modes)
     rows = _SIGN_ROWS.get(n_modes)
     if rows is None:
         rows = _SIGN_ROWS[n_modes] = _SignRows(n_modes)
-    out = {}
-    for ka, ca in va.items():
-        row = rows[ka]
-        c2 = 2 * ca
-        for kb, cb in vb.items():
-            s = row[kb]
-            if not s:
-                continue
-            k3 = ka ^ kb
-            if s == 2:
-                c = out.get(k3, 0) - c2 * cb
-            else:
-                c = out.get(k3, 0) + c2 * cb
-            if c:
-                out[k3] = c
-            else:
-                del out[k3]
-    return out
+    return rows.bracket
+
+
+def _dense_bracket(va: dict, vb: dict, rows: _SignRows) -> dict:
+    """_bracket over lists of all 4**n keys, for operands with many terms.
+
+    It walks the operand with fewer terms.  For each of its terms it visits
+    only the strings that anticommute with it, from the two walk rows of
+    its key, and reads the other operand's coefficient from a list; walking
+    B instead of A gives i[B, A] = -i[A, B], so the sign flips with the
+    roles.  The nonzero entries come out in ascending key order.
+    """
+    size, walks = len(rows.walks), rows.walks
+    if len(va) <= len(vb):
+        walked, other, two = va, vb, 2
+    else:
+        walked, other, two = vb, va, -2
+    coeffs = [0] * size
+    for kb, cb in other.items():
+        coeffs[kb] = cb
+    out = [0] * size
+    for ka, ca in walked.items():
+        plus, minus = walks[ka] or rows.walk(ka)
+        c2 = two * ca
+        for kb in plus:
+            out[ka ^ kb] += c2 * coeffs[kb]
+        for kb in minus:
+            out[ka ^ kb] -= c2 * coeffs[kb]
+    return {k: c for k, c in enumerate(out) if c}
 
 
 def _popcount_bracket(va: dict, vb: dict, n_modes: int) -> dict:
@@ -212,9 +240,16 @@ def _popcount_bracket(va: dict, vb: dict, n_modes: int) -> dict:
 
 
 # Sign rows serve mode counts with at most this many keys 4**n, so n <= 4:
-# at most 256 rows of 256 bytes.  At n = 5 the rows cost a one-shot closure
-# more to build than they save it (su(2^5): about 120 -> 137 ms).
+# at most 256 rows of 256 bytes, and walk rows of 128 bytes per key beside
+# them.  At n = 5 the rows cost a one-shot closure more to build than they
+# save it (su(2^5): about 120 -> 137 ms).
 _SIGN_ROW_KEYS = 256
+
+# _dense_bracket takes operands with at least this many term pairs per key.
+# Timed bracket by bracket on 7582 brackets of 3- and 4-mode closures (dense
+# pairs, su(2^N), so(8), u(4)), this rule came within 0.5% of always taking
+# the faster path.
+_DENSE_PAIRS = 2
 
 _SIGN_ROWS: dict = {}  # n -> _SignRows, shared by every closure in the process
 
@@ -228,6 +263,11 @@ class _SignRows(dict):
     evaluated for every kb at once: an integer with one byte per key holds
     the bit counts of all keys side by side, summed over the n sites.  No
     byte exceeds 21, so none carries into the next.
+
+    walks[ka] is None until walk(ka) builds it from the row of ka: the pair
+    of bytes rows listing the keys of sign 1 and of sign 2.  Keys are below
+    256, so each fits a byte; a string other than the identity anticommutes
+    with exactly half of all strings, so a pair holds 4**n / 2 keys.
     """
 
     def __init__(self, n_modes: int):
@@ -239,6 +279,8 @@ class _SignRows(dict):
         self.bits = [int.from_bytes(bytes(k >> j & 1 for k in range(size)),
                                     "little") for j in range(2 * n)]
         self.y_counts = sum(self.bits[n + s] & self.bits[s] for s in range(n))
+        self.walks = [None] * size
+        self.dense_from = _DENSE_PAIRS * size
 
     def __missing__(self, ka: int) -> bytes:
         n, bits, ones = self.n_modes, self.bits, self.ones
@@ -257,6 +299,38 @@ class _SignRows(dict):
              + 2 * z_x)
         row = self[ka] = (anti + (anti & m >> 1)).to_bytes(4 ** n, "little")
         return row
+
+    def bracket(self, va: dict, vb: dict) -> dict:
+        """_bracket on n modes.  Operands with at least dense_from term
+        pairs go to _dense_bracket; this loop takes the rest, visiting every
+        term pair, and lists keys in the order it first meets them."""
+        if len(va) * len(vb) >= self.dense_from:
+            return _dense_bracket(va, vb, self)
+        out = {}
+        for ka, ca in va.items():
+            row = self[ka]
+            c2 = 2 * ca
+            for kb, cb in vb.items():
+                s = row[kb]
+                if not s:
+                    continue
+                k3 = ka ^ kb
+                if s == 2:
+                    c = out.get(k3, 0) - c2 * cb
+                else:
+                    c = out.get(k3, 0) + c2 * cb
+                if c:
+                    out[k3] = c
+                else:
+                    del out[k3]
+        return out
+
+    def walk(self, ka: int) -> tuple:
+        row = self[ka]
+        pair = self.walks[ka] = tuple(
+            bytes(kb for kb, s in enumerate(row) if s == sign)
+            for sign in (1, 2))
+        return pair
 
 
 # A Hermitian d x d matrix on a codeword basis is an integer vector over the
@@ -631,7 +705,7 @@ def close(generator_set: GeneratorSet, max_dim: int | None = None) -> LieBasis:
     n = generator_set.n_modes
     return _closure(
         n, [_to_vec(g) for g in generator_set.generators],
-        bracket=lambda va, vb: _bracket(va, vb, n),
+        bracket=_pauli_bracket(n),
         identity={0: 1}, full_dim=4 ** n, max_dim=max_dim,
         export=lambda vec: _from_vec(vec, n))
 

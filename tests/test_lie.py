@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qalg.lie as lie
@@ -29,7 +29,7 @@ from qalg.parafermion import (
     number_site,
     to_pauli,
 )
-from qalg.pauli import I_UNIT, OperatorSum, Scalar, realize
+from qalg.pauli import I_UNIT, OperatorSum, Scalar, integer_terms, realize
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -683,6 +683,76 @@ class TestSignRows:
             assert all(len(row) == 4 ** n <= 256 for row in rows.values())
 
 
+@st.composite
+def _bracket_cases(draw):
+    """Two integer vectors on 1-4 modes whose term counts fall on either side
+    of the dense rule, in either operand order.  Coefficients are +-1, +-2,
+    so that keys cancel, or 64 to 80 bits long; a pair of multiples brackets
+    to zero."""
+    n = draw(st.integers(1, 4))
+    size = 4 ** n
+    threshold = lie._DENSE_PAIRS * size
+    la = draw(st.integers(1, size))
+    if la > 1 and draw(st.booleans()):  # dense: la * lb >= threshold
+        lb = draw(st.integers(-(-threshold // la), size))
+    else:
+        lb = draw(st.integers(1, min(size, (threshold - 1) // la)))
+    coeff = draw(st.sampled_from([
+        st.sampled_from([-2, -1, 1, 2]),
+        st.integers(1 << 64, 1 << 80).map(lambda c: c if c & 1 else -c)]))
+
+    def vector(count):
+        keys = draw(st.permutations(range(size)))[:count]
+        return dict(zip(keys, draw(st.lists(coeff, min_size=count,
+                                            max_size=count))))
+
+    va = vector(la)
+    if la == lb and draw(st.booleans()):
+        factor = draw(st.sampled_from([-3, -1, 1, 2]))
+        vb = {k: factor * c for k, c in va.items()}
+    else:
+        vb = vector(lb)
+    return (n, va, vb) if draw(st.booleans()) else (n, vb, va)
+
+
+class TestDenseBracket:
+    """The dense path, the sign-row loop and the popcount rule give one
+    bracket, and the dense oracle agrees with it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_bracket_cases())
+    # X + Z against Z + X: the Y key cancels mid-loop and the bracket is 0
+    @example((1, {2: 1, 1: 1}, {1: 1, 2: 1}))
+    # the same cancellation on the dense path, beside surviving keys
+    @example((1, {2: 1, 1: 1}, {0: 5, 1: 1, 2: 1, 3: 7}))
+    # entries of 65 to 71 bits on the dense path
+    @example((2, {k: (1 << 70) + k for k in range(1, 16)},
+              {k: -(1 << 65) - k for k in range(16)}))
+    def test_paths_agree_with_the_dense_oracle(self, case):
+        n, va, vb = case
+        want = lie._popcount_bracket(va, vb, n)
+        rows = lie._SignRows(n)
+        dense = lie._dense_bracket(va, vb, rows)
+        assert dense == want and list(dense) == sorted(dense)
+        rows.dense_from = math.inf  # the sign-row loop on every pair
+        assert rows.bracket(va, vb) == want
+        assert lie._bracket(va, vb, n) == want
+        a, b = (realize(lie._from_vec(v, n)) for v in (va, vb))
+        got = realize(lie._from_vec(want, n)) if want else 0
+        scale = sum(map(abs, va.values())) * sum(map(abs, vb.values()))
+        assert np.abs(1j * (a @ b - b @ a) - got).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_walk_rows_list_the_anticommuting_keys(self, n):
+        rows = lie._SignRows(n)
+        for ka in range(4 ** n):
+            plus, minus = rows.walk(ka)
+            assert (set(plus), set(minus)) == tuple(
+                {kb for kb, s in enumerate(rows[ka]) if s == sign}
+                for sign in (1, 2))
+            assert len(plus) + len(minus) == (4 ** n // 2 if ka else 0)
+
+
 def _dict_mod_reduce(rows, vec, p):
     """The modular reduction on dict rows {lead: {key: residue}} that the
     packed lanes replaced, kept as the reference."""
@@ -894,6 +964,53 @@ class TestWorkCounters:
             else:
                 want = lie._from_vec(vec, basis.n_modes)
             assert list(element.items()) == list(want.items())
+
+
+def _spy_dense(monkeypatch):
+    """List the term counts of every bracket the dense path takes."""
+    calls = []
+    dense = lie._dense_bracket
+
+    def spy(va, vb, rows):
+        calls.append((len(va), len(vb)))
+        return dense(va, vb, rows)
+
+    monkeypatch.setattr(lie, "_dense_bracket", spy)
+    return calls
+
+
+class TestBracketPaths:
+    """Which bracket path a closure takes, pinned beside its work counts."""
+
+    def test_dense_pair_walks_dense_lists(self, monkeypatch):
+        calls = _spy_dense(monkeypatch)
+        assert close(GeneratorSet(3, _dense_pair(0, 8))).dimension == 63
+        assert len(calls) == 77
+        assert all(a * b >= lie._DENSE_PAIRS * 64 for a, b in calls)
+
+    def test_su_2n_keeps_the_sign_row_loop(self, monkeypatch):
+        calls = _spy_dense(monkeypatch)
+        assert close(_su_2n(4)).dimension_traceless == 4 ** 4 - 1
+        assert calls == []
+
+
+class TestExportOrder:
+    """Every element of a close basis lists its terms in ascending (x, z)
+    order, whichever bracket path and span phase built it.  Subspace
+    elements list their entries as _matrix_entries gives them
+    (test_basis_is_the_eager_export)."""
+
+    @pytest.mark.parametrize("case", ["sparse", "dense switched",
+                                      "unswitched"])
+    def test_terms_ascend(self, case):
+        gs = {"sparse": _su_2n(3),
+              "dense switched": GeneratorSet(3, _dense_pair(0, 8)),
+              "unswitched": _switched_su_2n(5)}[case]
+        basis = close(gs)
+        assert len(basis.basis) == basis.dimension
+        for element in basis.basis:
+            keys = list(integer_terms(element)[1])
+            assert keys == sorted(keys)
 
 
 @st.composite
