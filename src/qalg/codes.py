@@ -12,7 +12,10 @@ are enumerated by combination, without a scan of all 2**N masks.
 A code is admitted when its codeword table, N * C(N, n) bits, holds at most
 MAX_TABLE_BITS = 10 * C(10, 5) bits: every code on up to 10 modes, and
 fewer codewords on more modes.  Every encoded operation here then finishes
-in seconds; the largest admitted dimension is C(10, 5) = 252.
+in seconds; the largest admitted dimension is C(10, 5) = 252.  A code on
+more than MAX_JSON_MODES = 53 modes is refused too: its masks and dense
+indices reach 2**N - 1, and a JSON reader holds integers exactly only up
+to 2**53.
 
 Encoded one-pair generators are the projections of the two-mode hopping
 operators: the x kind swaps the two occupations (and kills codewords where
@@ -41,6 +44,7 @@ from .pauli import ZERO, OperatorSum, Scalar
 from .parafermion import bilinear_su2
 
 MAX_TABLE_BITS = 10 * math.comb(10, 5)
+MAX_JSON_MODES = 53
 
 
 def _check_counts(n_modes: int, excitations: int) -> None:
@@ -66,6 +70,11 @@ class CodeSubspace:
             raise ValueError(
                 f"code C({n}, {k}) exceeds the code bound: its codeword "
                 f"table, N * C(N, k) bits, may hold at most {MAX_TABLE_BITS}")
+        if n > MAX_JSON_MODES:
+            raise ValueError(
+                f"code C({n}, {k}) exceeds the code bound: its masks and "
+                f"dense indices reach 2**{n} - 1, and JSON holds integers "
+                f"exactly only up to 2**53, so at most {MAX_JSON_MODES} modes")
 
     @cached_property
     def codewords(self) -> tuple:

@@ -20,14 +20,15 @@ only after the combination, rebuilt by rational reconstruction, passes an
 exact integer identity check, and otherwise the integer echelon decides
 again.  No tolerance and no probabilistic step ever decides.
 
-Three things keep a closure cheap without changing an answer.  For n <= 4
-the bracket reads each sign from a per-process row of the key it starts
-from, built once; when the operands hold many terms, it instead walks the
-shorter one term by term, over only the strings that anticommute with that
-term, and reads the other operand from a list over all keys.  A span
-remembers the normalized vectors it has decided, so a repeated bracket is
-rejected without a reduction.  And a LieBasis exports its elements only
-when they are first read, each in one key order whichever path built it.
+Three things keep a closure cheap without changing an answer.  The
+bracket works each sign out from bit counts, term pair by term pair; for
+n <= 4, when the operands hold many terms, it instead walks the shorter
+one term by term, over only the strings that anticommute with that term,
+from two per-process rows of its key read off the same sign rule, and
+reads the other operand from a list over all keys.  A span remembers the
+normalized vectors it has decided, so a repeated bracket is rejected
+without a reduction.  And a LieBasis exports its elements only when they
+are first read, each in one key order whichever path built it.
 
 Generators projected onto a code subspace close on the same engine: their
 d x d Hermitian matrices are integer vectors over the matrix units E_jj,
@@ -158,64 +159,37 @@ def _from_vec(vec: dict, n_modes: int) -> OperatorSum:
                                       for k in sorted(vec)})
 
 
-def _bracket(va: dict, vb: dict, n_modes: int) -> dict:
-    """i[A, B] of two integer vectors, unnormalized.
+def _pauli_bracket(n_modes: int) -> Callable:
+    """The kernel of i[A, B] for two integer vectors on n modes,
+    unnormalized, picked once per closure.
 
     Key (x << n) | z stands for the Hermitian string i^|x & z| X^x Z^z, and
-    i[P_a, P_b] is 0 or +-2 P_(ka ^ kb).  It runs the kernel that
-    _pauli_bracket picks; the key order of the result depends on the path
-    that kernel takes.
+    i[P_a, P_b] is 0 or +-2 P_(ka ^ kb).  While 4**n <= _WALK_KEYS,
+    operands with at least _DENSE_PAIRS * 4**n term pairs go to
+    _dense_bracket and the rest to _popcount_bracket; above that,
+    _popcount_bracket takes every pair.  The key order of a result depends
+    on the path it took.
     """
-    return _pauli_bracket(n_modes)(va, vb)
+    n = n_modes
+    if 4 ** n > _WALK_KEYS:
+        return lambda va, vb: _popcount_bracket(va, vb, n)
+    dense_from = _DENSE_PAIRS * 4 ** n
 
-
-def _pauli_bracket(n_modes: int) -> Callable:
-    """The bracket kernel of n modes, picked once per closure.  While
-    4**n <= _SIGN_ROW_KEYS it is _SignRows.bracket of the process's sign
-    rows, which runs _dense_bracket on operands with many terms and its own
-    sign-row loop on the rest; above that, _popcount_bracket."""
-    if 4 ** n_modes > _SIGN_ROW_KEYS:
-        return lambda va, vb: _popcount_bracket(va, vb, n_modes)
-    rows = _SIGN_ROWS.get(n_modes)
-    if rows is None:
-        rows = _SIGN_ROWS[n_modes] = _SignRows(n_modes)
-    return rows.bracket
-
-
-def _dense_bracket(va: dict, vb: dict, rows: _SignRows) -> dict:
-    """_bracket over lists of all 4**n keys, for operands with many terms.
-
-    It walks the operand with fewer terms.  For each of its terms it visits
-    only the strings that anticommute with it, from the two walk rows of
-    its key, and reads the other operand's coefficient from a list; walking
-    B instead of A gives i[B, A] = -i[A, B], so the sign flips with the
-    roles.  The nonzero entries come out in ascending key order.
-    """
-    size, walks = len(rows.walks), rows.walks
-    if len(va) <= len(vb):
-        walked, other, two = va, vb, 2
-    else:
-        walked, other, two = vb, va, -2
-    coeffs = [0] * size
-    for kb, cb in other.items():
-        coeffs[kb] = cb
-    out = [0] * size
-    for ka, ca in walked.items():
-        plus, minus = walks[ka] or rows.walk(ka)
-        c2 = two * ca
-        for kb in plus:
-            out[ka ^ kb] += c2 * coeffs[kb]
-        for kb in minus:
-            out[ka ^ kb] -= c2 * coeffs[kb]
-    return {k: c for k, c in enumerate(out) if c}
+    def bracket(va: dict, vb: dict) -> dict:
+        if len(va) * len(vb) >= dense_from:
+            return _dense_bracket(va, vb, n)
+        return _popcount_bracket(va, vb, n)
+    return bracket
 
 
 def _popcount_bracket(va: dict, vb: dict, n_modes: int) -> dict:
-    """_bracket by the popcount rule (Aaronson and Gottesman,
-    quant-ph/0406196).  Two strings anticommute when |z_a & x_b| + |x_a &
-    z_b| is odd, one bit count of the key with its halves swapped against
-    the other key; then i[P_a, P_b] = +-2 P_(ka ^ kb), the sign read from
-    the Y counts."""
+    """i[A, B] by the popcount rule (Aaronson and Gottesman,
+    quant-ph/0406196), visiting every term pair; keys are listed in the
+    order the pair loop first meets them.  Two strings anticommute when
+    |z_a & x_b| + |x_a & z_b| is odd, one bit count of the key with its
+    halves swapped against the other key; then i[P_a, P_b] = +-2
+    P_(ka ^ kb), the sign read from the Y counts.  This is the one place
+    the sign of a Pauli bracket is worked out."""
     n = n_modes
     mask = (1 << n) - 1
     out = {}
@@ -239,98 +213,61 @@ def _popcount_bracket(va: dict, vb: dict, n_modes: int) -> dict:
     return out
 
 
-# Sign rows serve mode counts with at most this many keys 4**n, so n <= 4:
-# at most 256 rows of 256 bytes, and walk rows of 128 bytes per key beside
-# them.  At n = 5 the rows cost a one-shot closure more to build than they
-# save it (su(2^5): about 120 -> 137 ms).
-_SIGN_ROW_KEYS = 256
+def _dense_bracket(va: dict, vb: dict, n_modes: int) -> dict:
+    """i[A, B] over lists of all 4**n keys, for operands with many terms.
+
+    It walks the operand with fewer terms.  For each of its terms it visits
+    only the strings that anticommute with it, from the two walk rows of
+    its key, and reads the other operand's coefficient from a list; walking
+    B instead of A gives i[B, A] = -i[A, B], so the sign flips with the
+    roles.  The nonzero entries come out in ascending key order.
+
+    The walk rows of key ka are built on first use and kept in _WALKS:
+    _popcount_bracket of P_ka against every string, its keys ka ^ kb split
+    by sign into one bytes row of the kb with +2 and one of those with -2,
+    each ascending.  Keys are below 256, so each fits a byte; a string
+    other than the identity anticommutes with exactly half of all strings,
+    so a pair holds 4**n / 2 keys.
+    """
+    size = 4 ** n_modes
+    walks = _WALKS.get(n_modes)
+    if walks is None:
+        walks = _WALKS[n_modes] = [None] * size
+    if len(va) <= len(vb):
+        walked, other, two = va, vb, 2
+    else:
+        walked, other, two = vb, va, -2
+    coeffs = [0] * size
+    for kb, cb in other.items():
+        coeffs[kb] = cb
+    out = [0] * size
+    for ka, ca in walked.items():
+        if walks[ka] is None:
+            signs = _popcount_bracket({ka: 1}, dict.fromkeys(range(size), 1),
+                                      n_modes)
+            walks[ka] = tuple(bytes(ka ^ k3 for k3, s in signs.items()
+                                    if s == sign) for sign in (2, -2))
+        plus, minus = walks[ka]
+        c2 = two * ca
+        for kb in plus:
+            out[ka ^ kb] += c2 * coeffs[kb]
+        for kb in minus:
+            out[ka ^ kb] -= c2 * coeffs[kb]
+    return {k: c for k, c in enumerate(out) if c}
+
+
+# Walk rows serve mode counts with at most this many keys 4**n, so n <= 4:
+# every key fits a byte, and one mode count keeps at most 256 pairs of 128
+# bytes.
+_WALK_KEYS = 256
 
 # _dense_bracket takes operands with at least this many term pairs per key.
-# Timed bracket by bracket on 7582 brackets of 3- and 4-mode closures (dense
-# pairs, su(2^N), so(8), u(4)), this rule came within 0.5% of always taking
-# the faster path.
+# Timed bracket by bracket on 6673 brackets of 3- and 4-mode closures (dense
+# pairs, su(2^N), so(8), u(4)), every threshold from 0.25 to 3 came within
+# 0.4% of always taking the faster of it and _popcount_bracket.
 _DENSE_PAIRS = 2
 
-_SIGN_ROWS: dict = {}  # n -> _SignRows, shared by every closure in the process
-
-
-class _SignRows(dict):
-    """Sign rows of one mode count n: key ka -> bytes over every key kb, 0
-    where P_ka and P_kb commute, 1 where i[P_ka, P_kb] = +2 P_(ka ^ kb) and
-    2 where it is -2 P_(ka ^ kb).
-
-    A row is built on first read, by the popcount rule of _popcount_bracket
-    evaluated for every kb at once: an integer with one byte per key holds
-    the bit counts of all keys side by side, summed over the n sites.  No
-    byte exceeds 21, so none carries into the next.
-
-    walks[ka] is None until walk(ka) builds it from the row of ka: the pair
-    of bytes rows listing the keys of sign 1 and of sign 2.  Keys are below
-    256, so each fits a byte; a string other than the identity anticommutes
-    with exactly half of all strings, so a pair holds 4**n / 2 keys.
-    """
-
-    def __init__(self, n_modes: int):
-        super().__init__()
-        n = self.n_modes = n_modes
-        size = 4 ** n
-        self.ones = int.from_bytes(b"\1" * size, "little")
-        # bit j of every key, one byte per key
-        self.bits = [int.from_bytes(bytes(k >> j & 1 for k in range(size)),
-                                    "little") for j in range(2 * n)]
-        self.y_counts = sum(self.bits[n + s] & self.bits[s] for s in range(n))
-        self.walks = [None] * size
-        self.dense_from = _DENSE_PAIRS * size
-
-    def __missing__(self, ka: int) -> bytes:
-        n, bits, ones = self.n_modes, self.bits, self.ones
-        z_x = x_z = y3 = 0  # |z_a & x_b|, |x_a & z_b|, Y count of ka ^ kb
-        for s in range(n):
-            xb, zb = bits[n + s], bits[s]
-            za, xa = ka >> s & 1, ka >> n + s & 1
-            if za:
-                z_x += xb
-            if xa:
-                x_z += zb
-            y3 += (xb ^ ones if xa else xb) & (zb ^ ones if za else zb)
-        anti = (z_x + x_z) & ones
-        # ya + 4 keeps every byte of the difference nonnegative
-        m = (((ka >> n & ka).bit_count() + 5) * ones + self.y_counts - y3
-             + 2 * z_x)
-        row = self[ka] = (anti + (anti & m >> 1)).to_bytes(4 ** n, "little")
-        return row
-
-    def bracket(self, va: dict, vb: dict) -> dict:
-        """_bracket on n modes.  Operands with at least dense_from term
-        pairs go to _dense_bracket; this loop takes the rest, visiting every
-        term pair, and lists keys in the order it first meets them."""
-        if len(va) * len(vb) >= self.dense_from:
-            return _dense_bracket(va, vb, self)
-        out = {}
-        for ka, ca in va.items():
-            row = self[ka]
-            c2 = 2 * ca
-            for kb, cb in vb.items():
-                s = row[kb]
-                if not s:
-                    continue
-                k3 = ka ^ kb
-                if s == 2:
-                    c = out.get(k3, 0) - c2 * cb
-                else:
-                    c = out.get(k3, 0) + c2 * cb
-                if c:
-                    out[k3] = c
-                else:
-                    del out[k3]
-        return out
-
-    def walk(self, ka: int) -> tuple:
-        row = self[ka]
-        pair = self.walks[ka] = tuple(
-            bytes(kb for kb, s in enumerate(row) if s == sign)
-            for sign in (1, 2))
-        return pair
+_WALKS: dict = {}  # n -> walk-row pairs by key, shared by every closure
 
 
 # A Hermitian d x d matrix on a codeword basis is an integer vector over the

@@ -216,8 +216,7 @@ def _fold_term(coeff, factors, n_modes: int, images):
         for image in images[kind]:
             image_den, image_terms = _integer_image(image, mode, n_modes)
             den *= image_den
-            acc = {key: v for key, v in integer_product(acc, image_terms).items()
-                   if any(v)}
+            acc = integer_product(acc, image_terms)
     return den, acc
 
 
@@ -234,7 +233,7 @@ def fold_terms(terms, n_modes: int, images) -> OperatorSum:
     the number of terms.  Each image is read once per process by
     ``integer_terms`` (``_integer_image``).  A term starts as its
     coefficient times the identity and multiplies through its images by
-    ``integer_product``, with zero entries dropped after each image.  One
+    ``integer_product``, which drops the entries that cancel.  One
     ``integer_sum`` then adds every term into one dict over the lcm of all
     their denominators, and ``from_integers`` makes the sum.
     """

@@ -436,19 +436,21 @@ def integer_terms(op: OperatorSum) -> tuple:
 def integer_scaled(terms: dict, value) -> tuple:
     """(den, terms times value) for an int, Fraction or Scalar value, over
     den times the denominator of terms: their product with value times the
-    identity, so the keys and their order are kept, zero parts included."""
+    identity, so a nonzero value keeps the keys and their order, and 0
+    gives no terms."""
     den, scalar = integer_terms(OperatorSum(0, {(0, 0): value}))
-    return den, integer_product(terms, scalar or {(0, 0): (0, 0)})
+    return den, integer_product(terms, scalar)
 
 
 def integer_product(left: dict, right: dict) -> dict:
     """{(x, z): parts} of the product of two ``integer_terms`` readings.
 
     The product of the sums over den1 * den2.  Keys appear in the order the
-    pair loop, left outside and right inside, first meets them; a key whose
-    contributions cancel stays in place with zero parts.  Each term product
-    is rotated by the power of i that ``product_phase_exp`` gives.  The
-    parts are Gaussian pairs when both readings are, else quadruples.
+    pair loop, left outside and right inside, first meets them, and the
+    keys whose contributions cancel are left out once the loop is done.
+    Each term product is rotated by the power of i that
+    ``product_phase_exp`` gives.  The parts are Gaussian pairs when both
+    readings are, else quadruples.
     """
     if not left or not right:
         return {}
@@ -469,7 +471,7 @@ def integer_product(left: dict, right: dict) -> dict:
                 old = get(key)
                 out[key] = (re, im) if old is None else (old[0] + re,
                                                          old[1] + im)
-        return out
+        return {key: parts for key, parts in out.items() if any(parts)}
     # a Gaussian operand meets a sqrt(2) one: pad its parts with zeros
     rows = [(x, z, *parts, *(0,) * (4 - len(parts)))
             for (x, z), parts in right.items()]
@@ -489,7 +491,7 @@ def integer_product(left: dict, right: dict) -> dict:
             old = get(key)
             out[key] = ((re, im, re2, im2) if old is None else
                         (old[0] + re, old[1] + im, old[2] + re2, old[3] + im2))
-    return out
+    return {key: parts for key, parts in out.items() if any(parts)}
 
 
 def integer_sum(*pairs) -> dict:

@@ -105,8 +105,8 @@ def _read_generator(gen: OperatorSum) -> tuple:
     """(den, gen, gen**2) as integer readings over den and den**2, after
     checking gen**3 = gen in integers."""
     den, terms = integer_terms(gen)
-    sq = {k: v for k, v in integer_product(terms, terms).items() if any(v)}
-    cube = {k: v for k, v in integer_product(sq, terms).items() if any(v)}
+    sq = integer_product(terms, terms)
+    cube = integer_product(sq, terms)
     if cube != integer_sum((terms, den**2)):
         raise ValueError("exact_exp needs gen**3 = gen")
     return den, terms, sq
@@ -150,8 +150,7 @@ def conjugate_eighth(op: OperatorSum, gen: OperatorSum,
             f"operands on {gen.n_modes} and {op.n_modes} modes")
     op_den, op_terms = integer_terms(op)
     minus, plus = _exponentials(den, terms, sq, eighths % 8)
-    left = {key: v for key, v in integer_product(minus, op_terms).items()
-            if any(v)}
+    left = integer_product(minus, op_terms)
     u_den = 2 * den * den
     return from_integers(gen.n_modes, u_den * op_den * u_den,
                          integer_product(left, plus))

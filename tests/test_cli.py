@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -533,20 +534,26 @@ class TestCode:
             assert synth["success"] is True
             assert synth["dimension_traceless"] == want
 
-    @pytest.mark.parametrize("n,k", [(10, 5), (14, 1), (50, 1), (2520, 0)])
+    @pytest.mark.parametrize("n,k", [(10, 5), (14, 1), (50, 1), (53, 0)])
     def test_code_bound_admits(self, tmp_path, n, k):
-        # N * C(N, k) <= 2520: every code on 10 modes, small codes on more
+        # N * C(N, k) <= 2520: every code on 10 modes, small codes on more,
+        # up to 53 modes
         code, doc = run_json(tmp_path, "code", "list", "-n", str(n),
                              "-k", str(k))
         assert code == 0
         assert len(doc["body"]["codewords"]) == doc["body"]["dim"]
+        # a reader that holds JSON numbers as doubles reads them exactly
+        assert all(int(float(word[f])) == word[f] for word
+                   in doc["body"]["codewords"] for f in ("mask", "dense_index"))
 
     @pytest.mark.parametrize("n,k", [(11, 5), (12, 3), (51, 1), (2521, 0),
-                                     (20000, 0), (100000000, 50000000)])
+                                     (20000, 0), (100000000, 50000000),
+                                     (2520, 0), (54, 0), (54, 54)])
     def test_code_bound_refuses_at_once(self, tmp_path, capsys, n, k):
-        # C(12, 3) and C(51, 1) are just past the bound (2640 and 2601
-        # bits); the last three are refused on N alone, before C(N, k) is
-        # computed
+        # C(12, 3) and C(51, 1) are just past the table bound (2640 and
+        # 2601 bits); the next three are refused on N alone, before C(N, k)
+        # is computed.  The last three fit the table, but their masks or
+        # dense indices reach 2**54 - 1 or more, past exact JSON integers.
         out = tmp_path / "x.json"
         start = time.perf_counter()
         assert main(["code", "list", "-n", str(n), "-k", str(k),
@@ -554,7 +561,9 @@ class TestCode:
         assert time.perf_counter() - start < 0.1
         err = capsys.readouterr().err
         assert err.startswith(f"qalg: code C({n}, {k}) exceeds the code bound")
-        assert "at most 2520" in err and not out.exists()
+        table = n > 2520 or n * math.comb(n, k) > 2520
+        assert ("at most 2520" if table else "at most 53 modes") in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("action", ["list", "rate", "generator", "cphase",
                                         "synthesize"])

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -633,7 +634,7 @@ def _reference_bracket(va, vb, n):
 @st.composite
 def _vector_pairs(draw):
     """Two integer vectors of 1-8 terms on 1-6 modes, on both sides of the
-    sign-row cap."""
+    walk-row cap."""
     n = draw(st.integers(1, 6))
     vec = st.dictionaries(st.integers(0, 4 ** n - 1),
                           st.integers(-9, 9).filter(bool), min_size=1, max_size=8)
@@ -644,43 +645,57 @@ def _su_2n(n):
     return GeneratorSet(*_flag_case(f"su(2^N):{n}"))
 
 
+def _walk_rows(monkeypatch, n):
+    """Every walk-row pair of n modes, built afresh by one dense bracket of
+    all 4**n keys against themselves."""
+    monkeypatch.setattr(lie, "_WALKS", {})
+    every = dict.fromkeys(range(4 ** n), 1)
+    lie._dense_bracket(every, every, n)
+    return lie._WALKS[n]
+
+
 class TestSignRows:
-    """The per-process sign rows of the Pauli bracket, and their memory."""
+    """The sign rule of the Pauli bracket, the walk rows read off it, and
+    their memory."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_every_entry_is_the_popcount_rule(self, n):
-        rows = lie._SignRows(n)
-        code = {0: 0, 2: 1, -2: 2}
-        for ka in range(4 ** n):
-            assert rows[ka] == bytes(code[_reference_sign(ka, kb, n)]
-                                     for kb in range(4 ** n))
+    def test_every_entry_is_the_popcount_rule(self, n, monkeypatch):
+        for ka, (plus, minus) in enumerate(_walk_rows(monkeypatch, n)):
+            signs = dict.fromkeys(plus, 2) | dict.fromkeys(minus, -2)
+            assert [signs.get(kb, 0) for kb in range(4 ** n)] == [
+                _reference_sign(ka, kb, n) for kb in range(4 ** n)]
 
     @settings(max_examples=200, deadline=None)
     @given(_vector_pairs())
     def test_bracket_is_the_reference_bracket(self, case):
         n, va, vb = case
-        assert lie._bracket(va, vb, n) == _reference_bracket(va, vb, n)
+        assert lie._pauli_bracket(n)(va, vb) == _reference_bracket(va, vb, n)
 
     def test_large_closures_build_no_rows(self, monkeypatch):
-        monkeypatch.setattr(lie, "_SIGN_ROWS", {})
+        monkeypatch.setattr(lie, "_WALKS", {})
         assert close(_su_2n(5)).dimension_traceless == 4 ** 5 - 1
         assert close(GeneratorSet(*_flag_case("u(N):7"))).dimension == 49
-        assert lie._SIGN_ROWS == {}
+        assert lie._WALKS == {}
 
     def test_rows_never_exceed_256_keys(self, monkeypatch):
-        # at most 256 rows of 256 bytes, whatever mode counts are bracketed
-        monkeypatch.setattr(lie, "_SIGN_ROWS", {})
+        # at most 256 pairs of 128 bytes per mode count, whatever mode
+        # counts are bracketed; 32 terms make the pairs dense for n = 3, 4
+        monkeypatch.setattr(lie, "_WALKS", {})
         rng = random.Random(3)
         for n in range(1, 7):
+            bracket = lie._pauli_bracket(n)
             for _ in range(20):
                 va, vb = ({k: rng.randint(1, 9) for k in rng.sample(
-                    range(4 ** n), min(8, 4 ** n))} for _ in "ab")
-                lie._bracket(va, vb, n)
-        table = lie._SIGN_ROWS
+                    range(4 ** n), min(32, 4 ** n))} for _ in "ab")
+                bracket(va, vb)
+        table = lie._WALKS
         assert set(table) == {1, 2, 3, 4}
-        for n, rows in table.items():
-            assert 0 < len(rows) <= 4 ** n
-            assert all(len(row) == 4 ** n <= 256 for row in rows.values())
+        for n, walks in table.items():
+            assert len(walks) == 4 ** n <= 256
+            built = [pair for pair in walks if pair is not None]
+            assert built
+            for plus, minus in built:
+                assert len(plus) + len(minus) <= 4 ** n // 2 <= 128
 
 
 @st.composite
@@ -716,8 +731,8 @@ def _bracket_cases(draw):
 
 
 class TestDenseBracket:
-    """The dense path, the sign-row loop and the popcount rule give one
-    bracket, and the dense oracle agrees with it."""
+    """The dense path, the popcount loop and the kernel _pauli_bracket picks
+    give one bracket, and the dense oracle agrees with it."""
 
     @settings(max_examples=80, deadline=None)
     @given(_bracket_cases())
@@ -731,25 +746,21 @@ class TestDenseBracket:
     def test_paths_agree_with_the_dense_oracle(self, case):
         n, va, vb = case
         want = lie._popcount_bracket(va, vb, n)
-        rows = lie._SignRows(n)
-        dense = lie._dense_bracket(va, vb, rows)
+        dense = lie._dense_bracket(va, vb, n)
         assert dense == want and list(dense) == sorted(dense)
-        rows.dense_from = math.inf  # the sign-row loop on every pair
-        assert rows.bracket(va, vb) == want
-        assert lie._bracket(va, vb, n) == want
+        assert lie._pauli_bracket(n)(va, vb) == want
         a, b = (realize(lie._from_vec(v, n)) for v in (va, vb))
         got = realize(lie._from_vec(want, n)) if want else 0
         scale = sum(map(abs, va.values())) * sum(map(abs, vb.values()))
         assert np.abs(1j * (a @ b - b @ a) - got).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_walk_rows_list_the_anticommuting_keys(self, n):
-        rows = lie._SignRows(n)
-        for ka in range(4 ** n):
-            plus, minus = rows.walk(ka)
-            assert (set(plus), set(minus)) == tuple(
-                {kb for kb, s in enumerate(rows[ka]) if s == sign}
-                for sign in (1, 2))
+    def test_walk_rows_list_the_anticommuting_keys(self, n, monkeypatch):
+        for ka, (plus, minus) in enumerate(_walk_rows(monkeypatch, n)):
+            assert list(plus) == sorted(plus) and list(minus) == sorted(minus)
+            assert set(plus) | set(minus) == {
+                kb for kb in range(4 ** n)
+                if lie._popcount_bracket({ka: 1}, {kb: 1}, n)}
             assert len(plus) + len(minus) == (4 ** n // 2 if ka else 0)
 
 
@@ -971,9 +982,9 @@ def _spy_dense(monkeypatch):
     calls = []
     dense = lie._dense_bracket
 
-    def spy(va, vb, rows):
+    def spy(va, vb, n):
         calls.append((len(va), len(vb)))
-        return dense(va, vb, rows)
+        return dense(va, vb, n)
 
     monkeypatch.setattr(lie, "_dense_bracket", spy)
     return calls
@@ -988,7 +999,7 @@ class TestBracketPaths:
         assert len(calls) == 77
         assert all(a * b >= lie._DENSE_PAIRS * 64 for a, b in calls)
 
-    def test_su_2n_keeps_the_sign_row_loop(self, monkeypatch):
+    def test_su_2n_keeps_the_popcount_loop(self, monkeypatch):
         calls = _spy_dense(monkeypatch)
         assert close(_su_2n(4)).dimension_traceless == 4 ** 4 - 1
         assert calls == []
@@ -1056,7 +1067,41 @@ def _conserving_sets(draw):
     return n, k, gens
 
 
+def _rational_rank(vectors) -> int:
+    """Rank over Q of rational vectors, by Gaussian elimination in
+    Fractions: each vector is reduced on the pivot rows kept so far, and
+    its nonzero rest, scaled to 1 at its first nonzero entry, is kept."""
+    pivots = []  # (lead, row), row[lead] == 1 and 0 at every earlier lead
+    for vec in vectors:
+        row = [Fraction(a) for a in vec]
+        for lead, pivot in pivots:
+            if row[lead]:
+                f = row[lead]
+                row = [a - f * b for a, b in zip(row, pivot)]
+        lead = next((j for j, a in enumerate(row) if a), None)
+        if lead is not None:
+            pivots.append((lead, [a / row[lead] for a in row]))
+    return len(pivots)
+
+
 class TestClosureProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(_conserving_sets())
+    def test_subspace_closure_is_the_restricted_full_closure(self, case):
+        # restriction to the code is a Lie homomorphism, so the subspace
+        # closure (_matrix_bracket) spans the projections of the full
+        # closure (the Pauli bracket): its dimension is their exact rank
+        n, k, gens = case
+        code = build_code(n, k)
+        gs = GeneratorSet(n, gens)
+        cells = [(r, c) for r in range(code.dim) for c in range(code.dim)]
+        vectors = []
+        for element in close(gs).basis:
+            entries = code.project(element)
+            vectors.append([part for rc in cells for part in (
+                (entries[rc].re, entries[rc].im) if rc in entries else (0, 0))])
+        assert close_on_subspace(gs, code).dimension == _rational_rank(vectors)
+
     @settings(max_examples=25, deadline=None)
     @given(_conserving_sets())
     def test_subspace_closure_is_the_dense_rank_of_the_projections(

@@ -678,11 +678,12 @@ class TestIntegerLinear:
     @example((OperatorSum.zero(1), OperatorSum.zero(1)), RT2_HALF)
     @example((OperatorSum.x(0, 1) * RT2_HALF, OperatorSum.zero(1)), 0)
     def test_integer_scaled_matches_loop(self, pair, value):
-        # a reading over den scaled by value is over den * d, in op's order
+        # a reading over den scaled by value is over den * d, in op's order;
+        # scaled by 0 it has no terms
         op = pair[0]
         den, terms = integer_terms(op)
         d, scaled = integer_scaled(terms, value)
-        assert list(scaled) == list(terms)
+        assert list(scaled) == (list(terms) if value else [])
         _same_terms(from_integers(op.n_modes, den * d, scaled),
                     _loop_scale(op, value))
 
