@@ -216,7 +216,7 @@ class OperatorSum:
         den = lcm(*(p.denominator for parts in fracs.values() for p in parts))
         self._den, self._terms = _canonical(den, {
             key: tuple(p.numerator * (den // p.denominator) for p in parts)
-            for key, parts in fracs.items()})
+            for key, parts in fracs.items() if any(parts)})
 
     # -- constructors -----------------------------------------------------
 
@@ -394,10 +394,9 @@ class OperatorSum:
 # -- the integer kernel ---------------------------------------------------
 
 def _canonical(den: int, terms: dict) -> tuple:
-    """(den, terms) over den > 0 in canonical form: the keys whose parts
-    are all zero left out and the rest in order, pairs when no sqrt(2) part
-    is left, and no common factor of den and every part."""
-    terms = {key: parts for key, parts in terms.items() if any(parts)}
+    """(den, terms) over den > 0 in canonical form, for terms with no
+    all-zero parts: the terms in order, pairs when no sqrt(2) part is left,
+    and no common factor of den and every part."""
     if all(len(parts) == 4 and not (parts[2] or parts[3])
            for parts in terms.values()):
         terms = {key: parts[:2] for key, parts in terms.items()}
@@ -534,9 +533,9 @@ def integer_sum(*pairs) -> dict:
 
 def from_integers(n_modes: int, den: int, terms: dict) -> OperatorSum:
     """The OperatorSum of the reading {(x, z): parts} over den, with parts
-    as ``integer_terms`` gives them.  The reading is put in canonical form
-    (``_canonical``): keys whose parts are all zero are left out, the rest
-    keep their order.  No Scalar is built."""
+    as ``integer_terms`` gives them and none all zero, as the kernel's
+    products and sums leave them.  The reading is put in canonical form
+    (``_canonical``), its terms in their order.  No Scalar is built."""
     op = object.__new__(OperatorSum)
     op.n_modes = n_modes
     op._den, op._terms = _canonical(den, terms)
