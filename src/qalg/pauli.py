@@ -34,9 +34,13 @@ term pair, as Gaussian integers when neither carries a sqrt(2) part, each
 product rotated by the power of i that ``product_phase_exp`` gives;
 ``integer_scaled`` multiplies a reading by a number; ``integer_sum`` adds
 integer multiples of any number of readings into one dict; and
-``from_integers`` makes the sum of a reading.  Only this module builds,
-pads or width-tests complex parts; ``lie`` reads and writes real ones,
-(re, 0), and others compare parts, sum them or test them with ``any``.
+``from_integers`` makes the sum of a reading.  The products and sums
+leave out every key whose parts cancel, so no reading the kernel returns
+holds all-zero parts, and ``from_integers`` takes them as they are; the
+constructor drops the zero coefficients it is given.  Only this module
+builds, pads or width-tests complex parts; ``lie`` reads and writes real
+ones, (re, 0), and others compare parts, sum them or test them with
+``any``.
 
 Mode 0 is the least significant bit of basis-state labels in the dense
 realization, i.e. ``realize`` maps mode 0 to the last Kronecker factor.
