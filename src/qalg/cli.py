@@ -8,7 +8,7 @@ functions of the resolved inputs, and the timestamp stays outside the
 hashed content.
 
 Exit codes: 0 on success (and all checks passing), 1 when a requested
-verification fails, 2 on usage or input errors.
+verification fails, 2 on usage or input errors or an unwritable report.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ from .parafermion import (
     to_pauli,
 )
 from .thermal import ThermalParams, occupation, sweep
+
+
+# most kT values one --sweep computes and prints
+MAX_SWEEP_STEPS = 10_000
 
 
 class CliError(Exception):
@@ -334,6 +338,8 @@ def _cmd_thermal(args):
             raise CliError("--sweep expects 'min:max:steps'")
         if steps < 2:
             raise CliError("--sweep needs at least 2 steps")
+        if steps > MAX_SWEEP_STEPS:
+            raise CliError(f"--sweep allows at most {MAX_SWEEP_STEPS} steps")
         kts = [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
         rows = sweep(fields, args.mu, kts)
         body = {"B": fields, "mu": args.mu,
@@ -507,13 +513,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         body, lines, ok = args.handler(args)
-    except CliError as err:
+        _write_output(args, args.command, body, lines, ok)
+    except (CliError, ValueError, OSError) as err:
         print(f"qalg: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as err:
-        print(f"qalg: {err}", file=sys.stderr)
-        return 2
-    _write_output(args, args.command, body, lines, ok)
     return 0 if ok else 1
 
 

@@ -40,6 +40,7 @@ from .parafermion import (
     ANNIHILATE,
     CREATE,
     NUMBER,
+    SPECIES,
     SecondQuantizedExpr,
     fold_terms,
     number_site,
@@ -271,11 +272,11 @@ def _format_coeff(coeff: Scalar, leading: bool):
     connector = ("-" if negative else "") if leading else (" - " if negative else " + ")
     return connector, body
 
+# species -> factor kind -> the letter that prints it, read off _LETTERS
 _SQ_NAMES = {
-    "parafermion": {"-": "a", "+": "ad", "n": "n"},
-    "fermion": {"-": "f", "+": "fd", "n": "n"},
-    "boson": {"-": "b", "+": "bd", "n": "n"},
-}
+    species: {kind: letter for letter, (named, kind) in _LETTERS.items()
+              if named in (species, None) and kind is not None}
+    for species in SPECIES}
 
 
 def _emit(pieces, connector, body, factors):
@@ -355,7 +356,7 @@ def parse_script(text: str) -> OperatorScript:
                 raise ParseError(
                     f"line {lineno}: species header must precede definitions", 0)
             species = m.group(1)
-            if species not in ("qubit", "parafermion", "fermion", "boson"):
+            if species not in ("qubit", *SPECIES):
                 raise ParseError(f"line {lineno}: unknown species {species!r}", 0)
             continue
         m = re.fullmatch(r"([A-Za-z_]\w*)\s*=\s*(.+)", line)

@@ -51,7 +51,8 @@ from .parafermion import conserves_number, conserves_parity
 
 @dataclass
 class GeneratorSet:
-    """List of Hermitian generators on a common mode count."""
+    """List of Hermitian generators with rational coefficients on a common
+    mode count; exact closure needs both."""
 
     n_modes: int
     generators: list
@@ -66,6 +67,10 @@ class GeneratorSet:
                 raise ValueError("zero generator")
             if not g.is_hermitian:
                 raise ValueError("generators must be Hermitian")
+            if not g.is_rational:
+                raise ValueError("exact closure requires rational "
+                                 "coefficients; irrational coefficient "
+                                 "encountered")
 
 
 @dataclass
@@ -123,15 +128,9 @@ class LieBasis:
 
 # -- integer vector layer --------------------------------------------------
 
-_IRRATIONAL = ("exact closure requires rational coefficients; "
-               "irrational coefficient encountered")
-
-
 def _to_vec(op: OperatorSum) -> dict:
     """Primitive integer coordinate vector of a rational Hermitian sum: the
     real parts of its integer reading, normalized."""
-    if not op.is_rational:
-        raise ValueError(_IRRATIONAL)
     n = op.n_modes
     return _normalize({(x << n) | z: parts[0] for (x, z), parts
                        in integer_terms(op)[1].items() if parts[0]})
@@ -275,9 +274,8 @@ _WALKS: dict = {}  # n -> walk-row pairs by key, shared by every closure
 # key k*d + j is i(E_jk - E_kj).
 
 def _matrix_vec(entries: dict, d: int) -> dict:
-    """Primitive integer vector of Hermitian entries {(row, col): Scalar}."""
-    if not all(s.is_rational for s in entries.values()):
-        raise ValueError(_IRRATIONAL)
+    """Primitive integer vector of rational Hermitian entries
+    {(row, col): Scalar}."""
     coords = {r * d + c: s.re if r <= c else -s.im
               for (r, c), s in entries.items()}
     denom = math.lcm(*(v.denominator for v in coords.values()))
@@ -674,25 +672,26 @@ def close_on_subspace(generator_set: GeneratorSet, subspace,
 
 # -- classification --------------------------------------------------------
 
-CANDIDATE_ALGEBRAS = ("su(2^N)", "u(2^N)", "so(2N+1)", "so(2N)",
-                      "u(N)", "su(N)", "number-conserving", "parity-conserving")
+# name -> (dimension on N modes, counted without the identity, must conserve
+# number, must conserve parity): su and so count traceless elements, u and
+# the maximal subalgebras include the identity
+_CANDIDATES = {
+    "su(2^N)": (lambda n: 4 ** n - 1, True, False, False),
+    "u(2^N)": (lambda n: 4 ** n, False, False, False),
+    "so(2N+1)": (lambda n: n * (2 * n + 1), True, False, True),
+    "so(2N)": (lambda n: n * (2 * n - 1), True, False, True),
+    "u(N)": (lambda n: n * n, False, True, False),
+    "su(N)": (lambda n: n * n - 1, True, True, False),
+    "number-conserving": (lambda n: math.comb(2 * n, n), False, True, False),
+    "parity-conserving": (lambda n: 2 ** (2 * n - 1), False, False, True),
+}
+CANDIDATE_ALGEBRAS = tuple(_CANDIDATES)
 
 
 def expected_dimension(name: str, n_modes: int) -> int:
-    n = n_modes
-    table = {
-        "su(2^N)": 4 ** n - 1,
-        "u(2^N)": 4 ** n,
-        "so(2N+1)": n * (2 * n + 1),
-        "so(2N)": n * (2 * n - 1),
-        "u(N)": n * n,
-        "su(N)": n * n - 1,
-        "number-conserving": math.comb(2 * n, n),
-        "parity-conserving": 2 ** (2 * n - 1),
-    }
-    if name not in table:
+    if name not in _CANDIDATES:
         raise ValueError(f"unknown algebra name {name!r}")
-    return table[name]
+    return _CANDIDATES[name][0](n_modes)
 
 
 @dataclass(frozen=True)
@@ -712,15 +711,12 @@ class AlgebraVerdict:
     universal_full_space: bool
 
 
-# su/so counts are traceless; u and the maximal subalgebras include identity
-_TRACELESS_CANDIDATES = {"su(2^N)", "so(2N+1)", "so(2N)", "su(N)"}
-_NUMBER_CANDIDATES = {"u(N)", "su(N)", "number-conserving"}
-_PARITY_CANDIDATES = {"so(2N+1)", "so(2N)", "parity-conserving"}
-
-
 def classify_algebra(basis: LieBasis) -> AlgebraVerdict:
-    """Compare a closed basis against the named algebra dimensions.
+    """Compare a closed basis against the candidate algebras.
 
+    Each candidate's dimension is worked out once, from its rule in
+    _CANDIDATES: it is hit when the basis has that dimension, counted
+    traceless where the rule says so, and conserves what the rule asks.
     The conservation flags are read off the seed elements alone: they span
     the generators, and brackets of operators that commute with N (or
     with the parity) commute with it too, by the Jacobi identity.
@@ -735,15 +731,11 @@ def classify_algebra(basis: LieBasis) -> AlgebraVerdict:
     number_ok = all(map(conserves_number, seeds))
     parity_ok = all(map(conserves_parity, seeds))
     matches = []
-    for name in CANDIDATE_ALGEBRAS:
-        want = expected_dimension(name, n)
-        got = (basis.dimension_traceless if name in _TRACELESS_CANDIDATES
-               else basis.dimension)
-        hit = got == want
-        if name in _NUMBER_CANDIDATES:
-            hit = hit and number_ok
-        if name in _PARITY_CANDIDATES:
-            hit = hit and parity_ok
+    for name, (dimension, traceless, number, parity) in _CANDIDATES.items():
+        want = dimension(n)
+        got = basis.dimension_traceless if traceless else basis.dimension
+        hit = (got == want and (number_ok or not number)
+               and (parity_ok or not parity))
         matches.append(CandidateMatch(name, want, hit))
     return AlgebraVerdict(
         dimension=basis.dimension,

@@ -32,12 +32,13 @@ eighth-turn exponential in ``verifier`` use.  ``integer_terms`` returns a
 sum's reading; ``integer_product`` multiplies two readings term pair by
 term pair, as Gaussian integers when neither carries a sqrt(2) part, each
 product rotated by the power of i that ``product_phase_exp`` gives;
-``integer_scaled`` multiplies a reading by a number; ``integer_sum`` adds
-integer multiples of any number of readings into one dict; and
-``from_integers`` makes the sum of a reading.  The products and sums
-leave out every key whose parts cancel, so no reading the kernel returns
-holds all-zero parts, and ``from_integers`` takes them as they are; the
-constructor drops the zero coefficients it is given.  Only this module
+``integer_sum`` adds integer multiples of any number of readings into one
+dict; and ``from_integers`` makes the sum of a reading.  Numbers enter the
+kernel only through the constructor: a number's reading is that of itself
+times the identity, ``OperatorSum(0, {(0, 0): value})``.  The products and
+sums leave out every key whose parts cancel, so no reading the kernel
+returns holds all-zero parts, and ``from_integers`` takes them as they are;
+the constructor drops the zero coefficients it is given.  Only this module
 builds, pads or width-tests complex parts; ``lie`` reads and writes real
 ones, (re, 0), and others compare parts, sum them or test them with
 ``any``.
@@ -271,14 +272,10 @@ class OperatorSum:
     def is_rational(self) -> bool:
         return all(len(parts) == 2 for parts in self._terms.values())
 
-    def support(self) -> int:
+    def support_modes(self) -> set:
         mask = 0
         for x, z in self._terms:
             mask |= x | z
-        return mask
-
-    def support_modes(self) -> set:
-        mask = self.support()
         return {i for i in range(self.n_modes) if mask >> i & 1}
 
     # -- algebra ----------------------------------------------------------
@@ -377,22 +374,12 @@ class OperatorSum:
                 for target, parts in out.items()}
 
     def __repr__(self):
-        if self.is_zero:
-            return f"OperatorSum({self.n_modes}, 0)"
-        bits = []
-        for (x, z), c in self.items():
-            ops = []
-            for i in range(self.n_modes):
-                xb, zb = x >> i & 1, z >> i & 1
-                if xb and zb:
-                    ops.append(f"Y{i}")
-                elif xb:
-                    ops.append(f"X{i}")
-                elif zb:
-                    ops.append(f"Z{i}")
-            label = ".".join(ops) if ops else "I"
-            bits.append(f"({c.to_complex():.3g})*{label}")
-        return " + ".join(bits)
+        from .dsl import print_expr
+        head = f"<OperatorSum on {self.n_modes} modes"
+        try:
+            return f"{head}: {print_expr(self)}>"
+        except ValueError:
+            return f"{head}, {self.n_terms} terms>"
 
 
 # -- the integer kernel ---------------------------------------------------
@@ -434,15 +421,6 @@ def integer_terms(op: OperatorSum) -> tuple:
     docstring lays it out.  It is op's own, not a copy: callers read it and
     never change it."""
     return op._den, op._terms
-
-
-def integer_scaled(terms: dict, value) -> tuple:
-    """(den, terms times value) for an int, Fraction or Scalar value, over
-    den times the denominator of terms: their product with value times the
-    identity, so a nonzero value keeps the keys and their order, and 0
-    gives no terms."""
-    den, scalar = integer_terms(OperatorSum(0, {(0, 0): value}))
-    return den, integer_product(terms, scalar)
 
 
 def integer_product(left: dict, right: dict) -> dict:

@@ -28,11 +28,11 @@ Conjugations by exp(i A phi) at eighth-turn angles are done exactly: for
 any Hermitian A with A**3 = A the exponential is I + (cos phi - 1) A**2 +
 i sin phi A, and 2 cos phi and 2 sin phi lie in Z[sqrt(2)].  The work is
 done in integers, on the kernel of ``pauli``: A's integer reading is
-squared once and checked against its cube once, and
-the exponential is built as an integer reading over 2 den(A)**2 by kernel
-sums of A**2 and A, scaled by the exact 2 cos phi - 2 and 2i sin phi; the
-part even in phi is formed once for exp(-i A phi) and exp(i A phi).  A
-conjugation is then two integer products, and it builds no Scalar.
+squared once and checked against its cube once, and the exponential is
+an integer reading over 2 den(A)**2, a kernel sum of A**2 and A times the
+readings of 2 cos phi - 2 and 2i sin phi made at import; its even part is
+formed once for exp(-i A phi) and exp(i A phi).  A conjugation is then
+two integer products, and it builds no Scalar.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from .pauli import (
     commutator,
     from_integers,
     integer_product,
-    integer_scaled,
     integer_sum,
     integer_terms,
     matrix_exponential,
@@ -95,9 +94,11 @@ class IdentityCheck:
 
 _RT2 = 2 * RT2_HALF
 _COS2 = (2, _RT2, 0, -_RT2, -2, -_RT2, 0, _RT2)  # 2 cos(k pi/4), k = 0..7
-# the multipliers 2 cos phi - 2 of G**2 and 2i sin phi of G in 2 exp(i G phi)
-# at phi = k pi/4, since sin(k pi/4) = cos((k - 2) pi/4)
-_MULTIPLIERS = tuple((_COS2[k] - 2, I_UNIT * _COS2[k - 2]) for k in range(8))
+# readings of the multipliers 2 cos phi - 2 of G**2 and 2i sin phi of G in
+# 2 exp(i G phi) at phi = k pi/4, each over 1, as sin(k pi/4) = cos((k-2) pi/4)
+_MULTIPLIERS = tuple(
+    tuple(integer_terms(OperatorSum(0, {(0, 0): m}))[1]
+          for m in (_COS2[k] - 2, I_UNIT * _COS2[k - 2])) for k in range(8))
 _IDENTITY = integer_terms(OperatorSum.identity(0))[1]
 
 
@@ -115,8 +116,8 @@ def _read_generator(gen: OperatorSum) -> tuple:
 def _exponentials(den: int, gen: dict, sq: dict, k: int) -> tuple:
     """exp(-i G phi) and exp(i G phi) at phi = k pi/4, each
     I + (cos phi - 1) G**2 -+ i sin phi G as an integer reading over
-    2 den**2, by kernel sums of scaled readings; the even part, I and G**2,
-    is formed once for both.
+    2 den**2, by kernel sums of G**2 and G times the multipliers' readings;
+    the even part, I and G**2, is formed once for both.
 
     Keys come in the order of those sums: the identity, then the keys of
     G**2, then those of G; a key whose total is zero after the G**2 or the
@@ -124,8 +125,8 @@ def _exponentials(den: int, gen: dict, sq: dict, k: int) -> tuple:
     """
     cos2, sin2 = _MULTIPLIERS[k]
     even = integer_sum((_IDENTITY, 2 * den * den),
-                       (integer_scaled(sq, cos2)[1], 1))
-    odd = integer_scaled(gen, sin2)[1]
+                       (integer_product(sq, cos2), 1))
+    odd = integer_product(gen, sin2)
     return (integer_sum((even, 1), (odd, -den)),
             integer_sum((even, 1), (odd, den)))
 

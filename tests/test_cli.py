@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qalg.cli import build_parser, main
+from qalg.cli import MAX_SWEEP_STEPS, build_parser, main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -69,6 +69,35 @@ class TestStartup:
         assert done.stdout.splitlines() == [
             "g0: 1 terms on modes [0, 1]; number broken, parity conserved",
             "False"]
+
+    @pytest.mark.parametrize("argv, loads", [
+        (["closure", "--expr", "X(0) X(1)", "--expr", "Y(0) Y(1)",
+          "--modes", "2"], False),
+        (["classify", "--expr", "X(0) X(1)", "--modes", "2"], False),
+        (["jw", "--expr", "fd(0) f(1)", "--modes", "2"], False),
+        (["code", "list", "-n", "3", "-k", "1"], False),
+        (["code", "rate", "-n", "3", "-k", "1"], False),
+        (["code", "generator", "-n", "3", "-k", "1", "--format", "json"],
+         False),
+        (["code", "cphase", "-n", "3", "-k", "1"], False),
+        (["code", "synthesize", "-n", "3", "-k", "1"], False),
+        (["thermal", "--B", "0.4", "--mu", "1"], False),
+        (["enumerate", "-n", "2"], False),
+        # the dense oracle, and numpy's printed form of an encoded gate
+        (["verify", "--all"], True),
+        (["code", "generator", "-n", "3", "-k", "1"], True),
+    ])
+    def test_verbs_that_load_numpy(self, argv, loads):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import contextlib, io, sys; from qalg.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = main({argv!r})\n"
+             "print(code, 'numpy' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.split() == ["0", str(loads)]
 
     def test_lie_import_leaves_codes_unloaded(self):
         # codes imports lie for its synthesis closure; lie imports no codes
@@ -156,6 +185,30 @@ class TestStartup:
                 assert name in cls.__dict__, f"{cls.__name__}.{name}"
         import qalg.verifier
         assert "car" in qalg.verifier.CHECKS
+
+
+class TestUnwritableReport:
+    """A report that cannot be written exits 2 with one line on stderr,
+    as bad input does, and writes nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["code", "list", "-n", "3", "-k", "1", "--out", "{missing}/x.json"],
+        # su(2^N)'s expected_dim has 4301 digits, past Python's limit for
+        # converting an int to text
+        ["closure", "--expr", "X(0)", "--modes", "7143", "--format", "json"],
+    ])
+    def test_exits_two_without_traceback(self, tmp_path, argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = [a.format(missing=tmp_path / "missing") for a in argv]
+        done = subprocess.run([sys.executable, "-m", "qalg.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("qalg: ")
+        assert not (tmp_path / "missing").exists()
 
 
 class TestEnvelope:
@@ -663,6 +716,20 @@ class TestThermal:
         rows = doc["body"]["rows"]
         assert len(rows) == 3
         assert rows[0]["kT"] == 0.0 and rows[0]["occupations"] == [1.0]
+
+    def test_sweep_at_the_step_bound(self, tmp_path):
+        code, doc = run_json(tmp_path, "thermal", "--B", "0.4", "--mu", "1.0",
+                             "--sweep", f"0:2:{MAX_SWEEP_STEPS}")
+        assert code == 0
+        assert len(doc["body"]["rows"]) == MAX_SWEEP_STEPS
+
+    def test_sweep_above_the_step_bound_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["thermal", "--B", "0.4", "--mu", "1.0", "--sweep",
+                     f"0:2:{MAX_SWEEP_STEPS + 1}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"qalg: --sweep allows at most {MAX_SWEEP_STEPS} steps\n")
+        assert not out.exists()
 
 
 class TestEnumerate:

@@ -30,7 +30,14 @@ from qalg.parafermion import (
     number_site,
     to_pauli,
 )
-from qalg.pauli import I_UNIT, OperatorSum, Scalar, integer_terms, realize
+from qalg.pauli import (
+    I_UNIT,
+    RT2_HALF,
+    OperatorSum,
+    Scalar,
+    integer_terms,
+    realize,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -179,6 +186,20 @@ class TestKnownDimensions:
         assert expected_dimension("parity-conserving", 3) == 2**5
         with pytest.raises(ValueError):
             expected_dimension("e8", 2)
+
+    def test_each_candidate_dimension_is_computed_once(self, monkeypatch):
+        # only number-conserving reads C(2N, N); on many modes that one
+        # binomial is the cost of a classification
+        calls = []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb",
+                            lambda *args: calls.append(args) or comb(*args))
+        n = 400
+        verdict = classify_algebra(close(GeneratorSet(
+            n, [OperatorSum.x(0, n), OperatorSum.z(0, n)])))
+        assert calls == [(2 * n, n)]
+        assert [m.expected_dim for m in verdict.matches] == [
+            expected_dimension(m.name, n) for m in verdict.matches]
 
     def test_classification_requires_closure(self):
         gens, _ = _family("linear+hopping", 2, "parafermion")
@@ -333,6 +354,30 @@ def _check_dense(basis):
             assert rank(mats[:pos] + [br]) == pos + 1 == rank(mats[:pos + 1] + [br])
     brackets = [1j * (a @ b - b @ a) for a in mats for b in mats]
     assert rank(mats + brackets) == basis.dimension
+
+
+class TestIrrationalGenerators:
+    """Exact closure needs rational coefficients: a generator with a
+    sqrt(2) part is refused when the GeneratorSet is built, before close
+    or close_on_subspace sees it."""
+
+    MESSAGE = ("exact closure requires rational coefficients; "
+               "irrational coefficient encountered")
+
+    def test_full_space_generator_refused(self):
+        with pytest.raises(ValueError) as err:
+            GeneratorSet(1, [OperatorSum.z(0, 1),
+                             OperatorSum.x(0, 1) * RT2_HALF])
+        assert str(err.value) == self.MESSAGE
+
+    def test_code_generator_refused(self):
+        hop01 = physical_generator("x", (0, 1), 3)
+        # it preserves C(3, 1), so only its coefficients refuse it
+        assert build_code(3, 1).project(hop01 * RT2_HALF)
+        with pytest.raises(ValueError) as err:
+            GeneratorSet(3, [physical_generator("z", (1, 2), 3),
+                             hop01 * RT2_HALF])
+        assert str(err.value) == self.MESSAGE
 
 
 class TestSubspaceClosures:

@@ -25,7 +25,7 @@ from qalg.pauli import (
     anticommutator,
     commutator,
     from_integers,
-    integer_scaled,
+    integer_product,
     integer_terms,
     matrix_exponential,
     product_phase_exp,
@@ -395,6 +395,15 @@ class TestStructure:
         op = OperatorSum.x(0, 3) * OperatorSum.z(2, 3)
         assert op.support_modes() == {0, 2}
 
+    def test_repr_prints_the_expression(self):
+        # the text print_expr gives; a sqrt(2) part has none, so the repr
+        # falls back to the term count, as a mode expression's does
+        op = OperatorSum.x(0, 2) * Scalar(1, 2) + OperatorSum.y(1, 2)
+        assert repr(op) == "<OperatorSum on 2 modes: (1,2) X(0) + Y(1)>"
+        assert repr(OperatorSum.zero(3)) == "<OperatorSum on 3 modes: 0>"
+        op = OperatorSum.x(0, 2) * RT2_HALF + OperatorSum.z(1, 2)
+        assert repr(op) == "<OperatorSum on 2 modes, 2 terms>"
+
     def test_coefficient_lookup(self):
         op = OperatorSum.x(0, 2) * HALF + OperatorSum.y(1, 2)
         assert op.coefficient(1, 0) == HALF
@@ -677,12 +686,14 @@ class TestIntegerLinear:
     @given(_product_operands(), _SCALARS)
     @example((OperatorSum.zero(1), OperatorSum.zero(1)), RT2_HALF)
     @example((OperatorSum.x(0, 1) * RT2_HALF, OperatorSum.zero(1)), 0)
-    def test_integer_scaled_matches_loop(self, pair, value):
-        # a reading over den scaled by value is over den * d, in op's order;
-        # scaled by 0 it has no terms
+    def test_number_reading_product_matches_loop(self, pair, value):
+        # a number enters the kernel as the constructor's reading of itself
+        # times the identity; a reading over den times it is over den * d,
+        # in op's order, and times 0 it has no terms
         op = pair[0]
         den, terms = integer_terms(op)
-        d, scaled = integer_scaled(terms, value)
+        d, number = integer_terms(OperatorSum(0, {(0, 0): value}))
+        scaled = integer_product(terms, number)
         assert list(scaled) == (list(terms) if value else [])
         _same_terms(from_integers(op.n_modes, den * d, scaled),
                     _loop_scale(op, value))

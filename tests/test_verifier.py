@@ -263,8 +263,9 @@ class TestExactAgainstDenseExponential:
 
 class TestConjugationWorkCounters:
     """An exponential or a conjugation multiplies, adds and builds no
-    Scalars and forms no OperatorSum product; a conjugation squares and
-    cubes its generator once."""
+    Scalars and forms no OperatorSum product.  Each squares and cubes its
+    generator once and multiplies G**2 and G by their multipliers' readings
+    once, two integer products each; a conjugation adds its two."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -299,14 +300,14 @@ class TestConjugationWorkCounters:
         out = conjugate_eighth(op, gen, 3)
         assert out.n_terms > 8
         assert counts == {"scalar_mul": 0, "scalar_add": 0, "sum_mul": 0,
-                          "init": 0, "integer_product": 4}
+                          "init": 0, "integer_product": 6}
 
     def test_exponential(self, counts):
         gen = generator("hop", 6, random.Random(5))
         counts.update(dict.fromkeys(counts, 0))
         exact_exp(gen, 1)
         assert counts == {"scalar_mul": 0, "scalar_add": 0, "sum_mul": 0,
-                          "init": 0, "integer_product": 2}
+                          "init": 0, "integer_product": 4}
 
 
 # -- constraint index sets, as the per-label loops gave them ----------------
