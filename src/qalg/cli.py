@@ -17,6 +17,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -41,6 +42,11 @@ from .thermal import ThermalParams, occupation, sweep
 
 # most kT values one --sweep computes and prints
 MAX_SWEEP_STEPS = 10_000
+
+# thread counts read by the BLAS and OpenMP builds numpy may load
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                     "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 class CliError(Exception):
@@ -410,7 +416,14 @@ def _write_output(args, command: str, body, lines, ok: bool):
             "input_hash": _input_hash(args, command),
             "body": body,
         }
-        text = json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
+        try:
+            text = json.dumps(envelope, sort_keys=True,
+                              separators=(",", ":")) + "\n"
+        except ValueError as err:
+            raise CliError(
+                f"{command}: the report holds an integer past Python's "
+                f"digit limit for text ({sys.get_int_max_str_digits()} "
+                f"digits), so it cannot be written as JSON") from err
     else:
         text = "\n".join(lines) + "\n"
     if args.out:
@@ -509,6 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # the dense checks are small, and extra BLAS threads only slow
+        # them; a user's own setting wins
+        for var in _THREAD_VARIABLES:
+            os.environ.setdefault(var, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

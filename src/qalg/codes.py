@@ -27,8 +27,15 @@ Encoded operations are kept as their exact nonzero matrix entries, so
 properties such as Hermiticity are decided without a tolerance; dense
 matrices of them are left to the callers that print or cross-check them.
 CodeSubspace.project computes those entries for any block-preserving
-Pauli sum; lie.close_on_subspace closes generators through it, and this
-module imports lie for the synthesis closure (lie imports no codes).
+Pauli sum.  encoded_generator does not use it: it writes the Tx and Tz
+entries straight from the codewords, and a test pins them, value and
+order, against the projection of physical_generator.  lie.close_on_subspace
+and synthesize_su_d (``qalg code synthesize``) still project physical
+operators.  Writing synthesis's generators directly as well would make it
+faster, but the benchmark keeps every round's outputs, so its peak memory
+would rise past its bound; that waits for the benchmark change that
+ROADMAP.md lists as item 1.  This module imports lie for the synthesis
+closure (lie imports no codes).
 """
 
 from __future__ import annotations
@@ -176,19 +183,34 @@ def physical_generator(kind: str, pair, n_modes: int) -> OperatorSum:
 
 
 def encoded_generator(code: CodeSubspace, kind: str, pair) -> EncodedGate:
-    """Projected hopping generator on a mode pair.
+    """Projected hopping generator on a mode pair, read off the codewords.
 
     kind "x" swaps the occupations of the pair (zero on codewords where
     they agree); kind "z" is diag(q_j - q_i).  Accepts "x"/"z" or the
-    longer "Tx"/"Tz" spellings, in any case.
+    longer "Tx"/"Tz" spellings, in any case.  The entries are those of
+    code.project(physical_generator(kind, pair, n_modes)), in its column
+    order, written without forming the Pauli sum.
     """
     kind = kind.lower().removeprefix("t")
     i, j = pair
     if not 0 <= i < j < code.n_modes:
         raise ValueError(f"invalid pair {pair!r} for {code.n_modes} modes")
-    op = physical_generator(kind, (i, j), code.n_modes)
+    if kind not in ("x", "z"):
+        raise ValueError(f"unknown generator kind {kind!r}")
+    words = code.codewords
+    if kind == "x":
+        row = {m: k for k, m in enumerate(words)}
+        swap = 1 << i | 1 << j
+    entries = {}
+    for col, m in enumerate(words):
+        q_i, q_j = m >> i & 1, m >> j & 1
+        if q_i != q_j:
+            if kind == "x":
+                entries[row[m ^ swap], col] = Scalar(1)
+            else:
+                entries[col, col] = Scalar(q_j - q_i)
     return EncodedGate(name=f"T{kind}({i},{j})", support=(i, j),
-                       entries=code.project(op), dim=code.dim)
+                       entries=entries, dim=code.dim)
 
 
 @dataclass(frozen=True, eq=False)

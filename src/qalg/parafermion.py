@@ -353,7 +353,7 @@ def conserves_parity(op: OperatorSum) -> bool:
     P(x, z) exactly when popcount(x) is even: op conserves parity when every
     term flips an even number of modes.
     """
-    return all(x.bit_count() % 2 == 0 for (x, _), _ in op.items())
+    return all(x.bit_count() % 2 == 0 for x, _ in integer_terms(op)[1])
 
 
 def conserves_number(op: OperatorSum) -> bool:

@@ -54,6 +54,31 @@ class TestStartup:
             env=env, capture_output=True, text=True, timeout=60, check=True)
         assert done.stdout.splitlines()[-1] == "0 True []"
 
+    @pytest.mark.parametrize("preset, preload, want", [
+        (None, "", "1"),
+        ("3", "", "3"),
+        (None, "import numpy; ", None),
+    ])
+    def test_blas_threads_default_to_one(self, preset, preload, want):
+        # main sets each variable to 1 before numpy loads, keeps a value
+        # the user set, and leaves a process that already loaded numpy alone
+        names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                 "NUMEXPR_NUM_THREADS")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = str(src)
+        if preset is not None:
+            env.update(dict.fromkeys(names, preset))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             f"import json, os, sys; {preload}from qalg.cli import main; "
+             "main(['code', 'list', '-n', '2', '-k', '1']); "
+             f"print(json.dumps([os.environ.get(v) for v in {names!r}]), "
+             "file=sys.stderr)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert json.loads(done.stderr) == [want] * len(names)
+
     def test_parser_and_text_verbs_leave_metadata_unloaded(self):
         # --version prints qalg.__version__, so no verb, parser included,
         # loads the package metadata
@@ -112,9 +137,11 @@ class TestStartup:
     def test_modules_import_only_public_names_at_top(self):
         # no module reaches into another's private names, and lie and codes
         # import their qalg dependencies at module top, not to dodge a cycle;
-        # no module reads the environment, so no knob hides behind one; and
-        # only pauli reads an OperatorSum's stored reading, so its format
-        # stays behind the kernel calls
+        # no module reads the environment, so no knob hides behind one (cli
+        # only defaults numpy's BLAS thread counts with os.environ.setdefault,
+        # which qalg never reads back); and only pauli reads an
+        # OperatorSum's stored reading, so its format stays behind the
+        # kernel calls
         env_names = {"environ", "environb", "getenv", "getenvb"}
         storage = {"_terms", "_den"}
 
@@ -134,7 +161,13 @@ class TestStartup:
         package = Path(__file__).resolve().parent.parent / "src" / "qalg"
         for path in sorted(package.glob("*.py")):
             tree = ast.parse(path.read_text())
-            assert not any(map(reads_environment, ast.walk(tree))), path.name
+            defaults = {id(node.value) for node in ast.walk(tree)
+                        if path.stem == "cli"
+                        and isinstance(node, ast.Attribute)
+                        and node.attr == "setdefault"}
+            assert not [node for node in ast.walk(tree)
+                        if reads_environment(node)
+                        and id(node) not in defaults], path.name
             if path.stem != "pauli":
                 assert not [node.attr for node in ast.walk(tree)
                             if isinstance(node, ast.Attribute)
@@ -209,6 +242,11 @@ class TestUnwritableReport:
         assert len(done.stderr.splitlines()) == 1
         assert done.stderr.startswith("qalg: ")
         assert not (tmp_path / "missing").exists()
+        if argv[0] == "closure":
+            assert done.stderr.startswith(
+                "qalg: closure: the report holds an integer past Python's "
+                "digit limit for text")
+            assert "set_int_max_str_digits" not in done.stderr
 
 
 class TestEnvelope:

@@ -2,11 +2,14 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import qalg.codes
 from qalg.codes import (
+    CodeSubspace,
     EncodedGate,
     build_code,
     encoded_cphase,
@@ -118,6 +121,33 @@ class TestEncodedGenerators:
             encoded_generator(code, "x", (0, 0))
         with pytest.raises(ValueError):
             encoded_generator(code, "x", (0, 3))
+        # the pair is checked before the kind
+        with pytest.raises(ValueError, match="invalid pair"):
+            encoded_generator(code, "y", (0, 0))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_entries_are_the_projection_in_its_order(self, n):
+        for k in range(n + 1):
+            code = build_code(n, k)
+            for pair in combinations(range(n), 2):
+                for kind in ("x", "z"):
+                    ref = code.project(physical_generator(kind, pair, n))
+                    got = encoded_generator(code, kind, pair).entries
+                    assert list(got.items()) == list(ref.items())
+
+    def test_forms_no_pauli_sum(self, monkeypatch):
+        code = build_code(5, 2)
+        want = {kind: encoded_generator(code, kind, (1, 3)).entries
+                for kind in ("x", "z")}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("encoded_generator formed a Pauli sum")
+
+        monkeypatch.setattr(qalg.codes, "physical_generator", refuse)
+        monkeypatch.setattr(CodeSubspace, "project", refuse)
+        monkeypatch.setattr(OperatorSum, "__init__", refuse)
+        for kind in ("x", "z"):
+            assert encoded_generator(code, kind, (1, 3)).entries == want[kind]
 
 
 class TestCphase:

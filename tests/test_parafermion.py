@@ -188,6 +188,23 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(raising_op(0, 1))
 
+    def test_reads_masks_without_scalars(self, monkeypatch):
+        hop = pf("create", 0, 3) * pf("annihilate", 2, 3)
+        pair = pf("annihilate", 0, 3) * pf("annihilate", 1, 3)
+        ops = [to_pauli(e + e.adjoint()) for e in (hop, pair)]
+        built = []
+        real = Scalar.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Scalar, "__init__", spy)
+        verdicts = [classify(op) for op in ops]
+        assert built == []
+        assert [(v.conserves_number, v.conserves_parity) for v in verdicts] \
+            == [(True, True), (False, True)]
+
 
 _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 # Gaussian rationals, and values with sqrt(2) parts as eighth turns make
