@@ -32,7 +32,7 @@ _EXPORTS = {
     "thermal": ("ThermalParams", "occupation"),
     "dsl": ("parse_expr", "parse_script", "print_expr"),
     "verifier": ("CHECKS", "IdentityCheck", "TruncatedBosonSpace",
-                 "compound_mapping_check", "run_all"),
+                 "compound_mapping_check"),
 }
 # exported name -> submodule that defines it; a submodule names itself
 _SOURCE = {name: module for module, names in _EXPORTS.items()

@@ -77,13 +77,13 @@ def _matrix_json(entries: dict, dim: int) -> dict:
     return {"real": real, "imag": imag}
 
 
-def _matrix_text(entries: dict, dim: int) -> list:
-    """Lines of numpy's printed form of the matrix, real when it is."""
+def _matrix_text(action: dict) -> list:
+    """Lines of numpy's printed form of the matrix that _matrix_json wrote,
+    real when it is."""
     import numpy as np
 
-    m = np.zeros((dim, dim), dtype=complex)
-    for (r, c), s in entries.items():
-        m[r, c] = s.to_complex()
+    m = np.array(action["real"], dtype=complex)
+    m.imag = action["imag"]
     return np.array_str(np.real_if_close(m)).splitlines()
 
 
@@ -259,7 +259,7 @@ def _cmd_code(args):
         lines.append(f"  {gate.name} on physical modes {gate.support}:")
         if args.format == "text":
             lines += ["    " + row for row in
-                      _matrix_text(gate.entries, gate.dim)]
+                      _matrix_text(body["generator"]["action"])]
     elif args.code_action == "cphase":
         try:
             other = build_code(

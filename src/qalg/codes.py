@@ -167,8 +167,18 @@ class EncodedGate:
 
     @property
     def is_hermitian(self) -> bool:
-        return all(self.entries.get((c, r), ZERO) == s.conjugate()
+        """Each entry's mirror across the diagonal is its conjugate, read
+        on the exact parts; a missing mirror reads as zero."""
+        return all(_parts(self.entries.get((c, r), ZERO), 1) == _parts(s, -1)
                    for (r, c), s in self.entries.items())
+
+
+def _parts(s: Scalar, im_sign: int) -> tuple:
+    """The parts of s as lowest-terms integer ratios, the imaginary ones
+    times im_sign: -1 reads the conjugate without building a Scalar."""
+    (a, b), (c, d) = s.im.as_integer_ratio(), s.im2.as_integer_ratio()
+    return (s.re.as_integer_ratio(), s.re2.as_integer_ratio(),
+            (im_sign * a, b), (im_sign * c, d))
 
 
 def physical_generator(kind: str, pair, n_modes: int) -> OperatorSum:
@@ -186,12 +196,11 @@ def encoded_generator(code: CodeSubspace, kind: str, pair) -> EncodedGate:
     """Projected hopping generator on a mode pair, read off the codewords.
 
     kind "x" swaps the occupations of the pair (zero on codewords where
-    they agree); kind "z" is diag(q_j - q_i).  Accepts "x"/"z" or the
-    longer "Tx"/"Tz" spellings, in any case.  The entries are those of
+    they agree); kind "z" is diag(q_j - q_i).  The gate is named Tx(i,j)
+    or Tz(i,j).  The entries are those of
     code.project(physical_generator(kind, pair, n_modes)), in its column
     order, written without forming the Pauli sum.
     """
-    kind = kind.lower().removeprefix("t")
     i, j = pair
     if not 0 <= i < j < code.n_modes:
         raise ValueError(f"invalid pair {pair!r} for {code.n_modes} modes")

@@ -685,13 +685,6 @@ _CANDIDATES = {
     "number-conserving": (lambda n: math.comb(2 * n, n), False, True, False),
     "parity-conserving": (lambda n: 2 ** (2 * n - 1), False, False, True),
 }
-CANDIDATE_ALGEBRAS = tuple(_CANDIDATES)
-
-
-def expected_dimension(name: str, n_modes: int) -> int:
-    if name not in _CANDIDATES:
-        raise ValueError(f"unknown algebra name {name!r}")
-    return _CANDIDATES[name][0](n_modes)
 
 
 @dataclass(frozen=True)

@@ -289,7 +289,7 @@ def test_11_conjugation_flow_and_series(report):
     with report(11, "conjugation special cases exact; series halving ratio near 32"):
         rec = check_recoupling()
         assert rec.passed, rec.details
-        bch = check_bch_series(order=4)
+        bch = check_bch_series()
         assert bch.passed, bch.details
         ratio_line = next(d for d in bch.details if "halving ratio" in d)
         ratio = float(ratio_line.split()[2].rstrip(","))

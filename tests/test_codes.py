@@ -108,13 +108,13 @@ class TestEncodedGenerators:
 
     def test_kind_spellings(self):
         code = build_code(3, 1)
-        for kind in ("x", "X", "tx", "Tx", "TX", "z", "Z", "tz", "Tz", "TZ"):
+        for kind in ("x", "z"):
             gate = encoded_generator(code, kind, (0, 1))
-            assert gate.name == f"T{kind[-1].lower()}(0,1)"
+            assert gate.name == f"T{kind}(0,1)"
 
     def test_bad_kind_and_pair(self):
         code = build_code(3, 1)
-        for kind in ("y", "t", "ttx", "TTTz", "xt"):
+        for kind in ("y", "t", "X", "Tx", "tz", "TZ", "xt"):
             with pytest.raises(ValueError, match="unknown generator kind"):
                 encoded_generator(code, kind, (0, 1))
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from qalg.lie import (
     classify_algebra,
     close,
     close_on_subspace,
-    expected_dimension,
 )
 from qalg.parafermion import (
     GeneratorIndex,
@@ -175,17 +174,21 @@ class TestKnownDimensions:
         verdict = classify_algebra(basis)
         assert verdict.universal_full_space
 
+    @staticmethod
+    def _candidate_dims(n):
+        """Each candidate's dimension on n modes, in verdict order."""
+        return {"su(2^N)": 4**n - 1, "u(2^N)": 4**n,
+                "so(2N+1)": n * (2 * n + 1), "so(2N)": n * (2 * n - 1),
+                "u(N)": n * n, "su(N)": n * n - 1,
+                "number-conserving": math.comb(2 * n, n),
+                "parity-conserving": 2 ** (2 * n - 1)}
+
     def test_expected_dimension_formulas(self):
-        assert expected_dimension("su(2^N)", 3) == 63
-        assert expected_dimension("u(2^N)", 2) == 16
-        assert expected_dimension("so(2N+1)", 2) == 10
-        assert expected_dimension("so(2N)", 3) == 15
-        assert expected_dimension("u(N)", 4) == 16
-        assert expected_dimension("su(N)", 4) == 15
-        assert expected_dimension("number-conserving", 3) == math.comb(6, 3)
-        assert expected_dimension("parity-conserving", 3) == 2**5
-        with pytest.raises(ValueError):
-            expected_dimension("e8", 2)
+        for n in (2, 3, 4):
+            verdict = classify_algebra(close(GeneratorSet(
+                n, [OperatorSum.x(0, n), OperatorSum.z(0, n)])))
+            assert [(m.name, m.expected_dim) for m in verdict.matches] == list(
+                self._candidate_dims(n).items())
 
     def test_each_candidate_dimension_is_computed_once(self, monkeypatch):
         # only number-conserving reads C(2N, N); on many modes that one
@@ -198,8 +201,8 @@ class TestKnownDimensions:
         verdict = classify_algebra(close(GeneratorSet(
             n, [OperatorSum.x(0, n), OperatorSum.z(0, n)])))
         assert calls == [(2 * n, n)]
-        assert [m.expected_dim for m in verdict.matches] == [
-            expected_dimension(m.name, n) for m in verdict.matches]
+        assert [m.expected_dim for m in verdict.matches] == list(
+            self._candidate_dims(n).values())
 
     def test_classification_requires_closure(self):
         gens, _ = _family("linear+hopping", 2, "parafermion")
