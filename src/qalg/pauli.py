@@ -30,8 +30,10 @@ Products and linear combinations are formed on the readings, by one kernel
 that ``OperatorSum``, the brackets, the fold in ``parafermion`` and the
 eighth-turn exponential in ``verifier`` use.  ``integer_terms`` returns a
 sum's reading; ``integer_product`` multiplies two readings term pair by
-term pair, as Gaussian integers when neither carries a sqrt(2) part, each
-product rotated by the power of i that ``product_phase_exp`` gives;
+term pair, one loop per pair of widths (Gaussian, or with sqrt(2) parts):
+as a plain tensor product when no mode carries factors of both, else with
+each product turned by the x/z-mask phase rule, written once, in
+``_phase_product``;
 ``integer_sum`` adds integer multiples of any number of readings into one
 dict; and ``from_integers`` makes the sum of a reading.  Numbers enter the
 kernel only through the constructor: a number's reading is that of itself
@@ -177,19 +179,6 @@ I_UNIT = Scalar(0, 1)
 HALF = Scalar(Fraction(1, 2))
 # cos(pi/4) = sin(pi/4), exact
 RT2_HALF = Scalar(0, 0, Fraction(1, 2), 0)
-
-
-def product_phase_exp(x1: int, z1: int, x2: int, z2: int) -> int:
-    """Power of i in P(x1,z1) * P(x2,z2) = i**e * P(x1^x2, z1^z2).
-
-    This is the phase rule of the symplectic encoding (Aaronson and
-    Gottesman, quant-ph/0406196), written for the Hermitian reference terms.
-    """
-    x3 = x1 ^ x2
-    z3 = z1 ^ z2
-    e = ((x1 & z1).bit_count() + (x2 & z2).bit_count()
-         - (x3 & z3).bit_count() + 2 * (z1 & x2).bit_count())
-    return e % 4
 
 
 class OperatorSum:
@@ -429,49 +418,153 @@ def integer_product(left: dict, right: dict) -> dict:
     The product of the sums over den1 * den2.  Keys appear in the order the
     pair loop, left outside and right inside, first meets them, and the
     keys whose contributions cancel are left out once the loop is done.
-    Each term product is rotated by the power of i that
-    ``product_phase_exp`` gives.  The parts are Gaussian pairs when both
-    readings are, else quadruples.
+    The parts are Gaussian pairs when both readings are, else quadruples.
+
+    A product takes one of two paths, chosen by the operands' supports.
+    When no mode carries a factor of both (an identity or number reading
+    carries none), it is a tensor product (``_tensor_product``): Pauli
+    images on different sites commute, the between-site bosonic half of
+    parafermion statistics, so every pair lands on a key of its own with
+    power i**0.  Otherwise the pairs meet on shared modes and each product
+    is turned by the phase rule (``_phase_product``).  Each path has one
+    loop per pair of widths, with no zero padding.
     """
     if not left or not right:
         return {}
+    used = 0
+    for x, z in left:
+        used |= x | z
+    for x, z in right:
+        if (x | z) & used:
+            return _phase_product(left, right)
+    return _tensor_product(left, right)
+
+
+def _widths(left: dict, right: dict) -> tuple:
+    """Whether left's parts are quadruples, and whether right's are."""
+    return (len(next(iter(left.values()))) == 4,
+            len(next(iter(right.values()))) == 4)
+
+
+def _tensor_product(left: dict, right: dict) -> dict:
+    """The product of two nonempty readings on disjoint supports.
+
+    With no mode in common, |x3 & z3| = |x1 & z1| + |x2 & z2| and
+    z1 & x2 = 0, so every pair has power i**0, and each key (x1 | x2,
+    z1 | z2) is met once.  A product of nonzero parts is nonzero, so the
+    pairs are written in loop order, with no phase, sum or zero test."""
+    root1, root2 = _widths(left, right)
+    if not (root1 or root2):
+        return {(x1 | x2, z1 | z2): (a1 * a2 - c1 * c2, a1 * c2 + c1 * a2)
+                for (x1, z1), (a1, c1) in left.items()
+                for (x2, z2), (a2, c2) in right.items()}
+    if not root2:
+        return {(x1 | x2, z1 | z2): (a1 * a2 - c1 * c2, a1 * c2 + c1 * a2,
+                                     b1 * a2 - d1 * c2, b1 * c2 + d1 * a2)
+                for (x1, z1), (a1, c1, b1, d1) in left.items()
+                for (x2, z2), (a2, c2) in right.items()}
+    if not root1:
+        return {(x1 | x2, z1 | z2): (a1 * a2 - c1 * c2, a1 * c2 + c1 * a2,
+                                     a1 * b2 - c1 * d2, a1 * d2 + c1 * b2)
+                for (x1, z1), (a1, c1) in left.items()
+                for (x2, z2), (a2, c2, b2, d2) in right.items()}
+    return {(x1 | x2, z1 | z2): (a1 * a2 - c1 * c2 + 2 * (b1 * b2 - d1 * d2),
+                                 a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+                                 a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+                                 a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+            for (x1, z1), (a1, c1, b1, d1) in left.items()
+            for (x2, z2), (a2, c2, b2, d2) in right.items()}
+
+
+def _phase_product(left: dict, right: dict) -> dict:
+    """The product of two nonempty readings that share a mode.
+
+    Each pair is turned by the phase rule of the symplectic encoding
+    (Aaronson and Gottesman, quant-ph/0406196), written for the Hermitian
+    reference terms: P(x1, z1) P(x2, z2) = i**e P(x3, z3) with
+    x3 = x1 ^ x2, z3 = z1 ^ z2 and
+
+        e = |x1 & z1| + |x2 & z2| - |x3 & z3| + 2 |z1 & x2|  (mod 4).
+
+    The right reading is read once into rows (x2, z2, |x2 & z2|, turns),
+    turns holding its parts times i**0 .. i**3, and each pair picks turn e,
+    with no call and no branch.  The sums go into one dict.
+    """
+    root1, root2 = _widths(left, right)
+    if root2:
+        rows = [(x, z, (x & z).bit_count(),
+                 ((a, c, b, d), (-c, a, -d, b), (-a, -c, -b, -d),
+                  (c, -a, d, -b)))
+                for (x, z), (a, c, b, d) in right.items()]
+    else:
+        rows = [(x, z, (x & z).bit_count(),
+                 ((a, c), (-c, a), (-a, -c), (c, -a)))
+                for (x, z), (a, c) in right.items()]
     out = {}
     get = out.get
-    if len(next(iter(left.values()))) == len(next(iter(right.values()))) == 2:
-        rows = [(x, z, re, im) for (x, z), (re, im) in right.items()]
+    if not (root1 or root2):
         for (x1, z1), (a1, c1) in left.items():
-            for x2, z2, a2, c2 in rows:
+            y1 = (x1 & z1).bit_count()
+            for x2, z2, y2, turns in rows:
+                x3, z3 = x1 ^ x2, z1 ^ z2
+                a2, c2 = turns[(y1 + y2 - (x3 & z3).bit_count()
+                                + 2 * (z1 & x2).bit_count()) & 3]
                 re = a1 * a2 - c1 * c2
                 im = a1 * c2 + c1 * a2
-                e = product_phase_exp(x1, z1, x2, z2)
-                if e & 2:
-                    re, im = -re, -im
-                if e & 1:
-                    re, im = -im, re
-                key = (x1 ^ x2, z1 ^ z2)
+                key = (x3, z3)
                 old = get(key)
                 out[key] = (re, im) if old is None else (old[0] + re,
                                                          old[1] + im)
-        return {key: parts for key, parts in out.items() if any(parts)}
-    # a Gaussian operand meets a sqrt(2) one: pad its parts with zeros
-    rows = [(x, z, *parts, *(0,) * (4 - len(parts)))
-            for (x, z), parts in right.items()]
-    for (x1, z1), parts in left.items():
-        a1, c1, b1, d1 = *parts, *(0,) * (4 - len(parts))
-        for x2, z2, a2, c2, b2, d2 in rows:
-            re = a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2
-            im = a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)
-            re2 = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
-            im2 = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
-            e = product_phase_exp(x1, z1, x2, z2)
-            if e & 2:
-                re, im, re2, im2 = -re, -im, -re2, -im2
-            if e & 1:
-                re, im, re2, im2 = -im, re, -im2, re2
-            key = (x1 ^ x2, z1 ^ z2)
-            old = get(key)
-            out[key] = ((re, im, re2, im2) if old is None else
-                        (old[0] + re, old[1] + im, old[2] + re2, old[3] + im2))
+    elif not root2:
+        for (x1, z1), (a1, c1, b1, d1) in left.items():
+            y1 = (x1 & z1).bit_count()
+            for x2, z2, y2, turns in rows:
+                x3, z3 = x1 ^ x2, z1 ^ z2
+                a2, c2 = turns[(y1 + y2 - (x3 & z3).bit_count()
+                                + 2 * (z1 & x2).bit_count()) & 3]
+                re = a1 * a2 - c1 * c2
+                im = a1 * c2 + c1 * a2
+                re2 = b1 * a2 - d1 * c2
+                im2 = b1 * c2 + d1 * a2
+                key = (x3, z3)
+                old = get(key)
+                out[key] = ((re, im, re2, im2) if old is None else
+                            (old[0] + re, old[1] + im,
+                             old[2] + re2, old[3] + im2))
+    elif not root1:
+        for (x1, z1), (a1, c1) in left.items():
+            y1 = (x1 & z1).bit_count()
+            for x2, z2, y2, turns in rows:
+                x3, z3 = x1 ^ x2, z1 ^ z2
+                a2, c2, b2, d2 = turns[(y1 + y2 - (x3 & z3).bit_count()
+                                        + 2 * (z1 & x2).bit_count()) & 3]
+                re = a1 * a2 - c1 * c2
+                im = a1 * c2 + c1 * a2
+                re2 = a1 * b2 - c1 * d2
+                im2 = a1 * d2 + c1 * b2
+                key = (x3, z3)
+                old = get(key)
+                out[key] = ((re, im, re2, im2) if old is None else
+                            (old[0] + re, old[1] + im,
+                             old[2] + re2, old[3] + im2))
+    else:
+        for (x1, z1), (a1, c1, b1, d1) in left.items():
+            y1 = (x1 & z1).bit_count()
+            # sqrt(2) times sqrt(2) is 2: double left's sqrt(2) parts once
+            b1x2, d1x2 = 2 * b1, 2 * d1
+            for x2, z2, y2, turns in rows:
+                x3, z3 = x1 ^ x2, z1 ^ z2
+                a2, c2, b2, d2 = turns[(y1 + y2 - (x3 & z3).bit_count()
+                                        + 2 * (z1 & x2).bit_count()) & 3]
+                re = a1 * a2 - c1 * c2 + b1x2 * b2 - d1x2 * d2
+                im = a1 * c2 + c1 * a2 + b1x2 * d2 + d1x2 * b2
+                re2 = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
+                im2 = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+                key = (x3, z3)
+                old = get(key)
+                out[key] = ((re, im, re2, im2) if old is None else
+                            (old[0] + re, old[1] + im,
+                             old[2] + re2, old[3] + im2))
     return {key: parts for key, parts in out.items() if any(parts)}
 
 

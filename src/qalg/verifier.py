@@ -106,9 +106,12 @@ _MULTIPLIERS = tuple(
 _IDENTITY = integer_terms(OperatorSum.identity(0))[1]
 
 
-def _read_generator(gen: OperatorSum) -> tuple:
+def _read_generator(gen: OperatorSum, eighths) -> tuple:
     """(den, gen, gen**2) as integer readings over den and den**2, after
-    checking gen**3 = gen in integers."""
+    checking that eighths is an int and then gen**3 = gen in integers."""
+    if not isinstance(eighths, int):
+        raise TypeError(
+            f"eighths must be an int, got {type(eighths).__name__}")
     den, terms = integer_terms(gen)
     sq = integer_product(terms, terms)
     cube = integer_product(sq, terms)
@@ -136,8 +139,9 @@ def _exponentials(den: int, gen: dict, sq: dict, k: int) -> tuple:
 
 
 def exact_exp(gen: OperatorSum, eighths: int) -> OperatorSum:
-    """exp(i gen (eighths * pi/4)) for generators satisfying gen**3 = gen."""
-    den, terms, sq = _read_generator(gen)
+    """exp(i gen (eighths * pi/4)) for generators satisfying gen**3 = gen;
+    eighths must be an int."""
+    den, terms, sq = _read_generator(gen, eighths)
     return from_integers(gen.n_modes, 2 * den * den,
                          _exponentials(den, terms, sq, eighths % 8)[1])
 
@@ -147,9 +151,10 @@ def conjugate_eighth(op: OperatorSum, gen: OperatorSum,
     """exp(-i gen phi) op exp(i gen phi) at phi = eighths * pi/4, exact.
 
     Two integer products, U(-phi) op and then that times U(phi), with the
-    terms that cancel in the first dropped before the second.
+    terms that cancel in the first dropped before the second.  eighths
+    must be an int.
     """
-    den, terms, sq = _read_generator(gen)
+    den, terms, sq = _read_generator(gen, eighths)
     if op.n_modes != gen.n_modes:
         raise ModeMismatchError(
             f"operands on {gen.n_modes} and {op.n_modes} modes")

@@ -11,8 +11,9 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qalg.pauli
 from qalg.errors import DenseLimitError, ModeMismatchError
-from qalg.parafermion import SecondQuantizedExpr
+from qalg.parafermion import SecondQuantizedExpr, to_pauli
 from qalg.pauli import (
     DENSE_LIMIT,
     HALF,
@@ -28,10 +29,14 @@ from qalg.pauli import (
     integer_product,
     integer_terms,
     matrix_exponential,
-    product_phase_exp,
     realize,
 )
-from qalg.verifier import TruncatedBosonSpace, compound_mapping_check
+from qalg.verifier import (
+    TruncatedBosonSpace,
+    compound_mapping_check,
+    conjugate_eighth,
+    exact_exp,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -427,6 +432,19 @@ def _coefficients(op):
 _I_POWERS = (ONE, I_UNIT, -ONE, -I_UNIT)
 
 
+def product_phase_exp(x1: int, z1: int, x2: int, z2: int) -> int:
+    """Power of i in P(x1,z1) * P(x2,z2) = i**e * P(x1^x2, z1^z2).
+
+    This is the phase rule of the symplectic encoding (Aaronson and
+    Gottesman, quant-ph/0406196), written for the Hermitian reference terms.
+    """
+    x3 = x1 ^ x2
+    z3 = z1 ^ z2
+    e = ((x1 & z1).bit_count() + (x2 & z2).bit_count()
+         - (x3 & z3).bit_count() + 2 * (z1 & x2).bit_count())
+    return e % 4
+
+
 def _pair_loop(a, b):
     """a * b as Scalar products and sums, term pair by term pair: the
     plain loop whose value and term order the integer product keeps."""
@@ -540,6 +558,134 @@ class TestProductWorkCounters:
         prod = a * b
         assert counts == {"mul": 0, "init": 0}
         assert prod.n_terms > 8
+
+
+# -- the two product paths --------------------------------------------------
+
+@st.composite
+def _disjoint_operands(draw):
+    """Two nonzero sums on 0-4 modes whose supports share no mode.  Each
+    mode goes to the left operand, the right one or neither; a side with no
+    modes is a number times the identity, and either side may hold the
+    identity term.  Each operand is Gaussian or carries sqrt(2) parts,
+    drawn apart, so one of each comes up half the time."""
+    n = draw(st.integers(0, 4))
+    sides = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+
+    def operand(side):
+        modes = sum(1 << i for i, s in enumerate(sides) if s == side)
+        mask = st.integers(0, modes).map(lambda m: m & modes)
+        coeff = st.one_of(st.sampled_from(_UNITS),
+                          st.builds(Scalar, re=_PART, im=_PART))
+        op = OperatorSum(n, draw(st.dictionaries(
+            st.tuples(mask, mask), coeff.filter(bool), min_size=1,
+            max_size=6)))
+        return op * RT2_HALF if draw(st.booleans()) else op
+
+    return operand(0), operand(1)
+
+
+def _support(op):
+    return sum(1 << i for i in op.support_modes())
+
+
+def _spy_paths(monkeypatch):
+    """List the path and the two widths of every nonempty integer product:
+    ("tensor" or "phase", 2 or 4, 2 or 4)."""
+    calls = []
+    for path in ("tensor", "phase"):
+        real = getattr(qalg.pauli, f"_{path}_product")
+
+        def spy(left, right, path=path, real=real):
+            calls.append((path, len(next(iter(left.values()))),
+                          len(next(iter(right.values())))))
+            return real(left, right)
+
+        monkeypatch.setattr(qalg.pauli, f"_{path}_product", spy)
+    return calls
+
+
+def _gauss(n, terms):
+    return OperatorSum(n, {key: Scalar(*c) for key, c in terms.items()})
+
+
+# X0 + iY0, on mode 0, and Z1/2 - I - iX1, on mode 1, and the same times
+# sqrt(2)/2: one operand per support and width
+_ON_0 = _gauss(2, {(1, 0): (1, 0), (1, 1): (0, 1)})
+_ON_1 = _gauss(2, {(0, 2): (Fraction(1, 2), 0), (0, 0): (-1, 0),
+                   (2, 0): (0, -1)})
+_ROOT_0, _ROOT_1 = _ON_0 * RT2_HALF, _ON_1 * RT2_HALF
+# X0 Z1 + Y1 on both modes, and the same times sqrt(2)/2
+_ON_01 = _gauss(2, {(1, 2): (1, 0), (2, 2): (2, -1)})
+_ROOT_01 = _ON_01 * RT2_HALF
+_NUMBER = OperatorSum(2, {(0, 0): Scalar(2, -1)})
+
+
+class TestProductPaths:
+    """Which path a product takes, tensor or phase, and which width loop,
+    pinned beside the values: a product on disjoint supports takes the
+    tensor path, whatever its widths, and a product that goes back through
+    the phase loop fails here."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_disjoint_operands(), _product_operands()))
+    @example((_ON_0, _ON_1))
+    @example((_ROOT_0, _ON_1))
+    @example((_ON_1, _ROOT_0))
+    @example((_ROOT_1, _ROOT_0))
+    @example((_NUMBER, _ROOT_01))
+    @example((_ROOT_01, _NUMBER))
+    @example((_ON_01, _ON_0))
+    @example((_ROOT_01, _ON_1))
+    @example((_ON_1, _ROOT_01))
+    @example((_ROOT_01, _ROOT_0))
+    def test_path_and_value(self, pair):
+        a, b = pair
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _spy_paths(patch)
+            got = a * b
+        want = _pair_loop(a, b)
+        assert got == want
+        assert list(got._terms) == list(want._terms)
+        assert all(any(parts) for parts in got._terms.values())
+        assert np.allclose(realize(got), realize(a) @ realize(b),
+                           rtol=0, atol=1e-12)
+        if a.is_zero or b.is_zero:
+            assert calls == []
+        else:
+            path = "phase" if _support(a) & _support(b) else "tensor"
+            widths = tuple(2 if op.is_rational else 4 for op in (a, b))
+            assert calls == [(path, *widths)]
+
+    def test_transfer_monomial_folds_by_tensor_products(self, monkeypatch):
+        calls = _spy_paths(monkeypatch)
+        create, annihilate = (SecondQuantizedExpr.create,
+                              SecondQuantizedExpr.annihilate)
+        expr = create(0, 4) * create(1, 4) * annihilate(2, 4) * annihilate(3, 4)
+        got = to_pauli(expr)
+        assert got.n_terms == 16
+        assert calls == [("tensor", 2, 2)] * 4
+
+    @pytest.mark.parametrize("eighths", [1, 3])
+    def test_exponential_multipliers_take_the_tensor_path(self, monkeypatch,
+                                                         eighths):
+        # G = (X0 X1 + Y0 Y1)/2: G**2 and G**3 meet on both modes; the
+        # multipliers are numbers, sqrt(2) ones at odd turns
+        gen = OperatorSum(2, {(3, 0): HALF, (3, 3): HALF})
+        calls = _spy_paths(monkeypatch)
+        exact_exp(gen, eighths)
+        assert calls == [("phase", 2, 2)] * 2 + [("tensor", 2, 4)] * 2
+
+    def test_conjugation_products_take_prepared_rows(self, monkeypatch):
+        gen = OperatorSum(2, {(3, 0): HALF, (3, 3): HALF})
+        op = _ON_01 + _ON_0
+        calls = _spy_paths(monkeypatch)
+        got = conjugate_eighth(op, gen, 1)
+        assert calls == ([("phase", 2, 2)] * 2 + [("tensor", 2, 4)] * 2
+                         + [("phase", 4, 2), ("phase", 4, 4)])
+        u = realize(exact_exp(gen, 1))
+        assert np.allclose(realize(got), u.conj().T @ realize(op) @ u,
+                           rtol=0, atol=1e-12)
 
 
 # -- the canonical reading --------------------------------------------------

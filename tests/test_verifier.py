@@ -230,6 +230,23 @@ class TestIntegerConjugation:
         with pytest.raises(ValueError, match=r"gen\*\*3 = gen"):
             exact_exp(bad, 3)
 
+    @pytest.mark.parametrize("eighths", [1.5, "1", None])
+    def test_exact_exp_needs_int_eighths(self, eighths):
+        # checked on entry, before the generator is squared or cubed
+        bad = OperatorSum.z(0, 1) * Scalar(Fraction(1, 2))
+        for gen in (OperatorSum.x(0, 1), bad):
+            with pytest.raises(TypeError, match="^eighths must be an int, "
+                               f"got {type(eighths).__name__}$"):
+                exact_exp(gen, eighths)
+
+    @pytest.mark.parametrize("eighths", [1.5, "1", None])
+    def test_conjugate_eighth_needs_int_eighths(self, eighths):
+        bad = OperatorSum.z(0, 1) * Scalar(Fraction(1, 2))
+        for gen in (OperatorSum.x(0, 1), bad):
+            with pytest.raises(TypeError, match="^eighths must be an int, "
+                               f"got {type(eighths).__name__}$"):
+                conjugate_eighth(OperatorSum.z(0, 1), gen, eighths)
+
     def test_mode_mismatch_alone(self):
         with pytest.raises(ModeMismatchError, match="operands on 1 and 2"):
             conjugate_eighth(OperatorSum.x(0, 2), OperatorSum.z(0, 1), 1)
