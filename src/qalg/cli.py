@@ -102,9 +102,17 @@ def _resolve_operators(args):
     """(n_modes, [(name, OperatorSum)]) from --file or --expr.
 
     The script text read for --file is kept as args.script_text, so the
-    input hash describes the bytes that were parsed.
+    input hash describes the bytes that were parsed.  A script declares its
+    own mode count and operators, so --file with --expr or --modes is
+    refused.
     """
     if getattr(args, "file", None):
+        extra = [flag for flag, value in (("--expr", args.expr),
+                                          ("--modes", args.modes))
+                 if value is not None]
+        if extra:
+            raise CliError(f"--file cannot be combined with "
+                           f"{' or '.join(extra)}")
         args.script_text = Path(args.file).read_text()
         script = parse_script(args.script_text)
         named = [(name, _to_qubit_operator(script.operators[name], name))

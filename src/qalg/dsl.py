@@ -11,8 +11,19 @@ Grammar (whitespace-insensitive, '#' starts a comment):
 
 KIND is one of a, ad (parafermionic lowering/raising), f, fd (fermionic),
 b, bd (bosonic), n (number), X, Y, Z (qubit) and I (identity placeholder).
-Numbers are exact: decimal literals become Fractions.  Indices are
-zero-based mode numbers.
+Numbers are exact: integer literals are read as ints and decimal ones as
+Fractions.  Indices are zero-based mode numbers.
+
+Text is lexed in one pass of one regular expression.  A well-formed
+factor, KIND '(' index ')' with whitespace allowed around the parentheses
+and the index, is one token; a number, a name (i, an unknown word, or a
+KIND whose factor is malformed), a symbol and a character outside the
+grammar are one token each.  A malformed factor thus reaches the parser
+as a name, a symbol and a number, and fails where its own grammar rule
+does.  The parser reads the tokens once: it checks each factor's letter,
+species and index as it reads it, and raises a mixed species or an index
+out of range once the whole expression has parsed, so any syntax error
+comes first.
 
 Each letter names a species (a/ad parafermion, f/fd fermion, b/bd boson,
 X/Y/Z qubit), and letters of two species cannot be mixed.  `n` and `I`
@@ -24,8 +35,9 @@ header, an expression whose letters name another species is rejected.
 
 Qubit expressions are multiplied out into an OperatorSum with
 ``parafermion.fold_terms``, whose integer tables hold the X, Y, Z and n
-images once per process; mode expressions become one SecondQuantizedExpr
-with the factors as written.
+images once per process, and which reads each term's coefficient as
+integers; mode expressions become one SecondQuantizedExpr with the
+factors as written.
 """
 
 from __future__ import annotations
@@ -46,10 +58,6 @@ from .parafermion import (
     number_site,
 )
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?)"
-                    r"|(?P<name>[A-Za-z]+)"
-                    r"|(?P<sym>[-+*/(),]))")
-
 # letter -> (the species it names, its factor kind); n and I name no
 # species, and I has no factor
 _LETTERS = {
@@ -62,156 +70,194 @@ _LETTERS = {
 _QUBIT_IMAGES = {"X": (OperatorSum.x,), "Y": (OperatorSum.y,),
                  "Z": (OperatorSum.z,), NUMBER: (number_site,)}
 
+# one token per match, with the whitespace after it (see the module
+# docstring)
+_TOKEN = re.compile(
+    r"(?:(?P<factor>(%s)\s*\(\s*(\d+)\s*\))"
+    r"|(?P<num>\d+(?:\.\d+)?)"
+    r"|(?P<name>[A-Za-z]+)"
+    r"|(?P<sym>[-+*/(),])"
+    r"|(?P<bad>\S))\s*" % "|".join(_LETTERS))
 
-def _tokenize(text: str):
+
+def _tokenize(text: str) -> list:
+    """(kind, value, position) tokens of text from one pass, then an end
+    token.  A factor's value is (letter, index), a number's and a name's
+    their text; a symbol is its own kind and value."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
+    append = tokens.append
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "factor":
+            append((kind, (m[2], int(m[3])), m.start()))
+        elif kind == "sym":
+            sym = m[kind]
+            append((sym, sym, m.start()))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start())
+        else:
+            append((kind, m[kind], m.start()))
+    append(("end", "", len(text)))
     return tokens
 
 
+_MINUS_ONE = -ONE
+_MINUS_I = -I_UNIT
+
+
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
+    """Reads one expression's tokens once, left to right.
+
+    Each factor token is checked where it is read: its letter adds the
+    species it names to ``named``, and the first factor whose index is out
+    of range is kept in ``out_of_range``.  ``_parse`` raises those errors
+    once the whole expression has parsed, so a syntax error anywhere still
+    comes first.
+    """
+
+    def __init__(self, text: str, n_modes: int):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.n_modes = n_modes
+        self.named = set()
+        self.out_of_range = None
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def accept_sym(self, sym: str) -> bool:
-        kind, val, _ = self.peek()
-        if kind == "sym" and val == sym:
+    def accept(self, sym: str) -> bool:
+        if self.tokens[self.i][0] == sym:
             self.i += 1
             return True
         return False
 
     def fail(self, message: str):
-        raise ParseError(message, self.peek()[2])
+        raise ParseError(message, self.tokens[self.i][2])
 
     # coeff pieces ---------------------------------------------------------
 
-    def _number(self) -> Fraction:
-        kind, val, pos = self.next()
+    def _number(self):
+        """An integer literal as an int, a decimal one as a Fraction."""
+        kind, val, pos = self.tokens[self.i]
+        self.i += 1
         if kind != "num":
             raise ParseError("number expected", pos)
-        return Fraction(val)
+        return Fraction(val) if "." in val else int(val)
 
-    def _rational(self) -> Fraction:
+    def _rational(self):
         value = self._number()
-        if self.accept_sym("/"):
+        if self.accept("/"):
             denom = self._number()
             if denom == 0:
                 self.fail("zero denominator")
-            value /= denom
+            value = Fraction(value, denom)
         return value
 
-    def _signed_rational(self) -> Fraction:
-        sign = 1
-        if self.accept_sym("-"):
-            sign = -1
-        elif self.accept_sym("+"):
-            pass
-        return sign * self._rational()
+    def _signed_rational(self):
+        if self.accept("-"):
+            return -self._rational()
+        self.accept("+")
+        return self._rational()
 
-    def try_coefficient(self):
-        """Scalar if a coefficient starts here, else None."""
-        kind, val, _ = self.peek()
+    def coefficient(self, negative: bool):
+        """The Scalar of a coefficient that starts here, negated when the
+        term is subtracted, else None."""
+        kind, val, _ = self.tokens[self.i]
         if kind == "num":
             value = self._rational()
-            k2, v2, _ = self.peek()
-            if k2 == "name" and v2 == "i":
+            if negative:
+                value = -value
+            kind, val, _ = self.tokens[self.i]
+            if kind == "name" and val == "i":
                 self.i += 1
                 return Scalar(0, value)
             return Scalar(value)
         if kind == "name" and val == "i":
             self.i += 1
-            return I_UNIT
-        if kind == "sym" and val == "(":
+            return _MINUS_I if negative else I_UNIT
+        if kind == "(":
             self.i += 1
             real = self._signed_rational()
-            if not self.accept_sym(","):
+            if not self.accept(","):
                 self.fail("',' expected in (re, im) coefficient")
             imag = self._signed_rational()
-            if not self.accept_sym(")"):
+            if not self.accept(")"):
                 self.fail("')' expected after (re, im) coefficient")
-            return Scalar(real, imag)
+            return Scalar(-real, -imag) if negative else Scalar(real, imag)
         return None
 
-    def try_factor(self):
-        kind, val, pos = self.peek()
-        if kind != "name":
-            return None
+    def _malformed_factor(self):
+        """Raise the error for a name where a factor may stand.
+
+        A well-formed factor is one token, so a name here is an unknown
+        letter, or a letter whose '(', integer index or ')' is missing."""
+        _, val, pos = self.tokens[self.i]
         if val not in _LETTERS:
             raise ParseError(f"unknown operator kind {val!r}", pos)
         self.i += 1
-        if not self.accept_sym("("):
-            raise ParseError(f"'(' expected after {val}", self.peek()[2])
-        k2, v2, p2 = self.next()
-        if k2 != "num" or "." in v2:
-            raise ParseError("integer mode index expected", p2)
-        index = int(v2)
-        if not self.accept_sym(")"):
-            self.fail("')' expected after mode index")
-        return (val, index, pos)
+        if not self.accept("("):
+            self.fail(f"'(' expected after {val}")
+        kind, val, pos = self.tokens[self.i]
+        self.i += 1
+        if kind != "num" or "." in val:
+            raise ParseError("integer mode index expected", pos)
+        self.fail("')' expected after mode index")
 
-    def term(self):
-        coeff = self.try_coefficient()
+    def term(self, negative: bool):
+        """(coeff, factors) of one term, factors as (kind, index) pairs
+        with the I placeholders left out."""
+        tokens = self.tokens
+        coeff = self.coefficient(negative)
         if coeff is not None:
-            self.accept_sym("*")
+            self.accept("*")
         factors = []
+        found = False
         while True:
-            factor = self.try_factor()
-            if factor is None:
+            kind, value, pos = tokens[self.i]
+            if kind != "factor":
+                if kind == "name":
+                    self._malformed_factor()
                 break
-            factors.append(factor)
-            self.accept_sym("*")
-        if coeff is None and not factors:
-            self.fail("term expected")
-        return (ONE if coeff is None else coeff), factors
+            letter, index = value
+            species, factor_kind = _LETTERS[letter]
+            self.named.add(species)
+            if self.out_of_range is None and not 0 <= index < self.n_modes:
+                self.out_of_range = index, pos
+            if factor_kind is not None:
+                factors.append((factor_kind, index))
+            found = True
+            self.i += 1
+            if tokens[self.i][0] == "*":
+                self.i += 1
+        if coeff is None:
+            if not found:
+                self.fail("term expected")
+            coeff = _MINUS_ONE if negative else ONE
+        return coeff, tuple(factors)
 
     def expression(self):
+        tokens = self.tokens
+        kind = tokens[0][0]
+        negative = kind == "-"
+        if negative or kind == "+":
+            self.i = 1
         terms = []
-        sign = -1 if self.accept_sym("-") else 1
-        if sign == 1:
-            self.accept_sym("+")
         while True:
-            coeff, factors = self.term()
-            if sign < 0:
-                coeff = -coeff
-            terms.append((coeff, factors))
-            if self.accept_sym("+"):
-                sign = 1
-            elif self.accept_sym("-"):
-                sign = -1
+            terms.append(self.term(negative))
+            kind = tokens[self.i][0]
+            if kind == "+":
+                negative = False
+            elif kind == "-":
+                negative = True
             else:
                 break
-        kind, _, pos = self.peek()
+            self.i += 1
         if kind != "end":
-            raise ParseError("trailing input", pos)
+            raise ParseError("trailing input", tokens[self.i][2])
         return terms
 
 
-def _named_species(terms):
-    """The species the letters of terms name, or None when they name none."""
-    named = {_LETTERS[letter][0] for _, factors in terms
-             for letter, _, _ in factors} - {None}
+def _named_species(named):
+    """The species that a set of letter species (None for n and I) names,
+    or None when it names none."""
+    named = named - {None}
     modes = named - {"qubit"}
     if "qubit" in named and modes:
         raise SpeciesError("qubit and mode-operator kinds cannot be mixed")
@@ -227,16 +273,13 @@ def _parse(text: str, n_modes: int, declared: str | None = None):
     bare = text.split("#", 1)[0]
     if not bare.strip():
         raise ParseError("empty expression", 0)
-    terms = _Parser(bare).expression()
-    species = _named_species(terms)
-    for _, factors in terms:
-        for _, index, pos in factors:
-            if not 0 <= index < n_modes:
-                raise ParseError(
-                    f"mode index {index} out of range for {n_modes} modes", pos)
-    terms = [(coeff, tuple((_LETTERS[letter][1], index)
-                           for letter, index, _ in factors if letter != "I"))
-             for coeff, factors in terms]
+    parser = _Parser(bare, n_modes)
+    terms = parser.expression()
+    species = _named_species(parser.named)
+    if parser.out_of_range is not None:
+        index, pos = parser.out_of_range
+        raise ParseError(
+            f"mode index {index} out of range for {n_modes} modes", pos)
     if species is None:  # only n factors are left
         species = declared or ("parafermion" if any(f for _, f in terms)
                                else "qubit")
@@ -319,6 +362,11 @@ def print_expr(expr) -> str:
 
 # -- script files -----------------------------------------------------------
 
+_MODES_HEADER = re.compile(r"modes\s*:\s*(\d+)")
+_SPECIES_HEADER = re.compile(r"species\s*:\s*([a-z]+)")
+_DEFINITION = re.compile(r"([A-Za-z_]\w*)\s*=\s*(.+)")
+
+
 @dataclass(frozen=True)
 class OperatorScript:
     n_modes: int
@@ -343,14 +391,14 @@ def parse_script(text: str) -> OperatorScript:
         if not line:
             continue
         if n_modes is None:
-            m = re.fullmatch(r"modes\s*:\s*(\d+)", line)
+            m = _MODES_HEADER.fullmatch(line)
             if not m:
                 raise ParseError(f"line {lineno}: 'modes: N' header expected", 0)
             n_modes = int(m.group(1))
             if n_modes < 1:
                 raise ParseError(f"line {lineno}: modes must be positive", 0)
             continue
-        m = re.fullmatch(r"species\s*:\s*([a-z]+)", line)
+        m = _SPECIES_HEADER.fullmatch(line)
         if m:
             if operators or species is not None:
                 raise ParseError(
@@ -359,7 +407,7 @@ def parse_script(text: str) -> OperatorScript:
             if species not in ("qubit", *SPECIES):
                 raise ParseError(f"line {lineno}: unknown species {species!r}", 0)
             continue
-        m = re.fullmatch(r"([A-Za-z_]\w*)\s*=\s*(.+)", line)
+        m = _DEFINITION.fullmatch(line)
         if not m:
             raise ParseError(f"line {lineno}: 'name = expr' expected", 0)
         name, body = m.group(1), m.group(2)

@@ -12,8 +12,9 @@ products out through a table of such images; it is the one place where
 ``to_pauli``, the string transform in ``jw`` and the qubit expressions of
 ``dsl`` turn factors into Pauli sums.  It works in integers, on the
 kernel of ``pauli``: each image's integer reading is kept once per
-process, the factors of a term multiply through ``integer_product``, and
-one ``integer_sum`` adds every term over one denominator.
+process, a term's coefficient is read as integer numerators, the factors
+of a term multiply through ``integer_product``, and one ``integer_sum``
+adds every term over one denominator.
 
 Number and parity conservation of an operator, that is exact commutation
 with the total number operator and with the product of on-site (1 - 2n)
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add, neg, sub
 
 from .errors import ModeMismatchError, SpeciesError
 from .pauli import (
@@ -210,8 +212,18 @@ def _integer_image(image, mode: int, n_modes: int):
 def _fold_term(coeff, factors, n_modes: int, images):
     """(den, terms): coeff times the product of the factor images, as an
     integer reading over den, formed left to right from coeff times the
-    identity."""
-    den, acc = integer_terms(OperatorSum(n_modes, {(0, 0): coeff}))
+    identity.
+
+    The coefficient's rational parts are read as integer numerators over
+    the lcm of their denominators, a pair (re, im) when its sqrt(2) parts
+    are zero and a quadruple otherwise, on the identity key; a zero
+    coefficient reads as no term.  That is the reading the constructor
+    gives coeff times the identity, with no OperatorSum built."""
+    parts = ((coeff.re, coeff.im) if coeff.is_rational
+             else (coeff.re, coeff.im, coeff.re2, coeff.im2))
+    den = lcm(*[p.denominator for p in parts])
+    nums = tuple([p.numerator * (den // p.denominator) for p in parts])
+    acc = {(0, 0): nums} if any(nums) else {}
     for kind, mode in factors:
         for image in images[kind]:
             image_den, image_terms = _integer_image(image, mode, n_modes)
@@ -223,16 +235,19 @@ def _fold_term(coeff, factors, n_modes: int, images):
 def fold_terms(terms, n_modes: int, images) -> OperatorSum:
     """Sum of coeff * image(f1) * image(f2) * ... over (coeff, factors) terms.
 
-    Each factor is a (kind, mode) pair, and images[kind] is the tuple of
-    single-site images, each called as image(mode, n_modes), whose product
-    left to right is the factor's OperatorSum.  The value and the term
-    order are those of the plain fold: coeff times the identity, multiplied
-    by one image at a time as OperatorSums, the terms then added in turn.
+    Each coeff is a Scalar.  Each factor is a (kind, mode) pair, and
+    images[kind] is the tuple of single-site images, each called as
+    image(mode, n_modes), whose product left to right is the factor's
+    OperatorSum.  The value and the term order are those of the plain
+    fold: coeff times the identity, multiplied by one image at a time as
+    OperatorSums, the terms then added in turn.
 
     The work is done on the integer kernel of ``pauli``, in time linear in
     the number of terms.  Each image is read once per process by
     ``integer_terms`` (``_integer_image``).  A term starts as its
-    coefficient times the identity and multiplies through its images by
+    coefficient on the identity key, its rational parts read as integer
+    numerators over the lcm of their denominators (``_fold_term``), so no
+    OperatorSum is built per term.  It multiplies through its images by
     ``integer_product``, which drops the entries that cancel.  One
     ``integer_sum`` then adds every term into one dict over the lcm of all
     their denominators, and ``from_integers`` makes the sum.
@@ -364,19 +379,39 @@ def conserves_number(op: OperatorSum) -> bool:
     op conserves number when the signed coefficients landing on each target
     string sum to zero.  The coefficients are read by ``integer_terms`` as
     numerators over one denominator, so the sums are sums of integers.
+
+    The targets are visited from the terms, each once: a target (x, t)
+    takes the term (x, t ^ 2**i) for each bit i of x, with sign +1 when bit
+    i of t is set.  Its parts are summed as tuples, and the first target
+    whose sum is not zero answers False.
     """
-    sums = {}
-    for (x, z), parts in integer_terms(op)[1].items():
+    terms = integer_terms(op)[1]
+    get = terms.get
+    seen = set()
+    for x, z in terms:
         rest = x
         while rest:
             bit = rest & -rest
             rest ^= bit
-            key = (x, z ^ bit)
-            sign = -1 if z & bit else 1
-            acc = sums.setdefault(key, [0] * len(parts))
-            for k, p in enumerate(parts):
-                acc[k] += sign * p
-    return not any(any(acc) for acc in sums.values())
+            t = z ^ bit
+            if (x, t) in seen:
+                continue
+            seen.add((x, t))
+            total = None
+            bits = x
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                parts = get((x, t ^ b))
+                if parts is None:
+                    continue
+                if total is None:
+                    total = parts if t & b else tuple(map(neg, parts))
+                else:
+                    total = tuple(map(add if t & b else sub, total, parts))
+            if any(total):
+                return False
+    return True
 
 
 def classify(op: OperatorSum) -> SubalgebraVerdict:

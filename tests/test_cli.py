@@ -349,6 +349,31 @@ class TestEnvelope:
         assert exc.value.code == 0
 
 
+class TestSources:
+    """A script declares its own modes and operators, so the generator
+    verbs refuse --file beside --expr or --modes instead of ignoring the
+    inline flags."""
+
+    @pytest.mark.parametrize("verb", ["closure", "classify"])
+    @pytest.mark.parametrize("extra, named", [
+        (("--expr", "Z(1)"), "--expr"),
+        (("--modes", "7"), "--modes"),
+        (("--expr", "Z(1)", "--modes", "7"), "--expr or --modes"),
+    ])
+    def test_file_with_inline_flags_exits_two(self, tmp_path, capsys, verb,
+                                              extra, named):
+        script = tmp_path / "ok.ops"
+        script.write_text("modes: 2\ng = X(0) X(1)\n")
+        out = tmp_path / "x.json"
+        assert main([verb, "--file", str(script), *extra,
+                     "--format", "json", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"qalg: --file cannot be combined with {named}\n")
+        assert not out.exists()
+        # the script alone is accepted
+        assert main([verb, "--file", str(script), "--out", str(out)]) == 0
+
+
 class TestClosure:
     def test_xy_chain_report(self, tmp_path):
         script = tmp_path / "xy.ops"
@@ -470,10 +495,13 @@ class TestClassify:
 
 
 class TestWorkCounters:
-    """Products made by the verbs that map mode expressions to qubits.
+    """Work done by the verbs that map mode expressions to qubits.
 
     Both fold through integer images, so they form no OperatorSum or
-    Scalar product, whether the image table is cold or warm.
+    Scalar product, whether the image table is cold or warm.  With a warm
+    table they construct no OperatorSum either: a term's coefficient enters
+    the fold as integers, and only the images are built through the
+    constructor, once.  Their scripts lex to one token per factor.
     """
 
     MONOMIALS = ("modes: 8\n"
@@ -494,6 +522,13 @@ class TestWorkCounters:
                     products[key] += 1
                     return real(self, other)
                 monkeypatch.setattr(cls, name, spy)
+        built = []
+
+        def init_spy(self, *args, real=OperatorSum.__init__, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(OperatorSum, "__init__", init_spy)
         if verb == "classify":
             script = tmp_path / "monomials.ops"
             script.write_text(self.MONOMIALS)
@@ -503,9 +538,12 @@ class TestWorkCounters:
                     "--expr", "3/2i fd(1) f(4) - 3/2i fd(4) f(1)")
         qalg.parafermion._integer_image.cache_clear()
         for _ in range(2):
+            built.clear()
             code, doc = run_json(tmp_path, *argv)
             assert code == 0
             assert products == {"OperatorSum": 0, "Scalar": 0}
+        # the second run finds every image in the table
+        assert built == []
         if verb == "classify":
             flags = [(op["conserves_number"], op["conserves_parity"])
                      for op in doc["body"]["operators"]]
@@ -513,6 +551,28 @@ class TestWorkCounters:
         else:
             assert doc["body"]["result"] == (
                 "-3/4 Y(1) Z(2) Z(3) X(4) + 3/4 X(1) Z(2) Z(3) Y(4)")
+
+    def test_monomials_lex_one_token_per_factor(self, tmp_path,
+                                                 monkeypatch):
+        # g0 lexes to 3, /, 2, two factors, +, 3, /, 2, two factors and
+        # the end: 12 tokens; g1 to 10 and g2 to 16.  With one token per
+        # letter, parenthesis and index they would be 24, 28 and 40.
+        import qalg.dsl
+
+        counts = []
+        real = qalg.dsl._tokenize
+
+        def counted(text):
+            tokens = real(text)
+            counts.append(len(tokens))
+            return tokens
+
+        monkeypatch.setattr(qalg.dsl, "_tokenize", counted)
+        script = tmp_path / "monomials.ops"
+        script.write_text(self.MONOMIALS)
+        code, _ = run_json(tmp_path, "classify", "--file", str(script))
+        assert code == 0
+        assert counts == [12, 10, 16]
 
 
 class TestDeclaredSpecies:

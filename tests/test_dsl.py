@@ -84,7 +84,37 @@ class TestSecondQuantized:
             parse_expr("X(0) * a(0)", 1)
 
 
+# (text, n_modes, message, position) of every ParseError an expression can
+# raise; each text has no surrounding whitespace, so a script line reads it
+# as parse_expr does
+_PARSE_ERRORS = [
+    ("X(0) $ Z(0)", 1, "unexpected character '$'", 5),
+    ("1.5.2", 1, "unexpected character '.'", 3),
+    ("X(0) +", 1, "term expected", 6),
+    ("1/ X(0)", 1, "number expected", 3),
+    # the position is that of the token after the denominator
+    ("1/0 X(0)", 1, "zero denominator", 4),
+    ("(1 2) X(0)", 1, "',' expected in (re, im) coefficient", 3),
+    ("(1,2 X(0)", 1, "')' expected after (re, im) coefficient", 5),
+    ("(1,2", 1, "')' expected after (re, im) coefficient", 4),
+    ("Q (1)", 2, "unknown operator kind 'Q'", 0),
+    ("X(0) i", 1, "unknown operator kind 'i'", 5),
+    ("X 0", 1, "'(' expected after X", 2),
+    ("X()", 1, "integer mode index expected", 2),
+    ("X(0.5)", 1, "integer mode index expected", 2),
+    ("X(0", 1, "')' expected after mode index", 3),
+    ("X(0 1)", 2, "')' expected after mode index", 4),
+    ("X(0) Z(0) )", 1, "trailing input", 10),
+    ("i(0)", 1, "trailing input", 1),
+    ("X(0) Y(5)", 2, "mode index 5 out of range for 2 modes", 5),
+    ("ad (0) a( 1 )* a (7)", 2, "mode index 7 out of range for 2 modes", 15),
+]
+
+
 class TestErrors:
+    """Each ParseError's message and position, through parse_expr and
+    through a script line, which adds its line number to the message."""
+
     def test_junk_character_position(self):
         with pytest.raises(ParseError) as err:
             parse_expr("X(0) $ Z(0)", 1)
@@ -115,6 +145,30 @@ class TestErrors:
             parse_expr("", 2)
         with pytest.raises(ParseError):
             parse_expr("# only a comment", 2)
+
+    @pytest.mark.parametrize("text, n, message, position", _PARSE_ERRORS + [
+        ("", 2, "empty expression", 0),
+        ("  # only a comment", 2, "empty expression", 0),
+    ])
+    def test_message_and_position(self, text, n, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, n)
+        assert (err.value.message, err.value.position) == (message, position)
+        assert str(err.value) == f"{message} (at position {position})"
+
+    @pytest.mark.parametrize("text, n, message, position", _PARSE_ERRORS)
+    def test_script_line_message_and_position(self, text, n, message,
+                                              position):
+        with pytest.raises(ParseError) as err:
+            parse_script(f"modes: {n}\n# a comment\n\ng = {text}  # note\n")
+        assert (err.value.message, err.value.position) == (
+            f"line 4: {message}", position)
+
+    def test_declared_species_mismatch_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_script("modes: 2\nspecies: fermion\ng = 2 X(1)\n")
+        assert (err.value.message, err.value.position) == (
+            "line 3: fermion script got a qubit expression", 0)
 
 
 class TestPrinting:
