@@ -204,6 +204,8 @@ def _cmd_classify(args):
 
 def _cmd_jw(args):
     if args.string_op is not None:
+        if args.expr is not None:
+            raise CliError("--string-op cannot be combined with --expr")
         if args.modes is None:
             raise CliError("--modes is required")
         op = string_operator(args.string_op, args.modes)
@@ -345,6 +347,8 @@ def _cmd_thermal(args):
     except ValueError:
         raise CliError(f"--B expects comma-separated numbers, got {args.B!r}")
     if args.sweep:
+        if args.zero_limit:
+            raise CliError("--sweep cannot be combined with --zero-limit")
         try:
             lo, hi, steps = args.sweep.split(":")
             lo, hi, steps = float(lo), float(hi), int(steps)

@@ -47,7 +47,7 @@ from itertools import combinations
 
 from .errors import ModeMismatchError, SubspaceLeakError
 from .lie import GeneratorSet, LieBasis, close_on_subspace
-from .pauli import ZERO, OperatorSum, Scalar
+from .pauli import ZERO, OperatorSum, Scalar, integer_reading
 from .parafermion import bilinear_su2
 
 MAX_TABLE_BITS = 10 * math.comb(10, 5)
@@ -167,18 +167,12 @@ class EncodedGate:
 
     @property
     def is_hermitian(self) -> bool:
-        """Each entry's mirror across the diagonal is its conjugate, read
-        on the exact parts; a missing mirror reads as zero."""
-        return all(_parts(self.entries.get((c, r), ZERO), 1) == _parts(s, -1)
+        """Each entry's mirror across the diagonal is its conjugate: the
+        mirror's ``integer_reading`` is the conjugate's.  A missing mirror
+        reads as zero."""
+        return all(integer_reading(self.entries.get((c, r), ZERO))
+                   == integer_reading(s.conjugate())
                    for (r, c), s in self.entries.items())
-
-
-def _parts(s: Scalar, im_sign: int) -> tuple:
-    """The parts of s as lowest-terms integer ratios, the imaginary ones
-    times im_sign: -1 reads the conjugate without building a Scalar."""
-    (a, b), (c, d) = s.im.as_integer_ratio(), s.im2.as_integer_ratio()
-    return (s.re.as_integer_ratio(), s.re2.as_integer_ratio(),
-            (im_sign * a, b), (im_sign * c, d))
 
 
 def physical_generator(kind: str, pair, n_modes: int) -> OperatorSum:

@@ -45,7 +45,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .pauli import OperatorSum, Scalar, from_integers, integer_terms
+from .pauli import (OperatorSum, Scalar, from_integers, integer_reading,
+                    integer_terms)
 from .parafermion import conserves_number, conserves_parity
 
 
@@ -83,10 +84,10 @@ class LieBasis:
     Gaussian-integer values and zero entries left out.  The elements are
     exported on first read: the result keeps the closure's integer vectors,
     and basis converts them all once, when it is first asked for.  A run
-    that reads only the dimensions exports nothing.  A full-space element
-    lists its terms in ascending (x, z) order, whichever bracket path and
-    span phase built it; a subspace element lists its entries as
-    _matrix_entries meets them.
+    that reads only the dimensions exports nothing.  Whichever bracket path
+    and span phase built it, a full-space element lists its terms in
+    ascending (x, z) order, and a subspace element its entries in ascending
+    (row, col) order, each a Scalar of integer parts over 1.
 
     provenance[k] is None for a seed generator and (i, j) when element k
     came from i[basis_i, basis_j].  Element k is that bracket, or the
@@ -275,11 +276,12 @@ _WALKS: dict = {}  # n -> walk-row pairs by key, shared by every closure
 
 def _matrix_vec(entries: dict, d: int) -> dict:
     """Primitive integer vector of rational Hermitian entries
-    {(row, col): Scalar}."""
-    coords = {r * d + c: s.re if r <= c else -s.im
-              for (r, c), s in entries.items()}
-    denom = math.lcm(*(v.denominator for v in coords.values()))
-    return _normalize({k: int(v * denom) for k, v in coords.items() if v})
+    {(row, col): number}: each entry's ``integer_reading``, its real part at
+    or above the diagonal and minus its imaginary part below it."""
+    coords = {r * d + c: integer_reading(s) for (r, c), s in entries.items()}
+    lcd = math.lcm(*(den for den, _ in coords.values()))
+    return _normalize({k: v * (lcd // den) for k, (den, p) in coords.items()
+                       if (v := p[0] if k // d <= k % d else -p[1])})
 
 
 def _matrix_entries(vec: dict, d: int) -> dict:
@@ -666,7 +668,7 @@ def close_on_subspace(generator_set: GeneratorSet, subspace,
         identity={j * (d + 1): 1 for j in range(d)},
         full_dim=d * d, max_dim=max_dim,
         export=lambda vec: {rc: Scalar(re, im) for rc, (re, im)
-                            in _matrix_entries(vec, d).items()},
+                            in sorted(_matrix_entries(vec, d).items())},
         subspace_dim=d)
 
 

@@ -12,7 +12,7 @@ products out through a table of such images; it is the one place where
 ``to_pauli``, the string transform in ``jw`` and the qubit expressions of
 ``dsl`` turn factors into Pauli sums.  It works in integers, on the
 kernel of ``pauli``: each image's integer reading is kept once per
-process, a term's coefficient is read as integer numerators, the factors
+process, a term's coefficient is read by ``integer_reading``, the factors
 of a term multiply through ``integer_product``, and one ``integer_sum``
 adds every term over one denominator.
 
@@ -40,6 +40,7 @@ from .pauli import (
     commutator,
     from_integers,
     integer_product,
+    integer_reading,
     integer_sum,
     integer_terms,
 )
@@ -127,10 +128,9 @@ class SecondQuantizedExpr:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            scale = Scalar.of(other)
             return SecondQuantizedExpr(
                 self.n_modes, self.species,
-                [(c * scale, f) for c, f in self.terms])
+                [(c * other, f) for c, f in self.terms])
         if not isinstance(other, SecondQuantizedExpr):
             return NotImplemented
         self._check(other)
@@ -212,18 +212,10 @@ def _integer_image(image, mode: int, n_modes: int):
 def _fold_term(coeff, factors, n_modes: int, images):
     """(den, terms): coeff times the product of the factor images, as an
     integer reading over den, formed left to right from coeff times the
-    identity.
-
-    The coefficient's rational parts are read as integer numerators over
-    the lcm of their denominators, a pair (re, im) when its sqrt(2) parts
-    are zero and a quadruple otherwise, on the identity key; a zero
-    coefficient reads as no term.  That is the reading the constructor
-    gives coeff times the identity, with no OperatorSum built."""
-    parts = ((coeff.re, coeff.im) if coeff.is_rational
-             else (coeff.re, coeff.im, coeff.re2, coeff.im2))
-    den = lcm(*[p.denominator for p in parts])
-    nums = tuple([p.numerator * (den // p.denominator) for p in parts])
-    acc = {(0, 0): nums} if any(nums) else {}
+    identity: coeff's ``integer_reading`` on the identity key, and no term
+    for a zero coefficient, with no OperatorSum built."""
+    den, parts = integer_reading(coeff)
+    acc = {(0, 0): parts} if any(parts) else {}
     for kind, mode in factors:
         for image in images[kind]:
             image_den, image_terms = _integer_image(image, mode, n_modes)
@@ -235,7 +227,7 @@ def _fold_term(coeff, factors, n_modes: int, images):
 def fold_terms(terms, n_modes: int, images) -> OperatorSum:
     """Sum of coeff * image(f1) * image(f2) * ... over (coeff, factors) terms.
 
-    Each coeff is a Scalar.  Each factor is a (kind, mode) pair, and
+    Each coeff is a number.  Each factor is a (kind, mode) pair, and
     images[kind] is the tuple of single-site images, each called as
     image(mode, n_modes), whose product left to right is the factor's
     OperatorSum.  The value and the term order are those of the plain
@@ -245,9 +237,8 @@ def fold_terms(terms, n_modes: int, images) -> OperatorSum:
     The work is done on the integer kernel of ``pauli``, in time linear in
     the number of terms.  Each image is read once per process by
     ``integer_terms`` (``_integer_image``).  A term starts as its
-    coefficient on the identity key, its rational parts read as integer
-    numerators over the lcm of their denominators (``_fold_term``), so no
-    OperatorSum is built per term.  It multiplies through its images by
+    coefficient's ``integer_reading`` on the identity key (``_fold_term``),
+    so no OperatorSum is built per term.  It multiplies through its images by
     ``integer_product``, which drops the entries that cancel.  One
     ``integer_sum`` then adds every term into one dict over the lcm of all
     their denominators, and ``from_integers`` makes the sum.

@@ -10,40 +10,27 @@ operator for a mask pair is
 which is Hermitian, so a term with phase +1 is Hermitian and a sum is
 Hermitian exactly when every stored coefficient is real.
 
-Coefficients are exact scalars ``a + b*sqrt(2) + i*(c + d*sqrt(2))`` with
-rational a, b, c, d.  The sqrt(2) parts are there so that conjugation by
-eighth-turn exponentials (cos and sin both sqrt(2)/2) stays inside the
-representation; everyday operators carry plain Gaussian-rational
-coefficients.
-
-An OperatorSum stores its coefficients as one canonical integer reading
+Coefficients are exact a + b*sqrt(2) + i*(c + d*sqrt(2)), rational a..d:
+the sqrt(2) parts keep conjugation by eighth-turn exponentials (cos and sin
+both sqrt(2)/2) exact.  They have one form, the integer reading
 ``(den, {(x, z): parts})``: the coefficient of P(x, z) is
 (re + i*im + sqrt(2)*(re2 + i*im2)) / den for parts (re, im), or
 (re, im, re2, im2) on every term when some sqrt(2) part is nonzero.  No
 term has all-zero parts, den > 0, and den has no common factor with every
-part; ``_canonical`` makes that form for the constructor and
-``from_integers`` alike, so equality and hashing compare readings.  A
-Scalar is built only where a coefficient is read (``items``,
-``coefficient``, ``apply_basis_state``, printing).
+part; ``_canonical`` makes that form, so equality and hashing compare
+readings.  An OperatorSum holds the reading of its terms, a Scalar that of
+itself times the identity.  Numbers enter it through one function,
+``integer_reading``, which reads an int, a Fraction or a Scalar.
 
-Products and linear combinations are formed on the readings, by one kernel
-that ``OperatorSum``, the brackets, the fold in ``parafermion`` and the
-eighth-turn exponential in ``verifier`` use.  ``integer_terms`` returns a
-sum's reading; ``integer_product`` multiplies two readings term pair by
-term pair, one loop per pair of widths (Gaussian, or with sqrt(2) parts):
-as a plain tensor product when no mode carries factors of both, else with
-each product turned by the x/z-mask phase rule, written once, in
-``_phase_product``;
-``integer_sum`` adds integer multiples of any number of readings into one
-dict; and ``from_integers`` makes the sum of a reading.  Numbers enter the
-kernel only through the constructor: a number's reading is that of itself
-times the identity, ``OperatorSum(0, {(0, 0): value})``.  The products and
-sums leave out every key whose parts cancel, so no reading the kernel
-returns holds all-zero parts, and ``from_integers`` takes them as they are;
-the constructor drops the zero coefficients it is given.  Only this module
-builds, pads or width-tests complex parts; ``lie`` reads and writes real
-ones, (re, 0), and others compare parts, sum them or test them with
-``any``.
+One kernel forms products and linear combinations on the readings, for
+sums and Scalars alike: ``integer_terms`` returns a sum's reading,
+``integer_product`` multiplies two readings (the product rule of the parts
+is written only in its two paths, ``_tensor_product`` and
+``_phase_product``), ``integer_sum`` adds integer multiples of readings,
+and ``from_integers`` makes the sum of a reading.  No reading passed to
+the kernel or returned by it holds all-zero parts.  Only this module
+builds, pads or width-tests parts; ``lie`` reads them and writes real ones,
+(re, 0), others compare parts, sum them or test them with ``any``.
 
 Mode 0 is the least significant bit of basis-state labels in the dense
 realization, i.e. ``realize`` maps mode 0 to the last Kronecker factor.
@@ -54,120 +41,106 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd, lcm, log2
+from operator import mul, neg
 
 from .errors import DenseLimitError, ModeMismatchError
 
 # largest mode count realize builds a dense matrix for
 DENSE_LIMIT = 10
 _SQRT2 = 2 ** 0.5
-# shared default for the unset parts of a Scalar; Fractions are immutable
-_Q0 = Fraction(0)
-
-
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"exact rational expected, got {type(value).__name__}")
 
 
 def _operand(value):
-    """A binary operator's other operand as a Scalar, or NotImplemented when
-    it is not a number, so that its own reflected operator can answer.
-    Floats and complex numbers raise TypeError, as the constructor does."""
+    """The other operand's integer reading, or NotImplemented when it is no
+    number; a float or complex raises TypeError, as the constructor does."""
     if isinstance(value, (Scalar, int, Fraction, float, complex)):
-        return Scalar.of(value)
+        return integer_reading(value)
     return NotImplemented
 
 
 class Scalar:
-    """Exact complex number a + b*sqrt(2) + i*(c + d*sqrt(2)), rational a..d."""
+    """Exact complex number a + b*sqrt(2) + i*(c + d*sqrt(2)), rational a..d.
 
-    __slots__ = ("re", "re2", "im", "im2")
+    Held as ``integer_reading`` gives it, (den, parts), and zero as
+    (1, (0, 0)); re, im, re2 and im2 read the parts back as Fractions.
+    Sums and products are the kernel's, on the identity key.
+    """
 
-    def __init__(self, re=_Q0, im=_Q0, re2=_Q0, im2=_Q0):
-        self.re = _frac(re)
-        self.im = _frac(im)
-        self.re2 = _frac(re2)
-        self.im2 = _frac(im2)
+    __slots__ = ("_reading",)
+    re, im, re2, im2 = (property(lambda s, k=k: Fraction(
+        (*s._reading[1], 0, 0)[k], s._reading[0])) for k in range(4))
+
+    def __init__(self, re=0, im=0, re2=0, im2=0):
+        parts = (re, im, re2, im2)
+        den = 1
+        if not type(re) is type(im) is type(re2) is type(im2) is int:
+            for p in parts:
+                if not isinstance(p, (int, Fraction)):
+                    raise TypeError("exact rational expected, "
+                                    f"got {type(p).__name__}")
+            # reduced fractions over the lcm of their denominators share
+            # no factor with it: the reading is canonical with no gcd
+            den = lcm(*[p.denominator for p in parts])
+            parts = tuple([p.numerator * (den // p.denominator)
+                           for p in parts])
+        self._reading = den, parts if parts[2] or parts[3] else parts[:2]
 
     @classmethod
     def of(cls, value) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        return cls(_frac(value))
+        return value if isinstance(value, Scalar) else cls(value)
 
     def __add__(self, other):
-        other = _operand(other)
-        if other is NotImplemented:
-            return other
-        return Scalar(self.re + other.re, self.im + other.im,
-                      self.re2 + other.re2, self.im2 + other.im2)
+        return _linear(self._reading, _operand(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _operand(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
+        return _linear(self._reading, _operand(other), -1)
 
     def __rsub__(self, other):
-        other = _operand(other)
-        if other is NotImplemented:
-            return other
-        return other - self
+        return _linear(_operand(other), self._reading, -1)
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im, -self.re2, -self.im2)
+        den, parts = self._reading
+        return _held(den, tuple(map(neg, parts)))
 
     def __mul__(self, other):
         other = _operand(other)
         if other is NotImplemented:
             return other
-        a1, b1, c1, d1 = self.re, self.re2, self.im, self.im2
-        a2, b2, c2, d2 = other.re, other.re2, other.im, other.im2
-        return Scalar(
-            a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
-            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
+        (den1, parts1), (den2, parts2) = self._reading, other
+        return _scalar(den1 * den2, integer_product(_on_identity(parts1),
+                                                    _on_identity(parts2)))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im, self.re2, -self.im2)
+        den, parts = self._reading
+        return _held(den, _conjugate(parts))
 
     @property
     def is_zero(self) -> bool:
-        return not (self.re or self.im or self.re2 or self.im2)
+        return not self
 
     @property
     def is_rational(self) -> bool:
         """True when the sqrt(2) parts vanish."""
-        return not (self.re2 or self.im2)
+        return len(self._reading[1]) == 2
 
     def __bool__(self):
-        return not self.is_zero
+        return any(self._reading[1])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            other = Scalar.of(other)
-            return (self.re == other.re and self.im == other.im
-                    and self.re2 == other.re2 and self.im2 == other.im2)
+            return self._reading == integer_reading(other)
         return NotImplemented
 
     def __hash__(self):
         # a Scalar equal to a rational must hash as that rational
-        if self.im or self.re2 or self.im2:
-            return hash((self.re, self.im, self.re2, self.im2))
-        return hash(self.re)
+        return hash(self.re if self._reading[1][1:] == (0,) else self._reading)
 
     def to_complex(self) -> complex:
-        return complex(float(self.re) + float(self.re2) * _SQRT2,
-                       float(self.im) + float(self.im2) * _SQRT2)
+        return _complex(*self._reading)
 
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r}, {self.re2!r}, {self.im2!r})"
@@ -199,18 +172,13 @@ class OperatorSum:
         if n_modes < 0:
             raise ValueError("n_modes must be nonnegative")
         self.n_modes = n_modes
-        fracs = {}
-        used = 0
-        for key, c in (terms or {}).items():
-            used |= key[0] | key[1]
-            fracs[key] = ((c.re, c.im, c.re2, c.im2) if isinstance(c, Scalar)
-                          else (_frac(c), 0, 0, 0))
-        if used >> n_modes:
+        readings = {k: integer_reading(c) for k, c in (terms or {}).items()}
+        if any((x | z) >> n_modes for x, z in readings):
             raise ValueError("mask exceeds the declared mode count")
-        den = lcm(*(p.denominator for parts in fracs.values() for p in parts))
-        self._den, self._terms = _canonical(den, {
-            key: tuple(p.numerator * (den // p.denominator) for p in parts)
-            for key, parts in fracs.items() if any(parts)})
+        den = lcm(*(d for d, _ in readings.values()))
+        self._den, self._terms = _canonical(den, integer_sum(*(
+            ({key: parts}, den // d) for key, (d, parts) in readings.items()
+            if any(parts))))
 
     # -- constructors -----------------------------------------------------
 
@@ -238,12 +206,12 @@ class OperatorSum:
 
     def items(self):
         """Terms in canonical (x_mask, z_mask) order."""
-        return [(key, _scalar(parts, self._den))
+        return [(key, _scalar(self._den, {(0, 0): parts}))
                 for key, parts in sorted(self._terms.items())]
 
     def coefficient(self, x_mask: int, z_mask: int) -> Scalar:
         parts = self._terms.get((x_mask, z_mask))
-        return ZERO if parts is None else _scalar(parts, self._den)
+        return ZERO if parts is None else _scalar(self._den, {(0, 0): parts})
 
     @property
     def n_terms(self) -> int:
@@ -296,36 +264,31 @@ class OperatorSum:
 
     def __neg__(self):
         return from_integers(self.n_modes, self._den, {
-            key: tuple(-p for p in parts)
-            for key, parts in self._terms.items()})
+            key: tuple(map(neg, parts)) for key, parts in self._terms.items()})
 
     def __mul__(self, other):
         """Product with a scalar, or with another sum on the same modes.
 
-        Both multiply the stored readings in integers: a scalar is read as
-        itself times the identity, the term pairs multiply as integers
-        (``integer_product``), and the output reading is over the product
-        of the two denominators.  The terms come out in the order the pair
-        loop, self's terms outside and other's inside, first meets their
-        keys; a scalar keeps self's order.
+        Both are one ``integer_product``, a scalar's ``integer_reading``
+        taken as itself times the identity, over the product of the two
+        denominators.  The terms come out in the order the pair loop,
+        self's terms outside and other's inside, first meets their keys; a
+        scalar keeps self's order.
         """
         if isinstance(other, (int, Fraction, Scalar)):
-            other = OperatorSum(self.n_modes, {(0, 0): other})
+            den, parts = integer_reading(other)
+            other = from_integers(self.n_modes, den, _on_identity(parts))
         elif not isinstance(other, OperatorSum):
             return NotImplemented
         self._check_modes(other)
         return from_integers(self.n_modes, self._den * other._den,
                              integer_product(self._terms, other._terms))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def adjoint(self) -> "OperatorSum":
         return from_integers(self.n_modes, self._den, {
-            key: tuple(-p if k % 2 else p for k, p in enumerate(parts))
-            for key, parts in self._terms.items()})
+            key: _conjugate(parts) for key, parts in self._terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, OperatorSum):
@@ -347,19 +310,10 @@ class OperatorSum:
         if not 0 <= label < 1 << self.n_modes:
             raise ValueError(
                 f"basis state {label} out of range for {self.n_modes} modes")
-        out = {}
-        for (x, z), parts in self._terms.items():
-            amp = _times_i(parts, (x & z).bit_count()
-                           + 2 * (z & label).bit_count())
-            target = label ^ x
-            acc = out.get(target)
-            if acc is not None:
-                amp = tuple(a + b for a, b in zip(acc, amp))
-            if any(amp):
-                out[target] = amp
-            elif acc is not None:
-                del out[target]
-        return {target: _scalar(parts, self._den)
+        out = integer_sum(*(({label ^ x: _times_i(
+            parts, (x & z).bit_count() + 2 * (z & label).bit_count())}, 1)
+            for (x, z), parts in self._terms.items()))
+        return {target: _scalar(self._den, {(0, 0): parts})
                 for target, parts in out.items()}
 
     def __repr__(self):
@@ -392,9 +346,58 @@ def _canonical(den: int, terms: dict) -> tuple:
     return den, terms
 
 
-def _scalar(parts: tuple, den: int) -> Scalar:
-    """The Scalar of one reading's parts over den."""
-    return Scalar(*(Fraction(p, den) for p in parts))
+def integer_reading(value) -> tuple:
+    """(den, parts): an int, Fraction or Scalar times the identity as a
+    canonical one-term reading, and zero as (1, (0, 0)), which the kernel
+    takes as no term.  An int or a Fraction is read without building a
+    Scalar; a float or a complex number raises TypeError."""
+    if isinstance(value, int):
+        return 1, (value, 0)
+    if isinstance(value, Scalar):
+        return value._reading
+    if isinstance(value, Fraction):
+        return value.denominator, (value.numerator, 0)
+    raise TypeError(f"exact rational expected, got {type(value).__name__}")
+
+
+def _on_identity(parts: tuple) -> dict:
+    """A number's parts on the identity key, and no term for zero."""
+    return {(0, 0): parts} if any(parts) else {}
+
+
+def _held(den: int, parts: tuple) -> Scalar:
+    """The Scalar of a canonical reading, such as a negated or conjugate."""
+    s = object.__new__(Scalar)
+    s._reading = den, parts
+    return s
+
+
+def _scalar(den: int, terms: dict) -> Scalar:
+    """The Scalar of a reading over den on at most the identity key."""
+    den, terms = _canonical(den, terms)
+    return _held(den, terms.get((0, 0), (0, 0)))
+
+
+def _linear(left: tuple, right: tuple, sign: int) -> Scalar:
+    """left + sign * right of two numbers' readings, or NotImplemented when
+    either operand is no number."""
+    if left is NotImplemented or right is NotImplemented:
+        return NotImplemented
+    (d1, p1), (d2, p2) = left, right
+    den = lcm(d1, d2)
+    return _scalar(den, integer_sum((_on_identity(p1), den // d1),
+                                    (_on_identity(p2), sign * (den // d2))))
+
+
+def _conjugate(parts: tuple) -> tuple:
+    """The parts of the complex conjugate: the imaginary ones negated."""
+    return tuple(map(mul, parts, (1, -1, 1, -1)))
+
+
+def _complex(den: int, parts: tuple) -> complex:
+    """parts over den as a complex; p / den rounds as float(Fraction)."""
+    re, im, re2, im2 = (p / den for p in (*parts, 0, 0)[:4])
+    return complex(re + re2 * _SQRT2, im + im2 * _SQRT2)
 
 
 def _times_i(parts: tuple, power: int) -> tuple:
@@ -678,10 +681,7 @@ def realize(op: OperatorSum) -> "np.ndarray":
     cols = np.arange(dim)
     signs = _parity_signs(op.n_modes)
     for (x, z), parts in op._terms.items():
-        # as Scalar.to_complex: p / den is correctly rounded, as float(Fraction)
-        re, im, re2, im2 = (p / op._den for p in (*parts, 0, 0)[:4])
-        phase = (complex(re + re2 * _SQRT2, im + im2 * _SQRT2)
-                 * (1j) ** ((x & z).bit_count()))
+        phase = _complex(op._den, parts) * (1j) ** ((x & z).bit_count())
         out[cols ^ x, cols] += phase * signs[cols & z]
     return out
 

@@ -140,10 +140,12 @@ class TestStartup:
         # no module reads the environment, so no knob hides behind one (cli
         # only defaults numpy's BLAS thread counts with os.environ.setdefault,
         # which qalg never reads back); and only pauli reads an
-        # OperatorSum's stored reading, so its format stays behind the
-        # kernel calls
+        # OperatorSum's or a Scalar's stored reading, or turns a rational
+        # into integers, so numbers enter the kernel through
+        # integer_reading and its format stays behind the kernel calls
         env_names = {"environ", "environb", "getenv", "getenvb"}
-        storage = {"_terms", "_den"}
+        storage = {"_terms", "_den", "_reading", "numerator", "denominator",
+                   "as_integer_ratio"}
 
         def reads_environment(node):
             if isinstance(node, ast.Attribute):
@@ -632,6 +634,15 @@ class TestJw:
         assert code == 0
         assert doc["body"]["result"] == "Z(0) Z(1)"
 
+    def test_string_op_with_expr_exits_two(self, tmp_path, capsys):
+        # --string-op would print the string and drop the expression
+        out = tmp_path / "x.json"
+        assert main(["jw", "--string-op", "1", "--modes", "3", "--expr",
+                     "f(0)", "--format", "json", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "qalg: --string-op cannot be combined with --expr\n")
+        assert not out.exists()
+
     def test_qubit_input_rejected(self, tmp_path):
         out = tmp_path / "x.json"
         assert main(["jw", "--expr", "X(0)", "--modes", "1",
@@ -806,6 +817,16 @@ class TestThermal:
                              "--mu", "1.0", "--zero-limit")
         assert code == 0
         assert doc["body"]["occupations"] == [1.0, 0.5, 0.0]
+
+    def test_sweep_with_zero_limit_exits_two(self, tmp_path, capsys):
+        # a sweep runs at its own kT values and would drop --zero-limit
+        out = tmp_path / "x.json"
+        assert main(["thermal", "--B", "0.4", "--mu", "1.0", "--sweep",
+                     "0:2:3", "--zero-limit", "--format", "json",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "qalg: --sweep cannot be combined with --zero-limit\n")
+        assert not out.exists()
 
     def test_sweep(self, tmp_path):
         code, doc = run_json(tmp_path, "thermal", "--B", "0.4", "--mu", "1.0",

@@ -149,6 +149,28 @@ class TestEncodedGenerators:
         for kind in ("x", "z"):
             assert encoded_generator(code, kind, (1, 3)).entries == want[kind]
 
+    def test_physical_generator_builds_no_fraction(self, monkeypatch):
+        # its coefficients are integer readings from the constant 1 through
+        # the a'a products to the fold: a Scalar that holds or multiplies
+        # Fractions again fails here.  Fraction arithmetic makes its results
+        # through __new__, or through _from_coprime_ints from Python 3.12
+        built = []
+        new = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", spy)
+        if hasattr(Fraction, "_from_coprime_ints"):
+            coprime = Fraction._from_coprime_ints
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+                lambda cls, n, d: built.append((n, d)) or coprime(n, d)))
+        ops = [physical_generator(kind, pair, 4) for kind in ("x", "z")
+               for pair in ((0, 1), (1, 3))]
+        assert built == []
+        assert all(op.n_terms == 2 for op in ops)
+
 
 class TestCphase:
     def test_interface_sign_tables(self):

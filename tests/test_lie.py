@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import qalg.lie as lie
 from qalg.cli import main
-from qalg.codes import build_code, physical_generator
+from qalg.codes import build_code, physical_generator, synthesize_su_d
 from qalg.errors import SubspaceLeakError
 from qalg.dsl import parse_script, print_expr
 from qalg.lie import (
@@ -1018,8 +1018,8 @@ class TestWorkCounters:
         assert basis.basis is elements and len(elements) == basis.dimension
         for element, vec in zip(elements, basis._vectors):
             if case == "subspace":
-                want = {rc: Scalar(re, im) for rc, (re, im) in
-                        lie._matrix_entries(vec, basis.subspace_dim).items()}
+                want = {rc: Scalar(re, im) for rc, (re, im) in sorted(
+                    lie._matrix_entries(vec, basis.subspace_dim).items())}
             else:
                 want = lie._from_vec(vec, basis.n_modes)
             assert list(element.items()) == list(want.items())
@@ -1055,9 +1055,9 @@ class TestBracketPaths:
 
 class TestExportOrder:
     """Every element of a close basis lists its terms in ascending (x, z)
-    order, whichever bracket path and span phase built it.  Subspace
-    elements list their entries as _matrix_entries gives them
-    (test_basis_is_the_eager_export)."""
+    order, whichever bracket path and span phase built it, and every
+    element of a close_on_subspace basis its entries in ascending
+    (row, col) order."""
 
     @pytest.mark.parametrize("case", ["sparse", "dense switched",
                                       "unswitched"])
@@ -1069,6 +1069,14 @@ class TestExportOrder:
         assert len(basis.basis) == basis.dimension
         for element in basis.basis:
             keys = list(integer_terms(element)[1])
+            assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("pairs", ["all", "nearest"])
+    def test_entries_ascend(self, pairs):
+        basis = synthesize_su_d(build_code(4, 2), pairs=pairs).basis
+        assert basis.dimension == (35 if pairs == "all" else 15)
+        for element in basis.basis:
+            keys = list(element)
             assert keys == sorted(keys)
 
 

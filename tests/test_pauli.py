@@ -2,8 +2,10 @@
 
 import math
 import random
+import struct
 import warnings
 from fractions import Fraction
+from operator import add, sub
 
 import numpy as np
 import pytest
@@ -62,7 +64,76 @@ def random_sum(rng, n_modes, n_terms=4):
     return op
 
 
+# -- the Fraction reference ---------------------------------------------------
+# A number as four Fractions (re, im, re2, im2), for
+# re + i*im + sqrt(2)*(re2 + i*im2), under the four-Fraction formulas that
+# Scalar was first written in.
+
+def _ref_mul(p, q):
+    (a1, c1, b1, d1), (a2, c2, b2, d2) = p, q
+    return (a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+
+
+def _ref_complex(p):
+    re, im, re2, im2 = p
+    return complex(float(re) + float(re2) * 2 ** 0.5,
+                   float(im) + float(im2) * 2 ** 0.5)
+
+
+_EXACT_PART = st.one_of(st.integers(-6, 6),
+                        st.fractions(-6, 6, max_denominator=12))
+
+
+@st.composite
+def _exact_numbers(draw, scalar=False):
+    """(value, reference parts): an int, a Fraction, or a Scalar with or
+    without imaginary and sqrt(2) parts, zero included."""
+    shape = draw(st.sampled_from(
+        ["real", "gaussian", "root", "full"]
+        + ([] if scalar else ["int", "fraction"])))
+    if shape in ("int", "fraction"):
+        value = draw(st.integers(-6, 6) if shape == "int"
+                     else st.fractions(-6, 6, max_denominator=12))
+        return value, (Fraction(value), Fraction(0), Fraction(0), Fraction(0))
+    drawn = {"real": (0,), "gaussian": (0, 1), "root": (0, 2, 3),
+             "full": (0, 1, 2, 3)}[shape]
+    parts = [draw(_EXACT_PART) if k in drawn else 0 for k in range(4)]
+    return Scalar(*parts), tuple(map(Fraction, parts))
+
+
 class TestScalar:
+    @settings(max_examples=400, deadline=None)
+    @given(_exact_numbers(scalar=True), _exact_numbers())
+    @example((ZERO, (Fraction(0),) * 4), (0, (Fraction(0),) * 4))
+    @example(*[(RT2_HALF, tuple(map(Fraction, (0, 0, Fraction(1, 2), 0))))] * 2)
+    def test_matches_the_fraction_reference(self, left, right):
+        (a, pa), (b, pb) = left, right
+        results = [
+            (a + b, tuple(map(add, pa, pb))), (b + a, tuple(map(add, pa, pb))),
+            (a - b, tuple(map(sub, pa, pb))), (b - a, tuple(map(sub, pb, pa))),
+            (a * b, _ref_mul(pa, pb)), (b * a, _ref_mul(pb, pa)),
+            (-a, tuple(-p for p in pa)),
+            (a.conjugate(), (pa[0], -pa[1], pa[2], -pa[3])),
+        ]
+        for got, want in results + [(a, pa)]:
+            assert type(got) is Scalar
+            parts = (got.re, got.im, got.re2, got.im2)
+            assert all(type(p) is Fraction for p in parts) and parts == want
+            twin = Scalar(*want)
+            assert got == twin and hash(got) == hash(twin)
+            assert (got == b) == (want == pb)
+            if not any(want[1:]):
+                assert got == want[0] and hash(got) == hash(want[0])
+            assert got.is_zero is bool(not any(want)) is (not got)
+            assert got.is_rational is (not (want[2] or want[3]))
+            assert repr(got) == "Scalar({!r}, {!r}, {!r}, {!r})".format(*want)
+            c, r = got.to_complex(), _ref_complex(want)
+            assert struct.pack("dd", c.real, c.imag) == struct.pack(
+                "dd", r.real, r.imag)
+
     def test_ring_arithmetic_is_exact(self):
         a = Scalar(Fraction(1, 3), Fraction(0), Fraction(1, 2), Fraction(0))
         b = Scalar(Fraction(2), Fraction(0), Fraction(-1, 4), Fraction(0))
@@ -658,10 +729,12 @@ class TestProductPaths:
             assert calls == [(path, *widths)]
 
     def test_transfer_monomial_folds_by_tensor_products(self, monkeypatch):
-        calls = _spy_paths(monkeypatch)
+        # the expression's coefficient products are kernel products too, so
+        # it is built before the spy: only the fold's products are counted
         create, annihilate = (SecondQuantizedExpr.create,
                               SecondQuantizedExpr.annihilate)
         expr = create(0, 4) * create(1, 4) * annihilate(2, 4) * annihilate(3, 4)
+        calls = _spy_paths(monkeypatch)
         got = to_pauli(expr)
         assert got.n_terms == 16
         assert calls == [("tensor", 2, 2)] * 4
