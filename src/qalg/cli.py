@@ -9,35 +9,21 @@ hashed content.
 
 Exit codes: 0 on success (and all checks passing), 1 when a requested
 verification fails, 2 on usage or input errors or an unwritable report.
+
+Each handler imports the qalg modules it runs when it is called, and json
+and hashlib load only for a JSON report, so a one-shot verb loads and
+compiles no other verb's modules.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import json
 import os
 import sys
 import time
-from pathlib import Path
 
 import qalg
-
-from .codes import build_code, encoded_cphase, encoded_generator, rate, synthesize_su_d
-from .dsl import parse_expr, parse_script, print_expr
-from .jw import jw_fermion_to_pauli, string_operator
-from .lie import GeneratorSet, classify_algebra, close
-from .pauli import OperatorSum
-from .parafermion import (
-    SecondQuantizedExpr,
-    classify,
-    conserves_number,
-    conserves_parity,
-    enumerate_generators,
-    to_pauli,
-)
-from .thermal import ThermalParams, occupation, sweep
 
 
 # most kT values one --sweep computes and prints
@@ -87,13 +73,19 @@ def _matrix_text(action: dict) -> list:
     return np.array_str(np.real_if_close(m)).splitlines()
 
 
-def _to_qubit_operator(parsed, what: str) -> OperatorSum:
+def _to_qubit_operator(parsed, what: str):
+    """The OperatorSum of a parsed expression."""
+    from .parafermion import SecondQuantizedExpr, to_pauli
+    from .pauli import OperatorSum
+
     if isinstance(parsed, OperatorSum):
         return parsed
     assert isinstance(parsed, SecondQuantizedExpr)
     if parsed.species == "parafermion":
         return to_pauli(parsed)
     if parsed.species == "fermion":
+        from .jw import jw_fermion_to_pauli
+
         return jw_fermion_to_pauli(parsed)
     raise CliError(f"{what}: bosonic expressions have no exact qubit image")
 
@@ -106,6 +98,8 @@ def _resolve_operators(args):
     own mode count and operators, so --file with --expr or --modes is
     refused.
     """
+    from .dsl import parse_expr, parse_script
+
     if getattr(args, "file", None):
         extra = [flag for flag, value in (("--expr", args.expr),
                                           ("--modes", args.modes))
@@ -113,7 +107,8 @@ def _resolve_operators(args):
         if extra:
             raise CliError(f"--file cannot be combined with "
                            f"{' or '.join(extra)}")
-        args.script_text = Path(args.file).read_text()
+        with open(args.file) as fh:
+            args.script_text = fh.read()
         script = parse_script(args.script_text)
         named = [(name, _to_qubit_operator(script.operators[name], name))
                  for name in script.labels]
@@ -132,6 +127,9 @@ def _resolve_operators(args):
 # -- verb handlers ----------------------------------------------------------
 
 def _cmd_closure(args):
+    from .lie import GeneratorSet, classify_algebra, close
+    from .parafermion import conserves_number, conserves_parity
+
     n_modes, named = _resolve_operators(args)
     label = args.label or "closure"
     gs = GeneratorSet(n_modes, [op for _, op in named])
@@ -182,6 +180,8 @@ def _cmd_closure(args):
 
 
 def _cmd_classify(args):
+    from .parafermion import classify
+
     n_modes, named = _resolve_operators(args)
     body_ops = []
     lines = []
@@ -203,17 +203,23 @@ def _cmd_classify(args):
 
 
 def _cmd_jw(args):
+    from .dsl import parse_expr, print_expr
+
     if args.string_op is not None:
         if args.expr is not None:
             raise CliError("--string-op cannot be combined with --expr")
         if args.modes is None:
             raise CliError("--modes is required")
+        from .jw import string_operator
+
         op = string_operator(args.string_op, args.modes)
         body = {"n_modes": args.modes, "string_mode": args.string_op,
                 "result": print_expr(op)}
         return body, [f"string({args.string_op}) = {body['result']}"], True
     if not args.expr or args.modes is None:
         raise CliError("--modes and --expr are required")
+    from .pauli import OperatorSum
+
     parsed = parse_expr(args.expr, args.modes)
     if isinstance(parsed, OperatorSum):
         raise CliError("jw expects a mode-operator expression, got qubit kinds")
@@ -240,6 +246,9 @@ def _parse_pair(text: str):
 
 
 def _cmd_code(args):
+    from .codes import (build_code, encoded_cphase, encoded_generator, rate,
+                        synthesize_su_d)
+
     code = build_code(args.modes, args.excitations)
     body = {"n_modes": code.n_modes, "excitations": code.excitations,
             "dim": code.dim, "rate": rate(code.n_modes, code.excitations)}
@@ -342,6 +351,8 @@ def _cmd_verify(args):
 
 
 def _cmd_thermal(args):
+    from .thermal import ThermalParams, occupation, sweep
+
     try:
         fields = [float(v) for v in args.B.split(",")]
     except ValueError:
@@ -384,6 +395,9 @@ def _cmd_thermal(args):
 
 
 def _cmd_enumerate(args):
+    from .dsl import print_expr
+    from .parafermion import enumerate_generators
+
     entries = enumerate_generators(args.modes, filter=args.filter,
                                    limit=args.limit)
     body = {"n_modes": args.modes, "filter": args.filter,
@@ -410,6 +424,9 @@ def _cmd_enumerate(args):
 def _input_hash(args, command: str) -> str:
     """Digest of the resolved inputs; file sources hash by the content
     that was parsed."""
+    import hashlib
+    import json
+
     skip = {"handler", "format", "out", "script_text"}
     resolved = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     if resolved.get("file"):
@@ -421,6 +438,8 @@ def _input_hash(args, command: str) -> str:
 
 def _write_output(args, command: str, body, lines, ok: bool):
     if args.format == "json":
+        import json
+
         envelope = {
             "schema": 1,
             "version": qalg.__version__,
@@ -439,7 +458,8 @@ def _write_output(args, command: str, body, lines, ok: bool):
     else:
         text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 

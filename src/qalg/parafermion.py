@@ -59,6 +59,10 @@ class SecondQuantizedExpr:
     terms is a tuple of (Scalar, factors) pairs where factors is a tuple of
     (kind, mode) with kind one of "+", "-", "n".  Factor order is preserved;
     nothing is normal-ordered behind the caller's back.
+
+    The constructor checks every factor and reads every coefficient, and
+    drops zero terms.  Sums, products and adjoints of expressions are built
+    from terms already checked, so they skip that (``_held``).
     """
 
     __slots__ = ("n_modes", "species", "terms")
@@ -115,29 +119,26 @@ class SecondQuantizedExpr:
         if not isinstance(other, SecondQuantizedExpr):
             return NotImplemented
         self._check(other)
-        return SecondQuantizedExpr(self.n_modes, self.species,
-                                   self.terms + other.terms)
+        return _held(self, self.terms + other.terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return SecondQuantizedExpr(
-            self.n_modes, self.species,
-            [(-c, f) for c, f in self.terms])
+        return _held(self, tuple([(-c, f) for c, f in self.terms]))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            return SecondQuantizedExpr(
-                self.n_modes, self.species,
-                [(c * other, f) for c, f in self.terms])
+            # products of nonzero numbers are nonzero: only a zero factor
+            # leaves zero terms, and it leaves nothing
+            return _held(self, tuple([(c * other, f) for c, f in self.terms])
+                         if other else ())
         if not isinstance(other, SecondQuantizedExpr):
             return NotImplemented
         self._check(other)
-        out = [(c1 * c2, f1 + f2)
-               for c1, f1 in self.terms
-               for c2, f2 in other.terms]
-        return SecondQuantizedExpr(self.n_modes, self.species, out)
+        return _held(self, tuple([(c1 * c2, f1 + f2)
+                                  for c1, f1 in self.terms
+                                  for c2, f2 in other.terms]))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -146,11 +147,10 @@ class SecondQuantizedExpr:
 
     def adjoint(self) -> "SecondQuantizedExpr":
         flip = {CREATE: ANNIHILATE, ANNIHILATE: CREATE, NUMBER: NUMBER}
-        out = []
-        for coeff, factors in self.terms:
-            rev = tuple((flip[k], m) for k, m in reversed(factors))
-            out.append((coeff.conjugate(), rev))
-        return SecondQuantizedExpr(self.n_modes, self.species, out)
+        return _held(self, tuple([
+            (coeff.conjugate(),
+             tuple([(flip[k], m) for k, m in reversed(factors)]))
+            for coeff, factors in self.terms]))
 
     def __eq__(self, other):
         if not isinstance(other, SecondQuantizedExpr):
@@ -168,6 +168,14 @@ class SecondQuantizedExpr:
             return f"<{self.species} expr: {print_expr(self)}>"
         except ValueError:
             return f"<{self.species} expr, {len(self.terms)} terms>"
+
+
+def _held(like: SecondQuantizedExpr, terms: tuple) -> SecondQuantizedExpr:
+    """The expression on like's modes and species with terms as given:
+    nonzero Scalar coefficients and factors that like's checks admit."""
+    expr = object.__new__(SecondQuantizedExpr)
+    expr.n_modes, expr.species, expr.terms = like.n_modes, like.species, terms
+    return expr
 
 
 # -- single-site Pauli images ---------------------------------------------

@@ -124,6 +124,88 @@ class TestStartup:
             env=env, capture_output=True, text=True, timeout=60, check=True)
         assert done.stdout.split() == ["0", str(loads)]
 
+    def test_cli_import_loads_the_cli_alone(self):
+        # each handler imports the qalg modules it runs when it is called,
+        # and the report writer loads json and hashlib only for JSON; the
+        # modules are diffed, as a site .pth file may preload pathlib
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; before = set(sys.modules); import qalg.cli; "
+             "new = set(sys.modules) - before; "
+             "print(sorted(m for m in new if m.startswith('qalg.')), "
+             "sorted(new & {'json', 'hashlib', 'pathlib', 'dataclasses'}))"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "['qalg.cli'] []"
+
+    _PARSE = ("dsl", "errors", "parafermion", "pauli")
+    _CODES = ("codes", "errors", "lie", "parafermion", "pauli")
+
+    @pytest.mark.parametrize("argv, loads", [
+        (["--version"], ()),
+        (["closure", "--expr", "X(0) X(1)", "--expr", "Y(0) Y(1)",
+          "--modes", "2"], _PARSE + ("lie",)),
+        (["classify", "--expr", "X(0) X(1)", "--modes", "2"], _PARSE),
+        (["jw", "--expr", "fd(0) f(1)", "--modes", "2"], _PARSE + ("jw",)),
+        (["jw", "--expr", "ad(0) a(1)", "--modes", "2"], _PARSE),
+        (["jw", "--string-op", "1", "--modes", "2"], _PARSE + ("jw",)),
+        (["enumerate", "-n", "2"], _PARSE),
+        (["code", "list", "-n", "3", "-k", "1"], _CODES),
+        (["code", "generator", "-n", "3", "-k", "1"], _CODES),
+        (["code", "synthesize", "-n", "3", "-k", "1"], _CODES),
+        (["verify", "car"], _CODES + ("jw", "verifier")),
+        (["thermal", "--B", "0.4", "--mu", "1"], ("thermal",)),
+    ])
+    def test_each_verb_loads_only_its_modules(self, argv, loads):
+        # a text report loads neither json nor hashlib, no verb loads
+        # pathlib, and --version loads no qalg module past the CLI
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import contextlib, io, sys\n"
+             "before = set(sys.modules)\n"
+             "from qalg.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    try:\n"
+             f"        code = main({argv!r})\n"
+             "    except SystemExit as stop:\n"
+             "        code = stop.code\n"
+             "new = set(sys.modules) - before\n"
+             "print(code, sorted(m for m in new if m.startswith('qalg.')), "
+             "sorted(new & {'json', 'hashlib', 'pathlib'}))"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        want = sorted(f"qalg.{m}" for m in ("cli", *loads))
+        assert done.stdout.strip() == f"0 {want} []"
+
+    def test_cli_functions_read_only_bound_globals(self):
+        # a handler imports what it runs, so an import it forgets fails only
+        # when the branch that reads the name runs; every global name that
+        # a function or lambda of cli reads must be bound at module level
+        # or be a builtin
+        import builtins
+        import symtable
+
+        path = Path(__file__).resolve().parent.parent / "src" / "qalg" / "cli.py"
+        top = symtable.symtable(path.read_text(), str(path), "exec")
+        bound = {s.get_name() for s in top.get_symbols()
+                 if s.is_assigned() or s.is_imported()} | set(dir(builtins))
+        unbound = []
+
+        def walk(table):
+            for child in table.get_children():
+                if child.get_type() == "function":
+                    unbound.extend(
+                        (child.get_name(), child.get_lineno(), s.get_name())
+                        for s in child.get_symbols()
+                        if s.is_global() and s.is_referenced()
+                        and s.get_name() not in bound)
+                walk(child)
+
+        walk(top)
+        assert not unbound
+
     def test_lie_import_leaves_codes_unloaded(self):
         # codes imports lie for its synthesis closure; lie imports no codes
         src = Path(__file__).resolve().parent.parent / "src"
@@ -426,12 +508,14 @@ class TestClosure:
     @pytest.mark.parametrize("cap", [(), ("--max-dim", "8")])
     def test_each_generator_is_scanned_once(self, tmp_path, monkeypatch, cap):
         # a closed run reads the flags off classify_algebra's seeds, a
-        # capped one off the generators; the chain has seven of each
-        import qalg.cli
+        # capped one off the generators; the chain has seven of each.  The
+        # handler imports them from parafermion when it runs, and lie binds
+        # its own names at import
         import qalg.lie
+        import qalg.parafermion
 
         calls = []
-        for module in (qalg.cli, qalg.lie):
+        for module in (qalg.parafermion, qalg.lie):
             for name in ("conserves_number", "conserves_parity"):
                 def spy(op, real=getattr(module, name), name=name):
                     calls.append(name)
@@ -481,14 +565,14 @@ class TestClassify:
 
     def test_out_of_range_mask_exits_two(self, tmp_path, capsys, monkeypatch):
         # a qubit image whose mask names a missing mode fails where it is
-        # built, as an input error
-        import qalg.cli
+        # built, as an input error; the handler imports to_pauli when it runs
+        import qalg.parafermion
         from qalg.pauli import OperatorSum
 
         def leaky_image(expr):
             return OperatorSum(expr.n_modes, {(1 << expr.n_modes, 0): 1})
 
-        monkeypatch.setattr(qalg.cli, "to_pauli", leaky_image)
+        monkeypatch.setattr(qalg.parafermion, "to_pauli", leaky_image)
         out = tmp_path / "x.json"
         assert main(["classify", "--expr", "n(0)", "--modes", "1",
                      "--out", str(out)]) == 2

@@ -2,6 +2,7 @@
 
 import functools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import qalg.parafermion
 from qalg.errors import SpeciesError
 from qalg.jw import jw_fermion_to_pauli, string_operator
 from qalg.parafermion import (
+    SPECIES,
     GeneratorIndex,
     SecondQuantizedExpr,
     bilinear_su2,
@@ -219,6 +221,53 @@ def pauli_sums(draw):
     mask = st.integers(0, (1 << n) - 1)
     return OperatorSum(n, draw(st.dictionaries(st.tuples(mask, mask), _SCALARS,
                                                max_size=6)))
+
+
+@st.composite
+def expression_pairs(draw):
+    """Two expressions of one species on 1 to 4 modes, each built by the
+    checking constructor from up to four terms of up to three factors, some
+    with zero coefficients, and a number to scale by, zero included."""
+    n = draw(st.integers(1, 4))
+    species = draw(st.sampled_from(SPECIES))
+    coeff = st.one_of(_SCALARS, st.sampled_from(
+        [Scalar(0), Scalar(1), -I_UNIT, 2, Fraction(-1, 3)]))
+    factor = st.tuples(st.sampled_from(("+", "-", "n")),
+                       st.integers(0, n - 1))
+    terms = st.lists(st.tuples(coeff, st.lists(factor, max_size=3)
+                               .map(tuple)), max_size=4)
+    a, b = E(n, species, draw(terms)), E(n, species, draw(terms))
+    return a, b, draw(st.one_of(coeff, st.sampled_from([0, Fraction(0)])))
+
+
+class TestExpressionAlgebra:
+    """Sums, products and adjoints skip the constructor's checks, and build
+    what the checking constructor builds from the same terms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(expression_pairs())
+    def test_results_equal_the_checked_construction(self, case):
+        a, b, k = case
+        n, sp = a.n_modes, a.species
+        flip = {"+": "-", "-": "+", "n": "n"}
+        cases = [
+            (a + b, E(n, sp, a.terms + b.terms)),
+            (a - b, E(n, sp, a.terms + tuple((-c, f) for c, f in b.terms))),
+            (-a, E(n, sp, [(-c, f) for c, f in a.terms])),
+            (a * b, E(n, sp, [(c1 * c2, f1 + f2) for c1, f1 in a.terms
+                              for c2, f2 in b.terms])),
+            (a * k, E(n, sp, [(c * k, f) for c, f in a.terms])),
+            (k * a, E(n, sp, [(c * k, f) for c, f in a.terms])),
+            (a.adjoint(), E(n, sp, [
+                (c.conjugate(), [(flip[kind], m) for kind, m in reversed(f)])
+                for c, f in a.terms])),
+        ]
+        for got, want in cases:
+            assert (got.n_modes, got.species) == (n, sp)
+            assert got.terms == want.terms and type(got.terms) is tuple
+            assert all(type(c) is Scalar and c and type(f) is tuple
+                       for c, f in got.terms)
+            assert got == want and hash(got) == hash(want)
 
 
 @functools.lru_cache(maxsize=None)
