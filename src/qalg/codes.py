@@ -29,13 +29,15 @@ matrices of them are left to the callers that print or cross-check them.
 CodeSubspace.project computes those entries for any block-preserving
 Pauli sum.  encoded_generator does not use it: it writes the Tx and Tz
 entries straight from the codewords, and a test pins them, value and
-order, against the projection of physical_generator.  lie.close_on_subspace
-and synthesize_su_d (``qalg code synthesize``) still project physical
+order, against the projection of physical_generator.  physical_generator
+folds only the part it returns (``parafermion.hopping_part``): no y part
+and no second hop or difference is formed.  lie.close_on_subspace and
+synthesize_su_d (``qalg code synthesize``) still project physical
 operators.  Writing synthesis's generators directly as well would make it
-faster, but the benchmark keeps every round's outputs, so its peak memory
-would rise past its bound; that waits for the benchmark change that
-ROADMAP.md lists as item 1.  This module imports lie for the synthesis
-closure (lie imports no codes).
+faster, but the benchmark keeps every round's outputs, about 0.18 MB per
+round, so its peak memory would rise past its bound as more rounds fit;
+that waits for the benchmark change that ROADMAP.md lists as item 1.  This
+module imports lie for the synthesis closure (lie imports no codes).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from itertools import combinations
 from .errors import ModeMismatchError, SubspaceLeakError
 from .lie import GeneratorSet, LieBasis, close_on_subspace
 from .pauli import ZERO, OperatorSum, Scalar, integer_reading
-from .parafermion import bilinear_su2
+from .parafermion import hopping_part
 
 MAX_TABLE_BITS = 10 * math.comb(10, 5)
 MAX_JSON_MODES = 53
@@ -176,14 +178,11 @@ class EncodedGate:
 
 
 def physical_generator(kind: str, pair, n_modes: int) -> OperatorSum:
-    """The two-mode Hermitian operator whose projection is the encoded gate."""
-    i, j = pair
-    x_like, _, z_like = bilinear_su2((i, j), n_modes, family="hopping")
-    if kind == "x":
-        return x_like
-    if kind == "z":
-        return -z_like  # diagonal entry q_j - q_i on basis states
-    raise ValueError(f"unknown generator kind {kind!r}")
+    """The two-mode Hermitian operator whose projection is the encoded gate:
+    the x or z part of the pair's hopping triple, folded alone
+    (``hopping_part``)."""
+    op = hopping_part(kind, pair, n_modes)
+    return -op if kind == "z" else op  # z: diagonal entry q_j - q_i
 
 
 def encoded_generator(code: CodeSubspace, kind: str, pair) -> EncodedGate:

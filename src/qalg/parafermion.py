@@ -432,29 +432,51 @@ def classify(op: OperatorSum) -> SubalgebraVerdict:
 
 # -- two-mode angular-momentum pairs ---------------------------------------
 
-def bilinear_su2(pair, n_modes: int, family: str = "hopping"):
-    """Angular-momentum triple built from a pair of modes.
+def hopping_part(kind: str, pair, n_modes: int) -> OperatorSum:
+    """One part of the hopping triple on a pair of modes, folded alone.
 
-    family "hopping" is number conserving: X-like is the symmetric hop,
-    Z-like the population difference n_i - n_j.  family "pairing" is
-    parity conserving: X-like creates/destroys the pair, Z-like is
-    n_i + n_j - 1.  In both cases Y-like = i[X-like, Z-like], and the
-    (X, Y/2, Z) rescaling satisfies the standard Pauli relations.
+    kind "x" is the symmetric hop a'_j a_i + a'_i a_j, kind "z" the
+    population difference n_i - n_j; no other part is formed.  The pair is
+    checked first, then the kind, before anything is folded.
     """
     i, j = pair
     if i == j or not (0 <= i < n_modes and 0 <= j < n_modes):
         raise ValueError(f"invalid mode pair {pair!r} on {n_modes} modes")
-    ai = SecondQuantizedExpr.annihilate(i, n_modes)
-    aj = SecondQuantizedExpr.annihilate(j, n_modes)
-    adi = SecondQuantizedExpr.create(i, n_modes)
-    adj = SecondQuantizedExpr.create(j, n_modes)
-    ni = SecondQuantizedExpr.number(i, n_modes)
-    nj = SecondQuantizedExpr.number(j, n_modes)
-    one = SecondQuantizedExpr.constant(1, n_modes)
+    if kind == "x":
+        return to_pauli(SecondQuantizedExpr.create(j, n_modes)
+                        * SecondQuantizedExpr.annihilate(i, n_modes)
+                        + SecondQuantizedExpr.create(i, n_modes)
+                        * SecondQuantizedExpr.annihilate(j, n_modes))
+    if kind == "z":
+        return to_pauli(SecondQuantizedExpr.number(i, n_modes)
+                        - SecondQuantizedExpr.number(j, n_modes))
+    raise ValueError(f"unknown generator kind {kind!r}")
+
+
+def bilinear_su2(pair, n_modes: int, family: str = "hopping"):
+    """Angular-momentum triple built from a pair of modes.
+
+    family "hopping" is number conserving: X-like is the symmetric hop,
+    Z-like the population difference n_i - n_j (both ``hopping_part``).
+    family "pairing" is parity conserving: X-like creates/destroys the
+    pair, Z-like is n_i + n_j - 1.  In both cases Y-like = i[X-like,
+    Z-like], and the (X, Y/2, Z) rescaling satisfies the standard Pauli
+    relations.
+    """
+    i, j = pair
+    if i == j or not (0 <= i < n_modes and 0 <= j < n_modes):
+        raise ValueError(f"invalid mode pair {pair!r} on {n_modes} modes")
     if family == "hopping":
-        x_like = to_pauli(adj * ai + adi * aj)
-        z_like = to_pauli(ni - nj)
+        x_like = hopping_part("x", pair, n_modes)
+        z_like = hopping_part("z", pair, n_modes)
     elif family == "pairing":
+        ai = SecondQuantizedExpr.annihilate(i, n_modes)
+        aj = SecondQuantizedExpr.annihilate(j, n_modes)
+        adi = SecondQuantizedExpr.create(i, n_modes)
+        adj = SecondQuantizedExpr.create(j, n_modes)
+        ni = SecondQuantizedExpr.number(i, n_modes)
+        nj = SecondQuantizedExpr.number(j, n_modes)
+        one = SecondQuantizedExpr.constant(1, n_modes)
         x_like = to_pauli(ai * aj + adj * adi)
         z_like = to_pauli(ni + nj - one)
     else:

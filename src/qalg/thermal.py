@@ -49,7 +49,11 @@ def _fermi(x: float) -> float:
 
 
 def occupation(params: ThermalParams) -> list:
-    """Per-site mean occupations, each strictly inside (0, 1) at finite T."""
+    """Per-site mean occupations, each in [0, 1].
+
+    At finite T a value is exactly 1.0 once (2B - mu)/kT falls below about
+    -37, and exactly 0.0 once it passes about 745: floating point rounds
+    the Fermi function to its ends there."""
     out = []
     for b in params.B:
         gap = 2.0 * b - params.mu

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qalg.codes
+import qalg.parafermion
 from qalg.codes import (
     CodeSubspace,
     EncodedGate,
@@ -20,7 +21,8 @@ from qalg.codes import (
     synthesize_su_d,
 )
 from qalg.errors import ModeMismatchError
-from qalg.pauli import OperatorSum, Scalar, realize
+from qalg.parafermion import bilinear_su2
+from qalg.pauli import OperatorSum, Scalar, integer_terms, realize
 
 
 def dense(gate):
@@ -172,6 +174,32 @@ class TestEncodedGenerators:
         assert all(op.n_terms == 2 for op in ops)
 
 
+class TestPhysicalGenerator:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_parts_of_the_hopping_triple_in_their_order(self, n):
+        for pair in combinations(range(n), 2):
+            x_like, _, z_like = bilinear_su2(pair, n)
+            for kind, want in (("x", x_like), ("z", -z_like)):
+                den, terms = integer_terms(physical_generator(kind, pair, n))
+                want_den, want_terms = integer_terms(want)
+                assert den == want_den
+                assert list(terms.items()) == list(want_terms.items())
+
+    def test_invalid_pairs(self):
+        for pair in ((1, 1), (0, 4), (-1, 0)):
+            for kind in ("x", "z", "y"):
+                with pytest.raises(ValueError, match="invalid mode pair"):
+                    physical_generator(kind, pair, 4)
+
+    def test_kind_is_checked_before_any_fold(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("folded before checking the kind")
+
+        monkeypatch.setattr(qalg.parafermion, "fold_terms", refuse)
+        with pytest.raises(ValueError, match="unknown generator kind"):
+            physical_generator("y", (0, 2), 3)
+
+
 class TestCphase:
     def test_interface_sign_tables(self):
         cp = encoded_cphase(build_code(3, 1), build_code(3, 1))
@@ -228,6 +256,27 @@ class TestSynthesis:
         assert r.counting["links"] == math.comb(4, 2)
         assert r.counting["dim"] == 6
         assert r.counting["interior_condition"]
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (5, 1)])
+    @pytest.mark.parametrize("pairs", ["all", "nearest"])
+    def test_two_folds_and_no_commutator_per_link(self, monkeypatch, n, k,
+                                                  pairs):
+        # each link folds its hop and its difference once; no y part
+        folds = []
+        fold = qalg.parafermion.fold_terms
+
+        def counted(*args):
+            folds.append(args)
+            return fold(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesis formed a commutator")
+
+        monkeypatch.setattr(qalg.parafermion, "fold_terms", counted)
+        monkeypatch.setattr(qalg.parafermion, "commutator", refuse)
+        synthesize_su_d(build_code(n, k), pairs=pairs)
+        links = math.comb(n, 2) if pairs == "all" else n - 1
+        assert len(folds) == 2 * links
 
     def test_pairs_argument_validated(self):
         with pytest.raises(ValueError):

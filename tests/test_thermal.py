@@ -27,6 +27,11 @@ class TestOccupation:
         occ = occupation(ThermalParams(B=(1e8,), mu=1.0, kT=1e-3))
         assert occ[0] == 0.0
 
+    def test_extreme_gaps_round_to_the_ends(self):
+        # the Fermi function reaches both ends of [0, 1] in floating point
+        assert occupation(ThermalParams((400.0,), 0.0)) == [0.0]
+        assert occupation(ThermalParams((0.001,), 100.0)) == [1.0]
+
     def test_sum_rule(self):
         for d in (0.05, 0.17, 0.4):
             occ = occupation(ThermalParams(B=(0.5 + d, 0.5 - d), mu=1.0, kT=0.6))
