@@ -26,7 +26,7 @@ _EXPORTS = {
     "jw": ("boson_approx_commutator", "jw_fermion_to_pauli",
            "string_operator", "verify_car"),
     "lie": ("AlgebraVerdict", "GeneratorSet", "LieBasis", "classify_algebra",
-            "close", "close_on_subspace"),
+            "close", "close_matrices", "close_on_subspace"),
     "codes": ("CodeSubspace", "EncodedGate", "build_code", "encoded_cphase",
               "encoded_generator", "rate", "synthesize_su_d"),
     "thermal": ("ThermalParams", "occupation"),

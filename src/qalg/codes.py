@@ -29,15 +29,14 @@ matrices of them are left to the callers that print or cross-check them.
 CodeSubspace.project computes those entries for any block-preserving
 Pauli sum.  encoded_generator does not use it: it writes the Tx and Tz
 entries straight from the codewords, and a test pins them, value and
-order, against the projection of physical_generator.  physical_generator
-folds only the part it returns (``parafermion.hopping_part``): no y part
-and no second hop or difference is formed.  lie.close_on_subspace and
-synthesize_su_d (``qalg code synthesize``) still project physical
-operators.  Writing synthesis's generators directly as well would make it
-faster, but the benchmark keeps every round's outputs, about 0.18 MB per
-round, so its peak memory would rise past its bound as more rounds fit;
-that waits for the benchmark change that ROADMAP.md lists as item 1.  This
-module imports lie for the synthesis closure (lie imports no codes).
+order, against the projection of physical_generator.  synthesize_su_d
+(``qalg code synthesize``) closes those encoded entries with
+lie.close_matrices, so it builds no Pauli sum and projects nothing.
+physical_generator and project serve lie.close_on_subspace callers, and
+physical_generator the axy-encoded check too; it folds only the part it
+returns (``parafermion.hopping_part``): no y part and no second hop or
+difference is formed.  This module imports lie for the synthesis closure
+(lie imports no codes).
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import ModeMismatchError, SubspaceLeakError
-from .lie import GeneratorSet, LieBasis, close_on_subspace
+from .lie import LieBasis, close_matrices
 from .pauli import ZERO, OperatorSum, Scalar, integer_reading
 from .parafermion import hopping_part
 
@@ -256,7 +255,12 @@ class SynthesisResult:
 
 def synthesize_su_d(code: CodeSubspace, d_limit: int = 20,
                     pairs: str = "all") -> SynthesisResult:
-    """Close projected {Tx(i,j), Tz(i,j)} on the code; full su(d) is success.
+    """Close the encoded {Tx(i,j), Tz(i,j)} on the code; full su(d) is
+    success.
+
+    The generators are encoded_generator's, link by link, x before z, so
+    the closure is that of close_on_subspace on the physical_generator
+    pairs in the same order, element for element.
 
     pairs "all" uses every mode pair i < j, the inventory the counting
     argument assumes: each pair swaps C(N-2, n-1) codeword pairs, and the
@@ -281,11 +285,9 @@ def synthesize_su_d(code: CodeSubspace, d_limit: int = 20,
         links = [(i, j) for i in range(n_big) for j in range(i + 1, n_big)]
     else:
         links = [(i, i + 1) for i in range(n_big - 1)]
-    gens = []
-    for link in links:
-        gens.append(physical_generator("x", link, n_big))
-        gens.append(physical_generator("z", link, n_big))
-    basis = close_on_subspace(GeneratorSet(n_big, gens), code)
+    basis = close_matrices(n_big, d, [
+        encoded_generator(code, kind, link).entries
+        for link in links for kind in ("x", "z")])
     pairs_per_link = math.comb(n_big - 2, n_exc - 1)
     links = math.comb(n_big, 2)
     counting = {

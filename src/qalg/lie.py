@@ -30,11 +30,14 @@ normalized vectors it has decided, so a repeated bracket is rejected
 without a reduction.  And a LieBasis exports its elements only when they
 are first read, each in one key order whichever path built it.
 
-Generators projected onto a code subspace close on the same engine: their
-d x d Hermitian matrices are integer vectors over the matrix units E_jj,
-E_jk + E_kj and i(E_jk - E_kj), with their own bracket.  The subspace's
-own project method supplies those matrices, so this module does not import
-codes; codes imports it.
+Hermitian d x d matrices on a code subspace close on the same engine:
+they are integer vectors over the matrix units E_jj, E_jk + E_kj and
+i(E_jk - E_kj), with their own bracket.  close_matrices takes them as exact
+entries {(row, col): number} and refuses non-Hermitian, inexact or
+irrational ones.  close_on_subspace projects each generator with the
+subspace's own project method and closes the result through it; code
+synthesis hands it the codeword-written generators directly.  So this
+module does not import codes; codes imports it.
 """
 
 from __future__ import annotations
@@ -654,22 +657,63 @@ def close_on_subspace(generator_set: GeneratorSet, subspace,
     Each generator must act on the subspace's modes and preserve it
     exactly (subspace.project checks both, symbolically on the codeword
     basis states, and raises ModeMismatchError or SubspaceLeakError).  The
-    projected d x d matrices are rational, so they close on the same exact
-    engine as close: every dimension is an exact rank.  The
+    projected d x d matrices then close through close_matrices.
+    """
+    return close_matrices(
+        generator_set.n_modes, subspace.dim,
+        [subspace.project(g) for g in generator_set.generators], max_dim)
+
+
+def close_matrices(n_modes: int, d: int, matrices,
+                   max_dim: int | None = None) -> LieBasis:
+    """Exact Lie closure of Hermitian d x d matrices on a code of n_modes
+    modes, each given as its entries {(row, col): number}.
+
+    The entries must be exact and rational (ints, Fractions or Scalars
+    without sqrt(2) parts), and each entry's mirror across the diagonal its
+    conjugate, a missing entry reading as zero; anything else, or an entry
+    outside the d x d matrix, raises ValueError.  A matrix of no entries is
+    allowed and adds nothing.  The matrices close on the same exact engine
+    as close, so every dimension is an exact rank.  The
     identity-on-subspace component is tracked so both dimensions are
     reported.
     """
-    n = generator_set.n_modes
-    d = subspace.dim
+    if d < 1:
+        raise ValueError(f"matrix size must be positive, got {d}")
+    matrices = list(matrices)
+    if not matrices:
+        raise ValueError("empty generator set")
+    for entries in matrices:
+        _check_matrix(entries, d)
     return _closure(
-        n, [_matrix_vec(subspace.project(g), d)
-            for g in generator_set.generators],
+        n_modes, [_matrix_vec(entries, d) for entries in matrices],
         bracket=lambda va, vb: _matrix_bracket(va, vb, d),
         identity={j * (d + 1): 1 for j in range(d)},
         full_dim=d * d, max_dim=max_dim,
         export=lambda vec: {rc: Scalar(re, im) for rc, (re, im)
                             in sorted(_matrix_entries(vec, d).items())},
         subspace_dim=d)
+
+
+def _check_matrix(entries: dict, d: int) -> None:
+    """Refuse, with ValueError, entries that close_matrices cannot close."""
+    readings = {}
+    for (r, c), value in entries.items():
+        if not (0 <= r < d and 0 <= c < d):
+            raise ValueError(f"entry ({r}, {c}) lies outside a {d} x {d} "
+                             f"matrix")
+        try:
+            reading = integer_reading(value)
+        except TypeError as exc:
+            raise ValueError(f"exact closure requires exact entries; "
+                             f"{exc}") from None
+        if len(reading[1]) != 2:
+            raise ValueError("exact closure requires rational coefficients; "
+                             "irrational coefficient encountered")
+        readings[r, c] = reading
+    for (r, c), (den, (re, im)) in readings.items():
+        if readings.get((c, r), (1, (0, 0))) != (den, (re, -im)):
+            raise ValueError("generators must be Hermitian")
 
 
 # -- classification --------------------------------------------------------

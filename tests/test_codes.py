@@ -9,6 +9,7 @@ import pytest
 
 import qalg.codes
 import qalg.parafermion
+import qalg.pauli
 from qalg.codes import (
     CodeSubspace,
     EncodedGate,
@@ -21,6 +22,7 @@ from qalg.codes import (
     synthesize_su_d,
 )
 from qalg.errors import ModeMismatchError
+from qalg.lie import GeneratorSet, close_on_subspace
 from qalg.parafermion import bilinear_su2
 from qalg.pauli import OperatorSum, Scalar, integer_terms, realize
 
@@ -259,24 +261,50 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("n, k", [(4, 2), (5, 1)])
     @pytest.mark.parametrize("pairs", ["all", "nearest"])
-    def test_two_folds_and_no_commutator_per_link(self, monkeypatch, n, k,
-                                                  pairs):
-        # each link folds its hop and its difference once; no y part
-        folds = []
-        fold = qalg.parafermion.fold_terms
+    def test_no_fold_projection_or_commutator(self, monkeypatch, n, k,
+                                              pairs):
+        # the generators are read off the codewords: no Pauli sum is
+        # folded, projected onto the code or bracketed
+        calls = []
 
-        def counted(*args):
-            folds.append(args)
-            return fold(*args)
+        def spy(owner, name):
+            original = getattr(owner, name)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("synthesis formed a commutator")
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
 
-        monkeypatch.setattr(qalg.parafermion, "fold_terms", counted)
-        monkeypatch.setattr(qalg.parafermion, "commutator", refuse)
-        synthesize_su_d(build_code(n, k), pairs=pairs)
-        links = math.comb(n, 2) if pairs == "all" else n - 1
-        assert len(folds) == 2 * links
+        spy(qalg.parafermion, "fold_terms")
+        spy(CodeSubspace, "project")
+        spy(qalg.parafermion, "commutator")
+        spy(qalg.pauli, "commutator")
+        r = synthesize_su_d(build_code(n, k), pairs=pairs)
+        assert r.basis.dimension_traceless > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_same_closure_as_the_projected_physical_generators(self, n):
+        # every code with dim <= 20 on up to 7 modes, both pair ranges:
+        # the encoded generators close exactly as their physical twins
+        for k in range(1, n):
+            code = build_code(n, k)
+            if code.dim > 20:
+                continue
+            for pairs, links in (
+                    ("all", list(combinations(range(n), 2))),
+                    ("nearest", [(i, i + 1) for i in range(n - 1)])):
+                got = synthesize_su_d(code, pairs=pairs).basis
+                want = close_on_subspace(GeneratorSet(n, [
+                    physical_generator(kind, link, n)
+                    for link in links for kind in ("x", "z")]), code)
+                fields = ("n_modes", "subspace_dim", "dimension",
+                          "dimension_traceless", "closed", "rounds",
+                          "provenance")
+                assert ([getattr(got, f) for f in fields]
+                        == [getattr(want, f) for f in fields]), (k, pairs)
+                assert ([list(e.items()) for e in got.basis]
+                        == [list(e.items()) for e in want.basis]), (k, pairs)
 
     def test_pairs_argument_validated(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from qalg.lie import (
     GeneratorSet,
     classify_algebra,
     close,
+    close_matrices,
     close_on_subspace,
 )
 from qalg.parafermion import (
@@ -463,6 +464,57 @@ class TestSubspaceClosures:
             close_on_subspace(GeneratorSet(3, [OperatorSum.x(0, 3)]),
                               build_code(3, 1))
 
+
+class TestCloseMatrices:
+    """close_matrices takes exact Hermitian entries and refuses the rest
+    with ValueError, as GeneratorSet does for operators."""
+
+    def test_entries_of_any_exact_type_close_alike(self):
+        # sigma_x and sigma_y on two states: int, Fraction or Scalar entries
+        want = close_matrices(1, 2, [{(0, 1): 1, (1, 0): 1},
+                                     {(0, 1): Scalar(0, -1),
+                                      (1, 0): Scalar(0, 1)}])
+        got = close_matrices(1, 2, [{(0, 1): Fraction(1, 2),
+                                     (1, 0): Fraction(1, 2)},
+                                    {(0, 1): -I_UNIT, (1, 0): I_UNIT}])
+        assert want == got
+        assert (got.dimension, got.dimension_traceless) == (3, 3)
+        assert got.subspace_dim == 2 and got.n_modes == 1
+
+    def test_empty_matrix_adds_nothing(self):
+        # a generator that vanishes on the code is skipped, as
+        # close_on_subspace skips its projection
+        basis = close_matrices(2, 2, [{}, {(0, 0): 1, (1, 1): -1}])
+        assert basis.dimension == 1
+
+    @pytest.mark.parametrize("entries", [
+        {(0, 1): 1},                               # missing mirror
+        {(0, 1): 1, (1, 0): 2},                    # unequal mirrors
+        {(0, 0): Scalar(0, 1)},                    # imaginary diagonal
+        {(0, 1): Scalar(1, 1), (1, 0): Scalar(1, 1)},  # mirror not conjugate
+    ])
+    def test_non_hermitian_entry_refused(self, entries):
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            close_matrices(1, 2, [{(0, 0): 1}, entries])
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, 1j])
+    def test_float_entry_refused(self, value):
+        with pytest.raises(ValueError, match="exact entries"):
+            close_matrices(1, 2, [{(0, 0): value}])
+
+    def test_irrational_entry_refused(self):
+        with pytest.raises(ValueError, match="rational coefficients"):
+            close_matrices(1, 2, [{(0, 1): RT2_HALF, (1, 0): RT2_HALF}])
+
+    @pytest.mark.parametrize("d, matrices", [
+        (2, []),
+        (0, [{}]),
+        (2, [{(0, 2): 1, (2, 0): 1}]),
+        (2, [{(-1, 0): 1, (0, -1): 1}]),
+    ])
+    def test_shape_refused(self, d, matrices):
+        with pytest.raises(ValueError):
+            close_matrices(1, d, matrices)
 
 def _flag_case(name):
     """Generators of u(N), so(2N) or su(2^N) at N = 2, 3, or of a pinned
