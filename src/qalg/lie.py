@@ -11,14 +11,17 @@ estimates.
 Independence starts out decided on an integer echelon: a vector is reduced
 on the smallest key by gcd-normalized cross-multiplication, and its
 nonzero rest becomes the next element.  Those rows can grow to thousands
-of bits.  Once one holds an entry of 2**61 - 1 or more, the closure
-switches its elements to the raw brackets, whose entries grow only with
-bracket depth, and decides on an echelon of them modulo that prime, whose
-rows are packed one lane per key into an int: one multiply-add per row.
-Independence mod p implies independence over Q; a dependence mod p counts
-only after the combination, rebuilt by rational reconstruction, passes an
-exact integer identity check, and otherwise the integer echelon decides
-again.  No tolerance and no probabilistic step ever decides.
+of bits.  Once one holds an entry of 2**8 or more (of p = 2**61 - 1 or
+more above 256 keys), the closure switches its elements to the raw
+brackets, whose entries grow only with bracket depth, and decides on an
+echelon of them modulo p, whose rows are packed one lane per key into an
+int: one multiply-add per row.  The switch is one-way.  Independence mod p
+implies independence over Q.  A dependence mod p counts once the
+combination, rebuilt by rational reconstruction, passes an exact integer
+identity check, or the span's reduced echelon basis, rebuilt the same way
+and checked against every element, holds the vector; otherwise p-adic
+lifting of the combination decides it either way.  No tolerance and no
+probabilistic step ever decides.
 
 Three things keep a closure cheap without changing an answer.  The
 bracket works each sign out from bit counts, term pair by term pair; for
@@ -46,6 +49,7 @@ import math
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 from .pauli import (OperatorSum, Scalar, from_integers, integer_reading,
@@ -95,13 +99,14 @@ class LieBasis:
     provenance[k] is None for a seed generator and (i, j) when element k
     came from i[basis_i, basis_j].  Element k is that bracket, or the
     generator, reduced against the elements before it (an integer echelon
-    row); a closure that ends on the modular echelon reports the raw
-    brackets instead, each the primitive integer multiple of i[basis_i,
-    basis_j] itself, and its seeds as the primitive generators.  Either way
-    element k equals its bracket up to a nonzero factor plus earlier
-    elements, so the span after each element, and every other field, is the
-    same.  dimension counts all independent elements; the traceless count
-    excludes an identity component when one lies in the span.
+    row); a closure that switches to the modular echelon ends there and
+    reports the raw brackets instead, each the primitive integer multiple
+    of i[basis_i, basis_j] itself, and its seeds as the primitive
+    generators.  Either way element k equals its bracket up to a nonzero
+    factor plus earlier elements, so the span after each element, and every
+    other field, is the same.  dimension counts all independent elements;
+    the traceless count excludes an identity component when one lies in
+    the span.
     """
 
     n_modes: int
@@ -349,9 +354,52 @@ def _reduce(vec: dict, pivots: dict) -> dict:
 
 # -- exact span membership -------------------------------------------------
 
-# Residues of the modular echelon live in Z/pZ for this Mersenne prime.  It
-# is read at call time: any prime gives the same answers, only more slowly.
+# The modular echelon starts modulo this Mersenne prime, read at call time:
+# any prime gives the same answers, only more slowly.
 _MODULUS = (1 << 61) - 1
+
+# On at most _WALK_KEYS keys, the integer echelon hands over to the modular
+# one once a row holds an entry of at least this, or of p when p is
+# smaller: integer rows only grow from there, and on 3-mode dense pairs
+# switching here instead of at p cut the elements held at the switch from 9
+# to 4 and exact-closure task_tail_ms by about a tenth.  On more keys a
+# packed row spans every key from its lead to its last, up to 4**n lanes,
+# and sparse closures whose rows pass this entry (weighted fermion chains
+# on 8-12 modes) would run out of memory, so the switch waits for p.
+_SWITCH_AT = 1 << 8
+
+# Miller-Rabin to these bases is exact below 3.3 * 10**24 (Sorenson and
+# Webster, 2015), far above any modulus a span reaches.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin to _PRIME_BASES."""
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _next_prime(n: int) -> int:
+    """The least prime above n: the modulus a span moves to from n."""
+    n += 1
+    while not _is_prime(n):
+        n += 1
+    return n
 
 
 def _rational(a: int, p: int):
@@ -367,31 +415,56 @@ def _rational(a: int, p: int):
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
+def _unpack(packed: int, size: int) -> dict:
+    """{k: v} for the nonzero lanes of sum v * 2**(8 * size * k), each v of
+    size less than 2**(8 * size - 1), read from the lowest nonzero lane to
+    the highest: an offset of half a lane in each makes every lane hold
+    v + half, from 0 to its top."""
+    if not packed:
+        return {}
+    width = 8 * size
+    low = ((packed & -packed).bit_length() - 1) // width
+    lanes = (abs(packed).bit_length() + width) // width - low
+    half = 1 << (width - 1)
+    raw = ((packed >> (low * width)) + int.from_bytes(
+        half.to_bytes(size, "little") * lanes, "little")).to_bytes(
+            lanes * size, "little")
+    return {low + k: v for k in range(lanes) if (v := int.from_bytes(
+        raw[k * size:(k + 1) * size], "little") - half)}
+
+
+def _pack_signed(vec: dict, size: int) -> int:
+    """sum v * 2**(8 * size * k) over the entries v of key k."""
+    def pack(entries):
+        parts = [bytes(size)] * (max(entries, default=0) + 1)
+        for k, v in entries.items():
+            parts[k] = v.to_bytes(size, "little")
+        return int.from_bytes(b"".join(parts), "little")
+    return (pack({k: v for k, v in vec.items() if v > 0})
+            - pack({k: -v for k, v in vec.items() if v < 0}))
+
+
 class _Span:
     """Exact span membership over Q for one closure run.
 
     It starts as the integer echelon of _reduce, whose rows are the
     elements.  Those rows can grow to thousands of bits, so when a row
-    first holds an entry of at least p = _MODULUS, the span switches: the
-    elements become the raw brackets, the seeds stay the primitive
-    generators and element k is recomputed from its provenance (i, j) as
-    _normalize(bracket(raw_i, raw_j)).  If the raw elements are independent
-    mod p, an echelon mod p of them decides from then on:
+    first holds an entry of at least switch_at (see _SWITCH_AT), the span
+    switches, for good: the elements become the raw brackets, the seeds
+    stay the primitive generators and element k is recomputed from its
+    provenance (i, j) as _normalize(bracket(raw_i, raw_j)).  An echelon
+    modulo a prime p of the raw elements decides from then on.  A vector
+    independent mod p is independent over Q, because the elements are
+    independent mod p.  A vector dependent mod p is dependent when
+    _dependent proves it, and otherwise joins the elements.
 
-    * a vector independent mod p is independent over Q, because the
-      elements are independent mod p;
-    * a vector dependent mod p is dependent only if its combination of the
-      elements, rebuilt by rational reconstruction, passes an exact integer
-      identity check.
-
-    When that check fails, or the raw elements are dependent mod p at the
-    switch, the span returns to the integer echelon for good: it reduces
-    the raw elements found meanwhile onto it, and the elements become the
-    echelon rows again.  (A failed check usually means the span's relations
-    have large coefficients, as in closures that stop short of su(2^N), so
-    later checks would fail too.)  Element k equals bracket(b_i, b_j) up to
-    a nonzero factor plus earlier elements in every phase, so each span, and
-    with it every answer, is the one the integer echelon alone gives.
+    The elements stay independent mod p: when raw elements are dependent
+    mod p at the switch, or a vector independent over Q but dependent mod p
+    joins them, the span moves to the least prime above p and rebuilds its
+    echelon, so its moduli are _MODULUS and then the primes above it in
+    increasing order.  Element k equals bracket(b_i, b_j) up to a nonzero
+    factor plus earlier elements on either echelon, so each span, and with
+    it every answer, is the one the integer echelon alone gives.
 
     _rest alone decides membership.  It normalizes the vector first, and
     decided holds the frozen items of every normalized vector found in the
@@ -400,19 +473,24 @@ class _Span:
     unique, so pivots and rows each hold the row of element k as their k-th
     entry.
 
-    A modular row is packed: residue c of key k sits in lane k - lead, each
-    lane 2 * bitlen(p) + 64 bits or more, scaled so the lead's lane holds 1.
-    _mod_reduce walks a packed vector upward, shifting out each lane once
-    read, and clears a pivot's lane with one multiply-add (p - f) * row.
+    A modular row is packed: residue c of key k sits in lane k - lead,
+    scaled so the lead's lane holds 1.  _mod_reduce walks a packed vector
+    upward, shifting out each lane once read, and clears a pivot's lane with
+    one multiply-add (p - f) * row.  A lane starts below p and gains less
+    than p**2 from each row, and the span holds at most full_dim rows, so
+    2 * bitlen(p) + bitlen(full_dim) + 1 bits, rounded up to bytes, never
+    overflow before the lane is read.
     """
 
-    def __init__(self, bracket):
+    def __init__(self, bracket, full_dim: int):
         self.bracket = bracket
+        self.full_dim = full_dim
+        self.switch_at = (min(_SWITCH_AT, _MODULUS) if full_dim <= _WALK_KEYS
+                          else _MODULUS)
         self.elements: list = []
         self.provenance: list = []
         self.seeds: dict = {}   # index -> primitive seed vector
         self.pivots: dict = {}  # integer echelon: lead key -> row
-        self.switched = False
         self.rows = None        # mod p: lead -> (packed row, inv, factors)
         self.decided = set()    # frozenset(vec.items()) of vectors in the span
 
@@ -425,14 +503,18 @@ class _Span:
         if src is None:
             self.seeds[len(self.elements)] = vec
         self.provenance.append(src)
-        if factors is not None:
-            self._mod_add(rest, factors)
-            self.elements.append(vec)
+        if self.rows is None:
+            self.pivots[min(rest)] = rest
+            self.elements.append(rest)
+            if max(map(abs, rest.values())) >= self.switch_at:
+                self._switch()
             return True
-        self.pivots[min(rest)] = rest
-        self.elements.append(rest)
-        if not self.switched and max(map(abs, rest.values())) >= _MODULUS:
-            self._switch()
+        self.elements.append(vec)
+        self.emax = max(self.emax, *map(abs, vec.values()))
+        if factors is None:  # independent over Q, dependent mod p
+            self._rebuild(_next_prime(self.p))
+        else:
+            self._mod_add(rest, factors)
         return True
 
     def __contains__(self, vec: dict) -> bool:
@@ -440,55 +522,62 @@ class _Span:
 
     def _rest(self, vec: dict):
         """(vec, rest, factors), vec normalized: rest is empty exactly when
-        vec lies in the span.  factors is None when the memo or the integer
-        echelon decided, and rest is then vec reduced on that echelon;
-        otherwise rest and factors are those of _mod_reduce."""
+        vec lies in the span.  On the integer echelon, factors is None and
+        rest is vec reduced on it; on the modular echelon, a vector that the
+        span's reduced basis holds, once built, needs no walk, and otherwise
+        rest and factors are those of _mod_reduce, except that a vector
+        dependent mod p but independent over Q comes back as rest vec and
+        factors None."""
         vec = _normalize(vec)
         key = frozenset(vec.items())
         if key in self.decided:
             return vec, {}, None
-        factors = None
-        if self.rows is not None:
+        if self.rows is None:
+            rest, factors = _reduce(vec, self.pivots), None
+        elif self._held(vec):
+            rest, factors = {}, None
+        else:
             rest, factors = self._mod_reduce(vec)
-            if not rest and not self._certified(vec, factors):
-                self._unswitch()
-                factors = None
-        if factors is None:
-            rest = _reduce(vec, self.pivots)
+            if not rest and not self._dependent(vec, factors):
+                rest, factors = vec, None
         if not rest:
             self.decided.add(key)
         return vec, rest, factors
 
     def _switch(self):
-        self.switched = True
         raw = []
         for k, src in enumerate(self.provenance):
             raw.append(self.seeds[k] if src is None else _normalize(
                 self.bracket(raw[src[0]], raw[src[1]])))
         self.elements[:] = raw
-        self.rows = {}
-        # bytes per lane: a lane starts below p and gains less than p**2
-        # from each of fewer than 2**63 rows (sys.maxsize) before it is read
-        self.lane_bytes = (2 * _MODULUS.bit_length() + 71) // 8
-        for vec in raw:
-            rest, factors = self._mod_reduce(vec)
-            if not rest:
-                self._unswitch()
-                return
-            self._mod_add(rest, factors)
+        self.pivots = None
+        self.emax = max((abs(c) for vec in raw for c in vec.values()),
+                        default=0)
+        self.den = 1            # the last denominator that certified
+        self.exact: dict = {}   # lane bytes -> elements packed exactly
+        self.reduced = (-1, None)  # (elements, _reduced's basis or None)
+        self._rebuild(_MODULUS)
 
-    def _unswitch(self):
-        """Back to the integer echelon for good, its rows as the elements."""
-        for element in self.elements[len(self.pivots):]:
-            row = _reduce(element, self.pivots)
-            self.pivots[min(row)] = row
-        self.elements[:] = self.pivots.values()
-        self.rows = None
+    def _rebuild(self, p: int):
+        """The echelon mod p of the elements, or mod the next prime above p
+        when they are dependent mod p."""
+        while True:
+            self.p, self.rows, self.combs = p, {}, {}
+            self.lane_bytes = (2 * p.bit_length()
+                               + self.full_dim.bit_length() + 8) // 8
+            for vec in self.elements:
+                rest, factors = self._mod_reduce(vec)
+                if not rest:
+                    break
+                self._mod_add(rest, factors)
+            else:
+                return
+            p = _next_prime(p)
 
     def _mod_reduce(self, vec: dict):
         """(rest, factors) with vec = rest + sum f * rows[lead] (mod p) over
         (lead, f) in factors, in ascending lead order, by the lane walk."""
-        p, width = _MODULUS, 8 * self.lane_bytes
+        p, width = self.p, 8 * self.lane_bytes
         mask, key, rows = (1 << width) - 1, min(vec), self.rows
         lanes, rest, factors = self._pack(vec, key), {}, []
         while lanes:
@@ -509,7 +598,7 @@ class _Span:
     def _mod_add(self, rest: dict, factors: list):
         """Add the row of the next element b: rest = b - sum f * rows[lead],
         scaled to 1 at its lead."""
-        p = _MODULUS
+        p = self.p
         lead = min(rest)
         inv = pow(rest[lead], -1, p)
         self.rows[lead] = (self._pack({k: c * inv for k, c in rest.items()},
@@ -517,7 +606,7 @@ class _Span:
 
     def _pack(self, vec: dict, lead: int) -> int:
         """The residues of vec mod p as one int, key k in lane k - lead."""
-        size, p = self.lane_bytes, _MODULUS
+        size, p = self.lane_bytes, self.p
         parts = [bytes(size)] * (max(vec) - lead + 1)
         for k, c in vec.items():
             parts[k - lead] = (c % p).to_bytes(size, "little")
@@ -529,7 +618,7 @@ class _Span:
         The row of element l is inv * (elements[l] - sum f * rows[lead])
         over its own factors, which name only rows made before it, so one
         pass from the newest row back resolves every row."""
-        p = _MODULUS
+        p = self.p
         coeffs = dict(factors)
         comb = {}
         for index, lead in reversed(list(enumerate(self.rows))):
@@ -542,22 +631,185 @@ class _Span:
                     coeffs[r] = coeffs.get(r, 0) - c * f
         return comb
 
-    def _certified(self, vec: dict, factors: list) -> bool:
-        """Whether vec is exactly the rational combination of elements that
-        its combination mod p reconstructs to."""
-        fractions = []
-        for l, c in self._combination(factors).items():
-            q = _rational(c, _MODULUS)
-            if q is None:
+    def _dependent(self, vec: dict, factors: list) -> bool:
+        """Whether vec, dependent mod p by factors, lies in the span over Q.
+
+        Most often its combination mod p, rebuilt by rational
+        reconstruction, passes an exact check at once.  Otherwise the
+        reduced echelon basis of the span decides, when it has one with
+        small entries, and else Dixon's p-adic lifting (Numer. Math. 40,
+        1982).  x holds the combination modulo q = p**t after t lifts, and
+        r = (vec - sum x_l * elements[l]) / q is an integer vector; each
+        lift walks r to its combination mod p, the next p-adic digit of x.
+        The elements are independent mod p, so a rational combination has
+        no p in its denominators and every r lies in their span mod p: a
+        nonzero rest proves vec independent.  The lift ends either way: for
+        an independent vec, some integer w orthogonal to the elements has
+        w . r = w . vec / q, a nonzero integer, so p**t divides w . vec; for
+        a dependent one, _certified succeeds once q is large enough."""
+        p = q = self.p
+        digits = self._combination(factors)
+        x = dict(digits)
+        if self._certified(vec, x, q, True):
+            return True
+        reduced = self._reduced()
+        if reduced is not None:
+            return self._in_reduced(vec, reduced)
+        r, lifts = vec, 0
+        while True:
+            r = self._lift(r, digits)
+            if not r:  # vec = sum x_l * elements[l] exactly
+                return True
+            rest, factors = self._mod_reduce(r)
+            if rest:
                 return False
-            fractions.append((l, *q))
-        den = math.lcm(*(d for _, _, d in fractions))
-        acc = {k: den * v for k, v in vec.items()}
-        for l, num, d in fractions:
-            f = num * (den // d)
-            for k, x in self.elements[l].items():
-                acc[k] = acc.get(k, 0) - f * x
+            lifts += 1
+            digits = self._digits(factors)
+            for l, c in digits.items():
+                x[l] = x.get(l, 0) + c * q
+            q *= p
+            if self._certified(vec, x, q, not lifts & (lifts - 1)):
+                return True
+
+    def _certified(self, vec: dict, x: dict, q: int, rebuild: bool) -> bool:
+        """Whether vec, equal to sum x_l * elements[l] mod q, is exactly
+        L * vec = sum z_l * elements[l] for a denominator L and the residues
+        z_l of L * x_l mod q of least size.
+
+        L * vec - sum z_l * elements[l] is 0 mod q, so when L * max|vec| +
+        emax * sum |z_l| < q / 2, each of its entries is a multiple of q
+        smaller than q, so 0.  That bound is tried with the last
+        denominator that certified, since the combinations in one span
+        share denominators.  With rebuild (after 0, 1, 2, 4, 8, ... lifts,
+        as rational reconstruction costs more than a lift), L is rebuilt
+        from x by reconstruction, and the identity is checked exactly when
+        the bound does not yet hold."""
+        vmax = max(map(abs, vec.values()))
+
+        def bounded(den):
+            size = 0
+            for c in x.values():
+                z = den * c % q
+                size += min(z, q - z)
+                if 2 * (den * vmax + self.emax * size) >= q:
+                    return False
+            return True
+
+        if bounded(self.den):
+            return True
+        if not rebuild:
+            return False
+        den = 1
+        for c in x.values():
+            frac = _rational(den * c % q, q)
+            if frac is None:
+                return False
+            den *= frac[1]
+        if not bounded(den):
+            acc = {k: den * v for k, v in vec.items()}
+            for l, c in x.items():
+                z = (den * c + q // 2) % q - q // 2
+                for k, e in self.elements[l].items():
+                    acc[k] = acc.get(k, 0) - z * e
+            if any(acc.values()):
+                return False
+        self.den = den
+        return True
+
+    def _reduced(self):
+        """The reduced echelon basis of the span over Q, {lead: {key: c}}
+        with each row's entries off the leads, or None.
+
+        It is the reduced echelon basis mod p, back-substituted from the
+        highest lead down and each entry rebuilt by rational
+        reconstruction, once every element passes _in_reduced: its rows are
+        independent and as many as the elements, so they span the same
+        space.  Closures that stop short of full_dim often span Pauli
+        strings, whose basis has no entries off the leads, and there the
+        last round's brackets, all dependent, are decided without a lift.
+        Built once per span; the first entry that reconstruction cannot
+        rebuild leaves None."""
+        if self.reduced[0] == len(self.elements):
+            return self.reduced[1]
+        p, size, residues, basis = self.p, self.lane_bytes, {}, {}
+        for lead in sorted(self.rows, reverse=True):
+            row = {lead + k: c for k, c
+                   in _unpack(self.rows[lead][0], size).items() if k}
+            for t in [k for k in row if k in residues]:
+                f = row.pop(t)
+                for k, c in residues[t].items():
+                    row[k] = (row.get(k, 0) - f * c) % p
+            residues[lead] = {k: c for k, c in row.items() if c}
+            basis[lead] = {}
+            for k, c in residues[lead].items():
+                frac = _rational(c, p)
+                if frac is None:
+                    basis = None
+                    break
+                basis[lead][k] = Fraction(*frac)
+            if basis is None:
+                break
+        if basis is not None and not all(
+                self._in_reduced(e, basis) for e in self.elements):
+            basis = None
+        self.reduced = (len(self.elements), basis)
+        return basis
+
+    def _held(self, vec: dict) -> bool:
+        """Whether the reduced basis of the current span, when it was built
+        and exists, holds vec."""
+        count, basis = self.reduced
+        return (count == len(self.elements) and basis is not None
+                and self._in_reduced(vec, basis))
+
+    @staticmethod
+    def _in_reduced(vec: dict, basis: dict) -> bool:
+        """Whether vec is sum vec[lead] * (lead + basis[lead]) exactly."""
+        acc = {k: -v for k, v in vec.items() if k not in basis}
+        for lead, v in vec.items():
+            for k, c in basis.get(lead, {}).items():
+                acc[k] = acc.get(k, 0) + v * c
         return not any(acc.values())
+
+    def _digits(self, factors: list) -> dict:
+        """_combination(factors), from the rows' combinations of the
+        elements, packed one lane per element and summed lane by lane: a
+        lift needs one per step, and each costs one multiply-add per row
+        where _combination walks every row's factors.  The packed
+        combinations cost more to build than a closure that never lifts
+        spends on _combination, so only lifts build them."""
+        p = self.p
+        total = sum(f * self._comb(lead) for lead, f in factors)
+        return {l: r for l, c in _unpack(total, self.lane_bytes).items()
+                if (r := c % p)}
+
+    def _comb(self, lead: int) -> int:
+        """The combination of the elements that rows[lead] is, packed one
+        lane per element, built on first use with those of the rows before
+        it."""
+        if lead not in self.combs:
+            for index, (key, (_, inv, factors)) in enumerate(
+                    self.rows.items()):
+                if key not in self.combs:
+                    comb = {l: -inv * c for l, c
+                            in self._digits(factors).items()}
+                    comb[index] = inv
+                    self.combs[key] = self._pack(comb, 0)
+                if key == lead:
+                    break
+        return self.combs[lead]
+
+    def _lift(self, r: dict, digits: dict) -> dict:
+        """(r - sum c * elements[l]) / p over (l, c) in digits, exactly,
+        on the elements packed with signed lanes wide enough for r."""
+        bound = max(map(abs, r.values())) + sum(digits.values()) * self.emax
+        size = -(-(bound.bit_length() + 1) // 64) * 8
+        packed = self.exact.setdefault(size, [])
+        for vec in self.elements[len(packed):]:
+            packed.append(_pack_signed(vec, size))
+        acc = _pack_signed(r, size)
+        acc -= sum(c * packed[l] for l, c in digits.items())
+        return _unpack(acc // self.p, size)
 
 
 # -- closure engine --------------------------------------------------------
@@ -575,7 +827,7 @@ def _closure(n_modes: int, seeds, bracket, identity: dict, full_dim: int,
     if max_dim is not None and max_dim < 1:
         raise ValueError(f"max_dim must be at least 1, got {max_dim}")
     cap = full_dim if max_dim is None else min(max_dim, full_dim)
-    span = _Span(bracket)
+    span = _Span(bracket, full_dim)
     vectors = span.elements
 
     for vec in seeds:

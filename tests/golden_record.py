@@ -221,6 +221,7 @@ def library_cases() -> dict:
         "lib close u5_chain": _closure("u5_chain"),
         "lib close so8_fermion": _closure("so8_fermion"),
         "lib close dense_pair_3": _closure("dense_pair_3"),
+        "lib close dense_pair_4term": _closure("dense_pair_4term"),
         "lib close_on_subspace C(4,2) all": _synthesis(4, 2, "all"),
         "lib close_on_subspace C(4,2) nearest": _synthesis(4, 2, "nearest"),
         "lib close_on_subspace C(5,1) nearest": _synthesis(5, 1, "nearest"),

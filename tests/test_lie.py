@@ -377,11 +377,27 @@ def dense_closure_dimension(gens, tol: float = 1e-9) -> int:
     return len(elements)
 
 
+def _coefficient_rows(basis) -> list:
+    """The exported elements as rows of exact coefficients: a full-space
+    element's real parts over the keys of every element, a subspace
+    element's real and imaginary parts of every entry."""
+    if basis.subspace_dim is None:
+        terms = [integer_terms(op)[1] for op in basis.basis]
+        keys = sorted({k for t in terms for k in t})
+        return [[t.get(k, (0, 0))[0] for k in keys] for t in terms]
+    d = basis.subspace_dim
+    cells = [(r, c) for r in range(d) for c in range(d)]
+    return [[part for rc in cells for part in (
+        (e[rc].re, e[rc].im) if rc in e else (0, 0))] for e in basis.basis]
+
+
 def _check_dense(basis):
-    """numpy oracle for a closure: the realized basis has full rank, element
-    k is i[b_i, b_j] up to a factor and the elements before it, and no
-    bracket of two basis elements leaves the span.  Elements are scaled to
-    unit norm, so that ranks do not depend on their lengths."""
+    """Oracle for a closure: the exported elements are independent, by an
+    exact rank, and in numpy element k is i[b_i, b_j] up to a factor and
+    the elements before it, and no bracket of two basis elements leaves the
+    span.  The float ranks scale elements to unit norm, so that they do not
+    depend on their lengths; full rank is decided exactly, because an
+    independent basis can be too ill-conditioned for a float rank to see."""
     def rank(mats):
         return np.linalg.matrix_rank(np.array([m.reshape(-1) for m in mats]))
 
@@ -390,7 +406,7 @@ def _check_dense(basis):
     else:
         mats = [_dense(b, basis.subspace_dim) for b in basis.basis]
     mats = [m / np.linalg.norm(m) for m in mats]
-    assert rank(mats) == basis.dimension
+    assert _rational_rank(_coefficient_rows(basis)) == basis.dimension
     for pos, src in enumerate(basis.provenance):
         if src is not None:
             a, b = (mats[t] for t in src)
@@ -654,15 +670,23 @@ class TestDenseClosures:
                    for op in basis.basis for _, c in op.items())
         assert bits < 64
 
-    def test_unswitched_closure_keeps_a_valid_basis(self):
-        # a 4-term pair whose certificates fail returns to the integer
-        # echelon; its elements are echelon rows and still pass the oracle
-        _check_dense(close(GeneratorSet(3, _dense_pair(2, 4))))
+    def test_failed_certificate_keeps_the_span_modular(self, monkeypatch):
+        # a 4-term pair whose certificates fail lifts the combinations
+        # p-adically and stays on the modular echelon, so its elements are
+        # the raw brackets; they pass the oracle
+        counts, spans = _spy_modular(monkeypatch)
+        basis = close(GeneratorSet(3, _dense_pair(2, 4)))
+        assert counts == {"modular reductions": 78, "certificates passed": 14,
+                          "certificates failed": 78, "lifts": 78,
+                          "switched at": 4}
+        assert spans[0].rows is not None
+        _check_dense(basis)
 
 
 def _congruent_seeds(p):
     """Three seeds whose echelon reaches an entry of 2p, while the third is
-    the first mod p: the switch finds the raw seeds dependent."""
+    the first mod p: the switch finds the raw seeds dependent, and the span
+    moves to the next prime."""
     z0, z1, x0, x1 = (OperatorSum.z(0, 2), OperatorSum.z(1, 2),
                       OperatorSum.x(0, 2), OperatorSum.x(1, 2))
     return [z0, z1, z0 + x0 * p + x1 * (2 * p * p)]
@@ -670,10 +694,20 @@ def _congruent_seeds(p):
 
 def _false_dependence(p):
     """The second seed switches the span; the third equals the first mod p
-    only, so its certificate fails and the integer echelon inserts it."""
+    only, so its certificate fails, the lift meets a rest and proves it
+    independent, and the span moves to the next prime to insert it."""
     z0, z1, x0, x1 = (OperatorSum.z(0, 2), OperatorSum.z(1, 2),
                       OperatorSum.x(0, 2), OperatorSum.x(1, 2))
     return [z0, x0 + x1 * (2 * p), z0 + z1 * p]
+
+
+def _lifted_dependence(p):
+    """The first seed switches the span; the fourth is (b - c) / d for the
+    second b and third c, with d = p // 2 too large for reconstruction mod
+    p, so its certificate fails and lifts prove it dependent."""
+    z0, z1, x0, x1 = (OperatorSum.z(0, 2), OperatorSum.z(1, 2),
+                      OperatorSum.x(0, 2), OperatorSum.x(1, 2))
+    return [x0 + x1 * (2 * p), z0 * (p // 2) + z1, z1, z0]
 
 
 def _identity_beside_a_switch(p):
@@ -685,13 +719,14 @@ def _identity_beside_a_switch(p):
 
 def _modulus_cases(p):
     cases = {f"dense {t} terms, seed {s}": (3, _dense_pair(s, t))
-             for t, s in ((4, 0), (4, 2), (8, 0))}
+             for t, s in ((4, 0), (4, 2), (8, 0), (5, 18))}
     for name, n, species in (("hopping", 3, "parafermion"),
                              ("hopping+pairing", 3, "fermion"),
                              ("linear+hopping", 2, "parafermion")):
         cases[f"{name} {species}"] = (n, _family(name, n, species)[0])
     cases["congruent seeds"] = (2, _congruent_seeds(p))
     cases["false dependence"] = (2, _false_dependence(p))
+    cases["lifted dependence"] = (2, _lifted_dependence(p))
     cases["identity beside a switch"] = (2, _identity_beside_a_switch(p))
     return cases
 
@@ -700,24 +735,46 @@ def _spy_paths(monkeypatch):
     """Record which decision paths of the span the closures take."""
     seen = set()
     span = lie._Span
-    switch, certified, insert = span._switch, span._certified, span.insert
+    switch, rebuild, dependent, certified, reduced = (
+        span._switch, span._rebuild, span._dependent, span._certified,
+        span._reduced)
     contains = span.__contains__
+    first, bases = [], []  # the certificate before any lift; _reduced's
 
     def spy_switch(self):
+        seen.add("switched")
         switch(self)
-        seen.add("switch kept" if self.rows is not None else "switch undone")
 
-    def spy_certified(self, vec, factors):
-        ok = certified(self, vec, factors)
-        seen.add("certificate passed" if ok else "certificate failed")
+    def spy_rebuild(self, p):
+        rebuild(self, p)
+        if self.p != lie._MODULUS:
+            seen.add("modulus moved")
+
+    def spy_dependent(self, vec, factors):
+        first.clear()
+        bases.clear()
+        found = dependent(self, vec, factors)
+        if first == [True]:
+            seen.add("certificate passed")
+            return found
+        seen.add("certificate failed")
+        if bases and bases[0] is not None:
+            seen.add("reduced basis decided")
+        else:
+            seen.add("lift proved "
+                     + ("dependence" if found else "independence"))
+        return found
+
+    def spy_certified(self, vec, x, q, rebuild):
+        ok = certified(self, vec, x, q, rebuild)
+        if q == self.p:
+            first.append(ok)
         return ok
 
-    def spy_insert(self, vec, src):
-        modular = self.rows is not None
-        added = insert(self, vec, src)
-        if modular and self.rows is None and added:
-            seen.add("false dependence")
-        return added
+    def spy_reduced(self):
+        basis = reduced(self)
+        bases.append(basis)
+        return basis
 
     def spy_contains(self, vec):
         found = contains(self, vec)
@@ -726,9 +783,11 @@ def _spy_paths(monkeypatch):
         return found
 
     monkeypatch.setattr(span, "_switch", spy_switch)
-    monkeypatch.setattr(span, "__contains__", spy_contains)
+    monkeypatch.setattr(span, "_rebuild", spy_rebuild)
+    monkeypatch.setattr(span, "_dependent", spy_dependent)
     monkeypatch.setattr(span, "_certified", spy_certified)
-    monkeypatch.setattr(span, "insert", spy_insert)
+    monkeypatch.setattr(span, "_reduced", spy_reduced)
+    monkeypatch.setattr(span, "__contains__", spy_contains)
     return seen
 
 
@@ -745,9 +804,16 @@ class TestModulusIndependence:
         got = {name: _answers(close(GeneratorSet(n, gens)))
                for name, (n, gens) in cases.items()}
         assert got == want
-        assert seen == {"switch kept", "switch undone", "certificate passed",
-                        "certificate failed", "false dependence",
-                        "identity certified"}
+        assert seen == {"switched", "certificate passed",
+                        "certificate failed", "reduced basis decided",
+                        "lift proved dependence", "lift proved independence",
+                        "modulus moved", "identity certified"}
+
+    def test_moduli_are_the_primes_in_turn(self):
+        primes = [n for n in range(2, 400)
+                  if all(n % d for d in range(2, math.isqrt(n) + 1))]
+        assert [lie._next_prime(n) for n in primes[:-1]] == primes[1:]
+        assert lie._next_prime(lie._MODULUS) == (1 << 61) + 15
 
 
 def _reference_sign(ka, kb, n):
@@ -968,7 +1034,7 @@ class TestPackedEchelon:
             self._compare(p, vectors)
 
     def _compare(self, p, vectors):
-        span = lie._Span(None)
+        span = lie._Span(None, 4 ** 6)
         span._switch()  # no elements yet: an empty echelon mod p
         rows = {}
         for vec in vectors:
@@ -1002,8 +1068,8 @@ def _spy_work(monkeypatch):
         counts["reductions"] += 1
         return reduce(vec, pivots)
 
-    def spy_init(self, bracket):
-        init(self, bracket)
+    def spy_init(self, bracket, full_dim):
+        init(self, bracket, full_dim)
         self.decided = Memo()
 
     monkeypatch.setattr(lie, "_reduce", spy_reduce)
@@ -1012,23 +1078,32 @@ def _spy_work(monkeypatch):
 
 
 def _spy_modular(monkeypatch):
-    """Count the modular reductions and certificates of a closure, and the
-    elements it holds when it switches; the spans that switch are listed."""
+    """Count the modular reductions, certificates and lifts of a closure,
+    and the elements it holds when it switches; the spans that switch are
+    listed.  A lift is a modular reduction of a lifted residual."""
     switched = []
     counts = {"modular reductions": 0, "certificates passed": 0,
-              "certificates failed": 0, "switched at": None}
+              "certificates failed": 0, "lifts": 0, "switched at": None}
+    lifting = []
     span = lie._Span
-    mod_reduce, certified, switch = (span._mod_reduce, span._certified,
-                                     span._switch)
+    mod_reduce, certified, switch, dependent = (
+        span._mod_reduce, span._certified, span._switch, span._dependent)
 
     def spy_mod_reduce(self, vec):
-        counts["modular reductions"] += 1
+        counts["lifts" if lifting else "modular reductions"] += 1
         return mod_reduce(self, vec)
 
-    def spy_certified(self, vec, factors):
-        ok = certified(self, vec, factors)
+    def spy_certified(self, vec, x, q, rebuild):
+        ok = certified(self, vec, x, q, rebuild)
         counts["certificates passed" if ok else "certificates failed"] += 1
         return ok
+
+    def spy_dependent(self, vec, factors):
+        lifting.append(True)
+        try:
+            return dependent(self, vec, factors)
+        finally:
+            lifting.pop()
 
     def spy_switch(self):
         counts["switched at"] = len(self.elements)
@@ -1038,6 +1113,7 @@ def _spy_modular(monkeypatch):
     monkeypatch.setattr(span, "_mod_reduce", spy_mod_reduce)
     monkeypatch.setattr(span, "_certified", spy_certified)
     monkeypatch.setattr(span, "_switch", spy_switch)
+    monkeypatch.setattr(span, "_dependent", spy_dependent)
     return counts, switched
 
 
@@ -1056,20 +1132,44 @@ class TestWorkCounters:
         counts, spans = _spy_modular(monkeypatch)
         assert close(GeneratorSet(3, _dense_pair(0, 8))).dimension == 63
         assert counts == {"modular reductions": 72, "certificates passed": 8,
-                          "certificates failed": 0, "switched at": 9}
+                          "certificates failed": 0, "lifts": 0,
+                          "switched at": 4}
         assert spans[0].rows is not None
 
     def test_sparse_switch_at_once(self, monkeypatch):
         # the packed walk jumps over empty lanes among 4**5 keys; once X0
         # or Z1 is in the span, the other depends on it and the seed with a
         # coefficient 2**62 or 2**-62, which no reconstruction mod p finds,
-        # so that certificate fails and the integer echelon finishes
+        # so those certificates fail; the span's reduced basis, of Pauli
+        # strings and the seed, decides them without a lift, and the span
+        # stays modular to the end
         counts, spans = _spy_modular(monkeypatch)
         basis = close(_switched_su_2n(5))
         assert basis.dimension_traceless == 4 ** 5 - 1
-        assert counts == {"modular reductions": 21, "certificates passed": 0,
-                          "certificates failed": 1, "switched at": 1}
-        assert spans[0].rows is None
+        assert counts == {"modular reductions": 1512,
+                          "certificates passed": 305,
+                          "certificates failed": 183, "lifts": 0,
+                          "switched at": 1}
+        assert spans[0].rows is not None
+
+    def test_chains_never_switch(self, monkeypatch):
+        # a packed row spans every key from its lead to its last, so on more
+        # than 256 keys the span switches only at an entry of p, which
+        # chains with small weights never reach; the weighted fermion chain
+        # reaches entries of 256 and would otherwise run out of memory
+        counts, spans = _spy_modular(monkeypatch)
+        xy = close(GeneratorSet(24, _family("hopping", 24, "parafermion")[0]))
+        assert xy.dimension == 24 * 24 - 1
+        n = 12
+        a = lambda i: E.annihilate(i, n, "fermion")
+        gens = []
+        for i in range(n - 1):
+            gens += herm_pair(E.create(i, n, "fermion") * a(i + 1) * (i % 9 + 1)
+                              + a(i) * a(i + 1) * ((3 * i) % 7 + 1))
+        from qalg.jw import jw_fermion_to_pauli
+        chain = close(GeneratorSet(n, [jw_fermion_to_pauli(g) for g in gens]))
+        assert chain.dimension == 253
+        assert spans == []
 
     @pytest.mark.parametrize("n, reductions, hits", [(4, 488, 2021),
                                                      (5, 2480, 14713)])
@@ -1136,7 +1236,7 @@ class TestBracketPaths:
     def test_dense_pair_walks_dense_lists(self, monkeypatch):
         calls = _spy_dense(monkeypatch)
         assert close(GeneratorSet(3, _dense_pair(0, 8))).dimension == 63
-        assert len(calls) == 77
+        assert len(calls) == 72
         assert all(a * b >= lie._DENSE_PAIRS * 64 for a, b in calls)
 
     def test_su_2n_keeps_the_popcount_loop(self, monkeypatch):
@@ -1152,11 +1252,11 @@ class TestExportOrder:
     (row, col) order."""
 
     @pytest.mark.parametrize("case", ["sparse", "dense switched",
-                                      "unswitched"])
+                                      "sparse switched"])
     def test_terms_ascend(self, case):
         gs = {"sparse": _su_2n(3),
               "dense switched": GeneratorSet(3, _dense_pair(0, 8)),
-              "unswitched": _switched_su_2n(5)}[case]
+              "sparse switched": _switched_su_2n(5)}[case]
         basis = close(gs)
         assert len(basis.basis) == basis.dimension
         for element in basis.basis:
@@ -1282,10 +1382,7 @@ class TestClosureProperties:
         basis = close(GeneratorSet(n, gens))
         # the exported elements are independent, exactly, and a float
         # closure of the same generators finds as many
-        keys = sorted({k for op in basis.basis for k in integer_terms(op)[1]})
-        rows = [[integer_terms(op)[1].get(k, (0, 0))[0] for k in keys]
-                for op in basis.basis]
-        assert _rational_rank(rows) == basis.dimension
+        assert _rational_rank(_coefficient_rows(basis)) == basis.dimension
         assert dense_closure_dimension(gens) == basis.dimension
         dims = (basis.dimension, basis.dimension_traceless)
         moved = [gens[k] * c for k, c in zip(order, scales)]
