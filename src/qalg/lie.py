@@ -354,9 +354,13 @@ def _reduce(vec: dict, pivots: dict) -> dict:
 
 # -- exact span membership -------------------------------------------------
 
-# The modular echelon starts modulo this Mersenne prime, read at call time:
-# any prime gives the same answers, only more slowly.
-_MODULUS = (1 << 61) - 1
+# The modular echelon works modulo the first of these primes, and moves to
+# the next only when its raw elements, or a vector independent of them over
+# Q, are dependent modulo the current one, which takes a prime that divides
+# a nonzero minor of the elements.  2**61 - 1 is a Mersenne prime; the
+# others are the largest primes below 2**62, 2**63 and 2**64.  Any prime
+# gives the same answers, only more slowly; read at call time.
+_MODULI = ((1 << 61) - 1, (1 << 62) - 57, (1 << 63) - 25, (1 << 64) - 59)
 
 # On at most _WALK_KEYS keys, the integer echelon hands over to the modular
 # one once a row holds an entry of at least this, or of p when p is
@@ -367,39 +371,6 @@ _MODULUS = (1 << 61) - 1
 # and sparse closures whose rows pass this entry (weighted fermion chains
 # on 8-12 modes) would run out of memory, so the switch waits for p.
 _SWITCH_AT = 1 << 8
-
-# Miller-Rabin to these bases is exact below 3.3 * 10**24 (Sorenson and
-# Webster, 2015), far above any modulus a span reaches.
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Whether n is prime, by Miller-Rabin to _PRIME_BASES."""
-    if n < 2:
-        return False
-    for a in _PRIME_BASES:
-        if n % a == 0:
-            return n == a
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
-    for a in _PRIME_BASES:
-        x = pow(a, (n - 1) >> s, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _next_prime(n: int) -> int:
-    """The least prime above n: the modulus a span moves to from n."""
-    n += 1
-    while not _is_prime(n):
-        n += 1
-    return n
 
 
 def _rational(a: int, p: int):
@@ -460,11 +431,10 @@ class _Span:
 
     The elements stay independent mod p: when raw elements are dependent
     mod p at the switch, or a vector independent over Q but dependent mod p
-    joins them, the span moves to the least prime above p and rebuilds its
-    echelon, so its moduli are _MODULUS and then the primes above it in
-    increasing order.  Element k equals bracket(b_i, b_j) up to a nonzero
-    factor plus earlier elements on either echelon, so each span, and with
-    it every answer, is the one the integer echelon alone gives.
+    joins them, the span moves to the next prime of _MODULI and rebuilds
+    its echelon.  Element k equals bracket(b_i, b_j) up to a nonzero factor
+    plus earlier elements on either echelon, so each span, and with it
+    every answer, is the one the integer echelon alone gives.
 
     _rest alone decides membership.  It normalizes the vector first, and
     decided holds the frozen items of every normalized vector found in the
@@ -485,13 +455,13 @@ class _Span:
     def __init__(self, bracket, full_dim: int):
         self.bracket = bracket
         self.full_dim = full_dim
-        self.switch_at = (min(_SWITCH_AT, _MODULUS) if full_dim <= _WALK_KEYS
-                          else _MODULUS)
+        self.switch_at = (min(_SWITCH_AT, _MODULI[0])
+                          if full_dim <= _WALK_KEYS else _MODULI[0])
         self.elements: list = []
         self.provenance: list = []
         self.seeds: dict = {}   # index -> primitive seed vector
         self.pivots: dict = {}  # integer echelon: lead key -> row
-        self.rows = None        # mod p: lead -> (packed row, inv, factors)
+        self.rows = None        # mod p: lead -> (packed row, row index)
         self.decided = set()    # frozenset(vec.items()) of vectors in the span
 
     def insert(self, vec: dict, src) -> bool:
@@ -512,7 +482,7 @@ class _Span:
         self.elements.append(vec)
         self.emax = max(self.emax, *map(abs, vec.values()))
         if factors is None:  # independent over Q, dependent mod p
-            self._rebuild(_next_prime(self.p))
+            self._rebuild(self.modulus + 1)
         else:
             self._mod_add(rest, factors)
         return True
@@ -554,15 +524,16 @@ class _Span:
         self.emax = max((abs(c) for vec in raw for c in vec.values()),
                         default=0)
         self.den = 1            # the last denominator that certified
-        self.exact: dict = {}   # lane bytes -> elements packed exactly
+        self.exact = (0, [])    # (lane bytes, elements packed exactly)
         self.reduced = (-1, None)  # (elements, _reduced's basis or None)
-        self._rebuild(_MODULUS)
+        self._rebuild(0)
 
-    def _rebuild(self, p: int):
-        """The echelon mod p of the elements, or mod the next prime above p
-        when they are dependent mod p."""
-        while True:
-            self.p, self.rows, self.combs = p, {}, {}
+    def _rebuild(self, modulus: int):
+        """The echelon of the elements modulo _MODULI[modulus], or modulo the
+        first prime after it there that keeps them independent."""
+        for self.modulus in range(modulus, len(_MODULI)):
+            p = self.p = _MODULI[self.modulus]
+            self.rows, self.chain = {}, []
             self.lane_bytes = (2 * p.bit_length()
                                + self.full_dim.bit_length() + 8) // 8
             for vec in self.elements:
@@ -572,7 +543,8 @@ class _Span:
                 self._mod_add(rest, factors)
             else:
                 return
-            p = _next_prime(p)
+        raise ArithmeticError("closure elements dependent modulo every "
+                              "prime of lie._MODULI")
 
     def _mod_reduce(self, vec: dict):
         """(rest, factors) with vec = rest + sum f * rows[lead] (mod p) over
@@ -598,11 +570,12 @@ class _Span:
     def _mod_add(self, rest: dict, factors: list):
         """Add the row of the next element b: rest = b - sum f * rows[lead],
         scaled to 1 at its lead."""
-        p = self.p
+        p, rows = self.p, self.rows
         lead = min(rest)
         inv = pow(rest[lead], -1, p)
-        self.rows[lead] = (self._pack({k: c * inv for k, c in rest.items()},
-                                      lead), inv, factors)
+        rows[lead] = (self._pack({k: c * inv for k, c in rest.items()}, lead),
+                      len(self.chain))
+        self.chain.append((inv, [(rows[r][1], f) for r, f in factors]))
 
     def _pack(self, vec: dict, lead: int) -> int:
         """The residues of vec mod p as one int, key k in lane k - lead."""
@@ -616,21 +589,24 @@ class _Span:
         """{l: c} with sum f * rows[lead] = sum c * elements[l] (mod p).
 
         The row of element l is inv * (elements[l] - sum f * rows[lead])
-        over its own factors, which name only rows made before it, so one
-        pass from the newest row back resolves every row."""
-        p = self.p
-        coeffs = dict(factors)
+        over its own factors, which name only rows made before it; chain[l]
+        holds inv and those factors by row index, so one pass from the
+        newest row back resolves every row."""
+        p, rows, chain = self.p, self.rows, self.chain
+        coeffs, top = [0] * len(chain), -1
+        for lead, f in factors:
+            index = rows[lead][1]
+            coeffs[index], top = f, max(top, index)
         comb = {}
-        for index, lead in reversed(list(enumerate(self.rows))):
-            c = coeffs.pop(lead, 0) % p
+        for index in range(top, -1, -1):
+            c = coeffs[index] % p
             if c:
-                _, inv, row_factors = self.rows[lead]
+                inv, row_factors = chain[index]
                 c = c * inv % p
                 comb[index] = c
                 for r, f in row_factors:
-                    coeffs[r] = coeffs.get(r, 0) - c * f
+                    coeffs[r] -= c * f
         return comb
-
     def _dependent(self, vec: dict, factors: list) -> bool:
         """Whether vec, dependent mod p by factors, lies in the span over Q.
 
@@ -646,11 +622,13 @@ class _Span:
         nonzero rest proves vec independent.  The lift ends either way: for
         an independent vec, some integer w orthogonal to the elements has
         w . r = w . vec / q, a nonzero integer, so p**t divides w . vec; for
-        a dependent one, _certified succeeds once q is large enough."""
+        a dependent one, _certified succeeds once q is large enough, and it
+        is tried after 1, 2, 4, 8, ... lifts, as it costs more than a
+        lift."""
         p = q = self.p
         digits = self._combination(factors)
         x = dict(digits)
-        if self._certified(vec, x, q, True):
+        if self._certified(vec, x, q):
             return True
         reduced = self._reduced()
         if reduced is not None:
@@ -664,26 +642,26 @@ class _Span:
             if rest:
                 return False
             lifts += 1
-            digits = self._digits(factors)
+            digits = self._combination(factors)
             for l, c in digits.items():
                 x[l] = x.get(l, 0) + c * q
             q *= p
-            if self._certified(vec, x, q, not lifts & (lifts - 1)):
+            if not lifts & (lifts - 1) and self._certified(vec, x, q):
                 return True
 
-    def _certified(self, vec: dict, x: dict, q: int, rebuild: bool) -> bool:
+    def _certified(self, vec: dict, x: dict, q: int) -> bool:
         """Whether vec, equal to sum x_l * elements[l] mod q, is exactly
         L * vec = sum z_l * elements[l] for a denominator L and the residues
         z_l of L * x_l mod q of least size.
 
         L * vec - sum z_l * elements[l] is 0 mod q, so when L * max|vec| +
         emax * sum |z_l| < q / 2, each of its entries is a multiple of q
-        smaller than q, so 0.  That bound is tried with the last
-        denominator that certified, since the combinations in one span
-        share denominators.  With rebuild (after 0, 1, 2, 4, 8, ... lifts,
-        as rational reconstruction costs more than a lift), L is rebuilt
-        from x by reconstruction, and the identity is checked exactly when
-        the bound does not yet hold."""
+        smaller than q, so 0.  L is first the last denominator that
+        certified: the combinations in one span share denominators, and
+        this bound holds at about half the precision that reconstruction
+        needs.  Otherwise L is rebuilt from x by rational reconstruction,
+        and the identity is checked exactly when the bound does not yet
+        hold."""
         vmax = max(map(abs, vec.values()))
 
         def bounded(den):
@@ -697,8 +675,6 @@ class _Span:
 
         if bounded(self.den):
             return True
-        if not rebuild:
-            return False
         den = 1
         for c in x.values():
             frac = _rational(den * c % q, q)
@@ -715,7 +691,6 @@ class _Span:
                 return False
         self.den = den
         return True
-
     def _reduced(self):
         """The reduced echelon basis of the span over Q, {lead: {key: c}}
         with each row's entries off the leads, or None.
@@ -771,40 +746,16 @@ class _Span:
                 acc[k] = acc.get(k, 0) + v * c
         return not any(acc.values())
 
-    def _digits(self, factors: list) -> dict:
-        """_combination(factors), from the rows' combinations of the
-        elements, packed one lane per element and summed lane by lane: a
-        lift needs one per step, and each costs one multiply-add per row
-        where _combination walks every row's factors.  The packed
-        combinations cost more to build than a closure that never lifts
-        spends on _combination, so only lifts build them."""
-        p = self.p
-        total = sum(f * self._comb(lead) for lead, f in factors)
-        return {l: r for l, c in _unpack(total, self.lane_bytes).items()
-                if (r := c % p)}
-
-    def _comb(self, lead: int) -> int:
-        """The combination of the elements that rows[lead] is, packed one
-        lane per element, built on first use with those of the rows before
-        it."""
-        if lead not in self.combs:
-            for index, (key, (_, inv, factors)) in enumerate(
-                    self.rows.items()):
-                if key not in self.combs:
-                    comb = {l: -inv * c for l, c
-                            in self._digits(factors).items()}
-                    comb[index] = inv
-                    self.combs[key] = self._pack(comb, 0)
-                if key == lead:
-                    break
-        return self.combs[lead]
-
     def _lift(self, r: dict, digits: dict) -> dict:
-        """(r - sum c * elements[l]) / p over (l, c) in digits, exactly,
-        on the elements packed with signed lanes wide enough for r."""
+        """(r - sum c * elements[l]) / p over (l, c) in digits, exactly, on
+        the elements packed with signed lanes wide enough for r; the packed
+        elements are kept for one lane width, repacked only when a wider one
+        is needed."""
         bound = max(map(abs, r.values())) + sum(digits.values()) * self.emax
         size = -(-(bound.bit_length() + 1) // 64) * 8
-        packed = self.exact.setdefault(size, [])
+        if size > self.exact[0]:
+            self.exact = (size, [])
+        size, packed = self.exact
         for vec in self.elements[len(packed):]:
             packed.append(_pack_signed(vec, size))
         acc = _pack_signed(r, size)

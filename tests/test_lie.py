@@ -677,7 +677,7 @@ class TestDenseClosures:
         counts, spans = _spy_modular(monkeypatch)
         basis = close(GeneratorSet(3, _dense_pair(2, 4)))
         assert counts == {"modular reductions": 78, "certificates passed": 14,
-                          "certificates failed": 78, "lifts": 78,
+                          "certificates failed": 28, "lifts": 80,
                           "switched at": 4}
         assert spans[0].rows is not None
         _check_dense(basis)
@@ -717,6 +717,35 @@ def _identity_beside_a_switch(p):
     return [x0 + x1 * (2 * p), OperatorSum.identity(2) + z1, z1]
 
 
+def _is_prime(n):
+    """Miller-Rabin to the twelve prime bases up to 37, exact below
+    3.3 * 10**24 (Sorenson and Webster, 2015)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_from(p):
+    """p and the primes after it, below 2 * p: moduli for a small-prime
+    run, enough for every move the cases below make."""
+    return tuple(n for n in range(p, 2 * p)
+                 if all(n % d for d in range(2, math.isqrt(n) + 1)))
+
+
 def _modulus_cases(p):
     cases = {f"dense {t} terms, seed {s}": (3, _dense_pair(s, t))
              for t, s in ((4, 0), (4, 2), (8, 0), (5, 18))}
@@ -745,9 +774,9 @@ def _spy_paths(monkeypatch):
         seen.add("switched")
         switch(self)
 
-    def spy_rebuild(self, p):
-        rebuild(self, p)
-        if self.p != lie._MODULUS:
+    def spy_rebuild(self, modulus):
+        rebuild(self, modulus)
+        if self.modulus:
             seen.add("modulus moved")
 
     def spy_dependent(self, vec, factors):
@@ -765,8 +794,8 @@ def _spy_paths(monkeypatch):
                      + ("dependence" if found else "independence"))
         return found
 
-    def spy_certified(self, vec, x, q, rebuild):
-        ok = certified(self, vec, x, q, rebuild)
+    def spy_certified(self, vec, x, q):
+        ok = certified(self, vec, x, q)
         if q == self.p:
             first.append(ok)
         return ok
@@ -800,7 +829,7 @@ class TestModulusIndependence:
         want = {name: _answers(close(GeneratorSet(n, gens)))
                 for name, (n, gens) in cases.items()}
         seen = _spy_paths(monkeypatch)
-        monkeypatch.setattr(lie, "_MODULUS", p)
+        monkeypatch.setattr(lie, "_MODULI", _primes_from(p))
         got = {name: _answers(close(GeneratorSet(n, gens)))
                for name, (n, gens) in cases.items()}
         assert got == want
@@ -809,11 +838,20 @@ class TestModulusIndependence:
                         "lift proved dependence", "lift proved independence",
                         "modulus moved", "identity certified"}
 
-    def test_moduli_are_the_primes_in_turn(self):
-        primes = [n for n in range(2, 400)
-                  if all(n % d for d in range(2, math.isqrt(n) + 1))]
-        assert [lie._next_prime(n) for n in primes[:-1]] == primes[1:]
-        assert lie._next_prime(lie._MODULUS) == (1 << 61) + 15
+    def test_moduli_are_increasing_primes(self):
+        assert lie._MODULI[0] == (1 << 61) - 1
+        assert all(_is_prime(p) for p in lie._MODULI)
+        assert list(lie._MODULI) == sorted(set(lie._MODULI))
+        assert all(_is_prime(p) for p in _primes_from(101))
+        assert not any(map(_is_prime, (1, 561, 8911, (1 << 61) + 1,
+                                       (1 << 64) - 57)))
+
+    def test_no_modulus_left(self, monkeypatch):
+        # the congruent seeds are dependent modulo the only prime, so the
+        # span has no modulus to move to
+        monkeypatch.setattr(lie, "_MODULI", (101,))
+        with pytest.raises(ArithmeticError, match="every prime"):
+            close(GeneratorSet(2, _congruent_seeds(101)))
 
 
 def _reference_sign(ka, kb, n):
@@ -1030,7 +1068,7 @@ class TestPackedEchelon:
     def test_walk_matches_the_dict_rows(self, case):
         p, vectors = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lie, "_MODULUS", p)
+            mp.setattr(lie, "_MODULI", (p,))
             self._compare(p, vectors)
 
     def _compare(self, p, vectors):
@@ -1093,8 +1131,8 @@ def _spy_modular(monkeypatch):
         counts["lifts" if lifting else "modular reductions"] += 1
         return mod_reduce(self, vec)
 
-    def spy_certified(self, vec, x, q, rebuild):
-        ok = certified(self, vec, x, q, rebuild)
+    def spy_certified(self, vec, x, q):
+        ok = certified(self, vec, x, q)
         counts["certificates passed" if ok else "certificates failed"] += 1
         return ok
 
