@@ -607,6 +607,7 @@ class _Span:
                 for r, f in row_factors:
                     coeffs[r] -= c * f
         return comb
+
     def _dependent(self, vec: dict, factors: list) -> bool:
         """Whether vec, dependent mod p by factors, lies in the span over Q.
 
@@ -622,9 +623,9 @@ class _Span:
         nonzero rest proves vec independent.  The lift ends either way: for
         an independent vec, some integer w orthogonal to the elements has
         w . r = w . vec / q, a nonzero integer, so p**t divides w . vec; for
-        a dependent one, _certified succeeds once q is large enough, and it
-        is tried after 1, 2, 4, 8, ... lifts, as it costs more than a
-        lift."""
+        a dependent one, _certified succeeds once q is large enough.  It is
+        tried after 1, 2, 4, 8, ... lifts, so a dependence that needs t
+        lifts takes at most 2t lifts and about log2(t) attempts."""
         p = q = self.p
         digits = self._combination(factors)
         x = dict(digits)
@@ -691,6 +692,7 @@ class _Span:
                 return False
         self.den = den
         return True
+
     def _reduced(self):
         """The reduced echelon basis of the span over Q, {lead: {key: c}}
         with each row's entries off the leads, or None.
