@@ -543,8 +543,9 @@ class _Span:
                 self._mod_add(rest, factors)
             else:
                 return
-        raise ArithmeticError("closure elements dependent modulo every "
-                              "prime of lie._MODULI")
+        raise ValueError("the closure's elements are independent but "
+                         "dependent modulo every prime of lie._MODULI, so "
+                         "no exact modular echelon is left")
 
     def _mod_reduce(self, vec: dict):
         """(rest, factors) with vec = rest + sum f * rows[lead] (mod p) over

@@ -846,12 +846,12 @@ class TestModulusIndependence:
         assert not any(map(_is_prime, (1, 561, 8911, (1 << 61) + 1,
                                        (1 << 64) - 57)))
 
-    def test_no_modulus_left(self, monkeypatch):
-        # the congruent seeds are dependent modulo the only prime, so the
-        # span has no modulus to move to
-        monkeypatch.setattr(lie, "_MODULI", (101,))
-        with pytest.raises(ArithmeticError, match="every prime"):
-            close(GeneratorSet(2, _congruent_seeds(101)))
+    def test_no_modulus_left(self):
+        # seeds congruent modulo the product of every prime are dependent
+        # modulo each, so the span has no modulus left to move to
+        seeds = _congruent_seeds(math.prod(lie._MODULI))
+        with pytest.raises(ValueError, match="every prime"):
+            close(GeneratorSet(2, seeds))
 
 
 def _reference_sign(ka, kb, n):
